@@ -251,9 +251,10 @@ func BenchmarkPipelineMemory(b *testing.B) {
 
 // --- ablations (design choices from DESIGN.md) ------------------------------
 
-// BenchmarkAblationNeighbourStrategies compares the cell-list grid against
-// the O(n²) sweep for a spread-out collective with a small cut-off — the
-// regime where the simulator auto-selects the grid.
+// BenchmarkAblationNeighbourStrategies compares the cell-list grid (rebuilt
+// and queried, as each simulator step does) against the O(n²) sweep for a
+// spread-out collective with a small cut-off — the regime where the
+// simulator auto-selects the grid.
 func BenchmarkAblationNeighbourStrategies(b *testing.B) {
 	rng := rngx.New(1)
 	n := 512
@@ -264,11 +265,12 @@ func BenchmarkAblationNeighbourStrategies(b *testing.B) {
 	}
 	const radius = 3.0
 	b.Run("grid", func(b *testing.B) {
+		g := spatial.NewDenseGrid(radius)
+		var buf []int32
 		for i := 0; i < b.N; i++ {
-			g := spatial.NewGrid(pts, radius)
-			count := 0
+			g.Rebuild(pts)
 			for p := range pts {
-				g.ForNeighbors(p, radius, func(int) { count++ })
+				buf = g.AppendNeighbors(buf[:0], p, radius)
 			}
 		}
 	})
@@ -299,38 +301,6 @@ func BenchmarkAblationKSGVariants(b *testing.B) {
 			b.ReportMetric(est-truth, "bias-bits")
 		})
 	}
-}
-
-// BenchmarkAblationICPNearestNeighbour compares the k-d tree correspondence
-// search against the linear scan inside ICP at the paper's collective sizes.
-func BenchmarkAblationICPNearestNeighbour(b *testing.B) {
-	rng := rngx.New(5)
-	for _, n := range []int{20, 120} {
-		types := sim.TypesRoundRobin(n, 3)
-		ref := make([]vec.Vec2, n)
-		for i := range ref {
-			x, y := rng.UniformDisc(8)
-			ref[i] = vec.Vec2{X: x, Y: y}
-		}
-		moving := align.Rigid{Theta: 1.1, T: vec.Vec2{X: 4, Y: -2}}.ApplyAll(ref)
-		for _, brute := range []bool{false, true} {
-			name := "kdtree"
-			if brute {
-				name = "brute"
-			}
-			b.Run(nameN(name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := align.ICP(moving, ref, types, align.Options{BruteForceNN: brute}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func nameN(name string, n int) string {
-	return name + "/n=" + itoa(n)
 }
 
 func itoa(n int) string {
@@ -472,10 +442,9 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkGridRebuild compares the seed's per-step strategy (build a fresh
-// map-backed Grid every call) against the persistent DenseGrid's recycled
-// counting-sort Rebuild, including one query sweep each, at the paper's
-// collective sizes.
+// BenchmarkGridRebuild measures the persistent DenseGrid's recycled
+// counting-sort Rebuild plus one query sweep, at the paper's collective
+// sizes.
 func BenchmarkGridRebuild(b *testing.B) {
 	const radius = 3.0
 	for _, n := range []int{100, 1000} {
@@ -485,16 +454,6 @@ func BenchmarkGridRebuild(b *testing.B) {
 			x, y := rng.UniformDisc(math.Sqrt(float64(n)) * 2)
 			pts[i] = vec.Vec2{X: x, Y: y}
 		}
-		b.Run("map/n="+itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			count := 0
-			for i := 0; i < b.N; i++ {
-				g := spatial.NewGrid(pts, radius)
-				for p := range pts {
-					g.ForNeighbors(p, radius, func(int) { count++ })
-				}
-			}
-		})
 		b.Run("dense/n="+itoa(n), func(b *testing.B) {
 			b.ReportAllocs()
 			g := spatial.NewDenseGrid(radius)

@@ -5,10 +5,9 @@
 //
 // Every invocation resolves to one declarative sops.Spec and executes it
 // through a sops.Session: `-scenario` names a registered spec, `-spec`
-// loads one from JSON (the versioned Spec format; legacy grid files are
-// still accepted), and `-dump-spec` prints the fully resolved spec
-// instead of running it, so any invocation can be captured, versioned and
-// replayed exactly.
+// loads one from JSON (the versioned Spec format), and `-dump-spec`
+// prints the fully resolved spec instead of running it, so any
+// invocation can be captured, versioned and replayed exactly.
 //
 // Usage:
 //
@@ -49,7 +48,7 @@
 // produces byte-identical output. Results are bit-identical for every
 // -runs/-budget setting; see DESIGN.md "Public API".
 //
-// Spec and grid files may select the approximate estimator tier
+// Spec files may select the approximate estimator tier
 // (estimator block: "tier": "approx", "subsample": r): each run's KSG
 // sum is then evaluated at r deterministically drawn samples per step
 // with per-step error bars, ~M/r faster at large M. Approximate-tier
@@ -202,8 +201,7 @@ func interruptMsg(err error, ckptDir string) error {
 }
 
 // resolveSpec turns the invocation into one declarative spec: a named
-// scenario, a versioned Spec file, or a legacy grid file (auto-detected
-// and converted).
+// scenario or a versioned Spec file.
 func resolveSpec(scenario, specFile, scale string, seed uint64) (sops.Spec, error) {
 	if scenario != "" {
 		s, ok := sweep.LookupScenario(scenario)
@@ -212,17 +210,7 @@ func resolveSpec(scenario, specFile, scale string, seed uint64) (sops.Spec, erro
 		}
 		return s.Spec(scale, seed), nil
 	}
-	sp, err := sops.LoadSpec(specFile)
-	if err == nil {
-		return sp, nil // scale/seed defaults merge in MergeCLIOverrides
-	}
-	// Legacy pre-Spec grid files have no "version" key; fall back to the
-	// old parser and convert.
-	g, gerr := sweep.LoadGridSpec(specFile)
-	if gerr != nil {
-		return sops.Spec{}, err // report the Spec-format error, it is canonical
-	}
-	return g.Spec(scale, seed), nil
+	return sops.LoadSpec(specFile) // scale/seed defaults merge in MergeCLIOverrides
 }
 
 // saveFigure renders the figure as an ASCII chart on stdout and writes

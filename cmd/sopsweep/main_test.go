@@ -82,12 +82,11 @@ func TestCustomGridSpecEndToEnd(t *testing.T) {
 	base := t.TempDir()
 	spec := filepath.Join(base, "grid.json")
 	if err := os.WriteFile(spec, []byte(`{
+		"version": 1,
 		"name": "minigrid",
-		"n": 8,
-		"typeCounts": [2],
-		"cutoffs": [-1],
-		"force": {"family": "f2"},
-		"m": 8, "steps": 6, "recordEvery": 3, "repeats": 2
+		"sim": {"n": 8},
+		"ensemble": {"m": 8, "steps": 6, "recordEvery": 3},
+		"sweep": {"typeCounts": [2], "cutoffs": [-1], "force": {"family": "f2"}, "repeats": 2}
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +139,10 @@ func TestDumpSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyGridSpecStillAccepted: pre-Spec grid JSON (no version key)
-// is auto-detected and converted.
-func TestLegacyGridSpecStillAccepted(t *testing.T) {
+// TestLegacyGridSpecRejected: a pre-Spec grid file (no version key) no
+// longer loads; sopsweep reports the Spec-format parse error and runs
+// nothing.
+func TestLegacyGridSpecRejected(t *testing.T) {
 	base := t.TempDir()
 	legacy := `{"name":"lg","n":8,"typeCounts":[2],"cutoffs":[5],"force":{"family":"f1"},"repeats":2}`
 	path := filepath.Join(base, "legacy.json")
@@ -150,10 +150,11 @@ func TestLegacyGridSpecStillAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(base, "out")
-	if err := run(context.Background(), []string{"-spec", path, "-scale", "test", "-out", out, "-q"}, io.Discard, io.Discard); err != nil {
-		t.Fatal(err)
+	err := run(context.Background(), []string{"-spec", path, "-scale", "test", "-out", out, "-q"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "spec: parse "+path) || !strings.Contains(err.Error(), `unknown field "n"`) {
+		t.Fatalf("legacy grid file: want the Spec-format parse error, got %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(out, "lg.csv")); err != nil {
-		t.Fatal("legacy grid produced no figure:", err)
+	if _, err := os.Stat(filepath.Join(out, "lg.csv")); !os.IsNotExist(err) {
+		t.Fatalf("legacy grid file produced a figure: %v", err)
 	}
 }

@@ -241,29 +241,142 @@ func TestICPNoisyAlignment(t *testing.T) {
 	}
 }
 
-func TestICPBruteForceMatchesTree(t *testing.T) {
+// liftedICP is the oracle of TestICPMatchesLiftedSearch: ICP as Sec. 5.2
+// states it, each correspondence found by a linear scan over the reference
+// lifted into R³ with type × 10·diameter as the third coordinate, ties to
+// the smaller index. Everything else follows (*Aligner).ICP step for step.
+func liftedICP(moving, reference []vec.Vec2, types []int) Result {
+	opt := Options{}.withDefaults()
+	mov := append([]vec.Vec2(nil), moving...)
+	ref := append([]vec.Vec2(nil), reference...)
+	movC, refC := vec.Center(mov), vec.Center(ref)
+	diameter := 2 * math.Max(vec.Radius(mov), vec.Radius(ref))
+	if diameter == 0 {
+		diameter = 1
+	}
+	type point3 struct{ x, y, z float64 }
+	lift := func(p vec.Vec2, t int) point3 { return point3{p.X, p.Y, float64(t) * 10 * diameter} }
+	lifted := make([]point3, len(ref))
+	for j, p := range ref {
+		lifted[j] = lift(p, types[j])
+	}
+	nearest := func(q point3) (int, float64) {
+		best, bestD2 := -1, math.Inf(1)
+		for j, p := range lifted {
+			dx, dy, dz := p.x-q.x, p.y-q.y, p.z-q.z
+			if d2 := dx*dx + dy*dy + dz*dz; d2 < bestD2 {
+				best, bestD2 = j, d2
+			}
+		}
+		return best, bestD2
+	}
+
+	n := len(mov)
+	rotated, matched := make([]vec.Vec2, n), make([]vec.Vec2, n)
+	bestTheta, bestCost, iters := 0.0, math.Inf(1), 0
+	for restart := 0; restart < opt.Restarts; restart++ {
+		theta := 2 * math.Pi * float64(restart) / float64(opt.Restarts)
+		prevRMS := math.Inf(1)
+		for iter := 0; iter < opt.MaxIterations; iter++ {
+			iters++
+			for i, p := range mov {
+				rotated[i] = p.Rotate(theta)
+			}
+			var sumD2 float64
+			for i, p := range rotated {
+				j, _ := nearest(lift(p, types[i]))
+				matched[i] = ref[j]
+				sumD2 += p.Dist2(ref[j])
+			}
+			rms := math.Sqrt(sumD2 / float64(n))
+			theta += Procrustes2D(rotated, matched).Theta
+			if prevRMS-rms < opt.Tolerance {
+				break
+			}
+			prevRMS = rms
+		}
+		var cost float64
+		for i, p := range mov {
+			_, d2 := nearest(lift(p.Rotate(theta), types[i]))
+			cost += d2
+		}
+		if cost < bestCost {
+			bestCost, bestTheta = cost, theta
+		}
+	}
+	aligned := make([]vec.Vec2, n)
+	for i, p := range mov {
+		aligned[i] = p.Rotate(bestTheta)
+	}
+	var a Aligner // the final greedy matching is shared, not under test
+	a.groupByType(types)
+	a.matchByType(aligned, ref)
+	var sumD2 float64
+	for j, i := range a.perm {
+		sumD2 += aligned[i].Dist2(ref[j])
+	}
+	return Result{
+		Transform:  Rigid{Theta: bestTheta, T: refC.Sub(movC.Rotate(bestTheta))},
+		Aligned:    aligned,
+		Perm:       a.perm,
+		RMS:        math.Sqrt(sumD2 / float64(n)),
+		Iterations: iters,
+	}
+}
+
+// sameBits reports whether two results agree in every field, bit for bit.
+func sameBits(a, b Result) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !eq(a.Transform.Theta, b.Transform.Theta) || !eq(a.Transform.T.X, b.Transform.T.X) ||
+		!eq(a.Transform.T.Y, b.Transform.T.Y) || !eq(a.RMS, b.RMS) || a.Iterations != b.Iterations ||
+		len(a.Aligned) != len(b.Aligned) || len(a.Perm) != len(b.Perm) {
+		return false
+	}
+	for i := range a.Aligned {
+		if !eq(a.Aligned[i].X, b.Aligned[i].X) || !eq(a.Aligned[i].Y, b.Aligned[i].Y) || a.Perm[i] != b.Perm[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// The correspondence search scans the query's own type in the plane; the
+// paper lifts types into R³ and searches all points. The two must give the
+// same alignment bit for bit — on random clouds, and on lattice clouds full
+// of tied distances and coincident points, with one to five types.
+func TestICPMatchesLiftedSearch(t *testing.T) {
 	r := rand.New(rand.NewPCG(13, 14))
-	n := 20
-	types := make([]int, n)
-	for i := range types {
-		types[i] = i % 2
-	}
-	ref := randomCloud(r, n, 8)
-	moving := Rigid{Theta: 1.2, T: vec.Vec2{X: 5, Y: 5}}.ApplyAll(ref)
-	a, err := ICP(moving, ref, types, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ICP(moving, ref, types, Options{BruteForceNN: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(normalizeAngle(a.Transform.Theta-b.Transform.Theta)) > 1e-9 {
-		t.Fatalf("tree and brute-force ICP disagree: %v vs %v", a.Transform.Theta, b.Transform.Theta)
-	}
-	for j := range a.Perm {
-		if a.Perm[j] != b.Perm[j] {
-			t.Fatal("permutations differ between NN backends")
+	var al Aligner // recycled across cases, as the pipeline does
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + trial%60
+		types := make([]int, n)
+		nTypes := 1 + r.IntN(5)
+		for i := range types {
+			types[i] = r.IntN(nTypes)
+		}
+		var ref, moving []vec.Vec2
+		if trial%2 == 0 { // random cloud, moved rigidly with a little noise
+			ref = randomCloud(r, n, 4+r.Float64()*20)
+			g := Rigid{Theta: r.Float64() * 2 * math.Pi, T: vec.Vec2{X: r.Float64() * 10, Y: r.Float64() * 10}}
+			moving = g.ApplyAll(ref)
+			for i := range moving {
+				moving[i] = moving[i].Add(vec.Vec2{X: r.NormFloat64() * 0.05, Y: r.NormFloat64() * 0.05})
+			}
+		} else { // small integer lattice: ties everywhere, repeats coincide
+			side := 1 + r.IntN(4)
+			on := func() vec.Vec2 { return vec.Vec2{X: float64(r.IntN(side)), Y: float64(r.IntN(side))} }
+			ref, moving = make([]vec.Vec2, n), make([]vec.Vec2, n)
+			for i := range ref {
+				ref[i], moving[i] = on(), on()
+			}
+		}
+		want := liftedICP(moving, ref, types)
+		got, err := al.ICP(moving, ref, types, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("trial %d (n=%d, %d types): own-type scan %+v, lifted search %+v", trial, n, nTypes, got, want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/spatial"
 	"repro/internal/vec"
 )
 
@@ -17,18 +16,11 @@ type Options struct {
 	// improves by less than this between iterations; 0 means the
 	// default (1e-9).
 	Tolerance float64
-	// TypeScaleFactor sets the type-lift coordinate spacing as a
-	// multiple of the collective diameter (the paper: "a factor a
-	// magnitude larger than the diameter"); 0 means the default (10).
-	TypeScaleFactor float64
 	// Restarts is the number of initial rotations tried (evenly spaced
 	// in [0, 2π)); ICP converges to the nearest local optimum, so a few
 	// restarts make the alignment robust to large relative rotations.
 	// 0 means the default (8).
 	Restarts int
-	// BruteForceNN switches the correspondence search from the k-d tree
-	// to a linear scan; exposed for the ablation benchmark.
-	BruteForceNN bool
 }
 
 func (o Options) withDefaults() Options {
@@ -37,9 +29,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Tolerance == 0 {
 		o.Tolerance = 1e-9
-	}
-	if o.TypeScaleFactor == 0 {
-		o.TypeScaleFactor = 10
 	}
 	if o.Restarts == 0 {
 		o.Restarts = 8
@@ -83,20 +72,18 @@ func (r Result) Reordered() []vec.Vec2 {
 // ensemble pipeline aligns tens of thousands of frames. An Aligner is not
 // safe for concurrent use — give each worker goroutine its own.
 type Aligner struct {
-	mov, ref  []vec.Vec2
-	rotated   []vec.Vec2
-	matched   []vec.Vec2
-	aligned   []vec.Vec2
-	refLifted []vec.Vec3
-	tree      spatial.KDTree3
-	brute     bool
-	perm      []int
-	order     []int
-	typeSort  typeSorter
-	pairs     []icpPair
-	pairSort  pairSorter
-	usedI     []bool
-	usedJ     []bool
+	mov, ref []vec.Vec2
+	rotated  []vec.Vec2
+	matched  []vec.Vec2
+	aligned  []vec.Vec2
+	perm     []int
+	order    []int
+	sameType [][]int // sameType[i]: particle i's type members, in a.order
+	typeSort typeSorter
+	pairs    []icpPair
+	pairSort pairSorter
+	usedI    []bool
+	usedJ    []bool
 
 	movCentroid, refCentroid vec.Vec2
 }
@@ -107,12 +94,19 @@ type Aligner struct {
 // respecting one-to-one correspondence.
 //
 // Both clouds are first centred (factoring out translation); each restart
-// then iterates nearest-neighbour correspondence in the type-lifted R³
+// then iterates nearest-neighbour correspondence within each particle type
 // against the rotation solved in closed form by Procrustes2D, until the RMS
 // stops improving. The restart with the lowest final matching cost wins.
 // The final permutation is produced by a greedy minimum-distance matching
 // within each type, which unlike raw nearest-neighbour output is guaranteed
 // to be a bijection.
+//
+// The paper finds correspondences in R³, lifting each particle's type to a
+// third coordinate a magnitude larger than the collective's diameter so
+// that matches never cross types (Sec. 5.2). Scanning the query's own type
+// in the plane is that search exactly: a same-type lifted distance adds
+// 0² to the planar one, every cross-type one exceeds any same-type one,
+// and both break ties toward the smaller reference index.
 func ICP(moving, reference []vec.Vec2, types []int, opt Options) (Result, error) {
 	var a Aligner
 	return a.ICP(moving, reference, types, opt)
@@ -164,12 +158,17 @@ func (a *Aligner) AlignReorderedInto(dst []vec.Vec2, moving, reference []vec.Vec
 	return nil
 }
 
-// nearest answers a correspondence query against the lifted reference.
-func (a *Aligner) nearest(q vec.Vec3) (int, float64) {
-	if !a.brute {
-		return a.tree.Nearest(q)
+// nearest returns the reference particle of particle i's type closest to
+// q, and the squared distance; ties go to the smaller index.
+func (a *Aligner) nearest(i int, q vec.Vec2) (int, float64) {
+	same := a.sameType[i]
+	best, bestD2 := same[0], a.ref[same[0]].Dist2(q)
+	for _, j := range same[1:] {
+		if d2 := a.ref[j].Dist2(q); d2 < bestD2 {
+			best, bestD2 = j, d2
+		}
 	}
-	return spatial.BruteNearest3(a.refLifted, q)
+	return best, bestD2
 }
 
 // icp runs the full alignment into the scratch buffers: afterwards
@@ -197,25 +196,12 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 	a.refCentroid = vec.Center(a.ref)
 	mov, ref := a.mov, a.ref
 
-	diameter := 2 * math.Max(vec.Radius(mov), vec.Radius(ref))
-	if diameter == 0 {
-		diameter = 1
-	}
-	typeScale := opt.TypeScaleFactor * diameter
-
-	a.refLifted = a.refLifted[:0]
-	for i, p := range ref {
-		a.refLifted = append(a.refLifted, vec.Vec3{X: p.X, Y: p.Y, Z: float64(types[i]) * typeScale})
-	}
-	a.brute = opt.BruteForceNN
-	if !a.brute {
-		a.tree.Rebuild(a.refLifted)
-	}
+	a.groupByType(types)
 
 	bestTheta, bestCost := 0.0, math.Inf(1)
 	totalIters := 0
-	a.matched = growVec2(a.matched, len(mov))
-	a.rotated = growVec2(a.rotated, len(mov))
+	a.matched = grow(a.matched, len(mov))
+	a.rotated = grow(a.rotated, len(mov))
 	matched, rotated := a.matched, a.rotated
 
 	for restart := 0; restart < opt.Restarts; restart++ {
@@ -226,12 +212,12 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 			for i, p := range mov {
 				rotated[i] = p.Rotate(theta)
 			}
-			// Correspondence in the lifted space.
+			// Correspondence within each type.
 			var sumD2 float64
 			for i, p := range rotated {
-				j, _ := a.nearest(vec.Vec3{X: p.X, Y: p.Y, Z: float64(types[i]) * typeScale})
+				j, d2 := a.nearest(i, p)
 				matched[i] = ref[j]
-				sumD2 += p.Dist2(ref[j])
+				sumD2 += d2
 			}
 			rms := math.Sqrt(sumD2 / float64(len(mov)))
 			// Re-solve the rotation against the current matches.
@@ -248,8 +234,7 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 		// Score this restart by its final matching cost.
 		var cost float64
 		for i, p := range mov {
-			q := p.Rotate(theta)
-			_, d2 := a.nearest(vec.Vec3{X: q.X, Y: q.Y, Z: float64(types[i]) * typeScale})
+			_, d2 := a.nearest(i, p.Rotate(theta))
 			cost += d2
 		}
 		if cost < bestCost {
@@ -257,11 +242,11 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 		}
 	}
 
-	a.aligned = growVec2(a.aligned, len(moving))
+	a.aligned = grow(a.aligned, len(moving))
 	for i, p := range mov {
 		a.aligned[i] = p.Rotate(bestTheta)
 	}
-	a.matchByType(a.aligned, ref, types)
+	a.matchByType(a.aligned, ref)
 	return bestTheta, totalIters, nil
 }
 
@@ -316,6 +301,30 @@ func (s *typeSorter) Less(a, b int) bool {
 	return s.idx[a] < s.idx[b]
 }
 
+// groupByType sorts the particle indices by (type, index) into a.order,
+// so each type's members form one run in increasing index order, and
+// points a.sameType[i] at particle i's run.
+func (a *Aligner) groupByType(types []int) {
+	n := len(types)
+	a.order = grow(a.order, n)
+	for i := range a.order {
+		a.order[i] = i
+	}
+	a.typeSort = typeSorter{idx: a.order, types: types}
+	sort.Sort(&a.typeSort)
+	a.sameType = grow(a.sameType, n)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && types[a.order[hi]] == types[a.order[lo]] {
+			hi++
+		}
+		for _, i := range a.order[lo:hi] {
+			a.sameType[i] = a.order[lo:hi]
+		}
+		lo = hi
+	}
+}
+
 // matchByType produces a type-respecting bijection between the moving and
 // reference clouds into a.perm: perm[j] = i. Within each type it runs a
 // greedy minimum-distance matching (repeatedly pairing the globally closest
@@ -323,25 +332,15 @@ func (s *typeSorter) Less(a, b int) bool {
 // strict improvement over the raw many-to-one nearest-neighbour output of
 // the ICP correspondence step. Types are processed in increasing order; the
 // result is identical to any other order because the per-type matchings
-// write disjoint permutation slots.
-func (a *Aligner) matchByType(moving, reference []vec.Vec2, types []int) {
+// write disjoint permutation slots. It reuses groupByType's runs.
+func (a *Aligner) matchByType(moving, reference []vec.Vec2) {
 	n := len(moving)
-	a.perm = growInt(a.perm, n)
-	a.order = growInt(a.order, n)
-	for i := range a.order {
-		a.order[i] = i
-	}
-	a.typeSort = typeSorter{idx: a.order, types: types}
-	sort.Sort(&a.typeSort)
-	a.usedI = growBool(a.usedI, n)
-	a.usedJ = growBool(a.usedJ, n)
+	a.perm = grow(a.perm, n)
+	a.usedI = grow(a.usedI, n)
+	a.usedJ = grow(a.usedJ, n)
 	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && types[a.order[hi]] == types[a.order[lo]] {
-			hi++
-		}
-		idx := a.order[lo:hi] // one type's members, in increasing index order
-		lo = hi
+		idx := a.sameType[a.order[lo]] // one type's members, in increasing index order
+		lo += len(idx)
 		a.pairs = a.pairs[:0]
 		for _, i := range idx {
 			for _, j := range idx {
@@ -365,23 +364,11 @@ func (a *Aligner) matchByType(moving, reference []vec.Vec2, types []int) {
 	}
 }
 
-func growVec2(s []vec.Vec2, n int) []vec.Vec2 {
+// grow returns s resliced to length n, reallocating only when the
+// capacity is insufficient. Contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]vec.Vec2, n)
-	}
-	return s[:n]
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -6,11 +6,12 @@
 //
 // The pipeline is the paper's: express every configuration relative to its
 // centroid, align each sample to a common reference with an ICP (iterative
-// closest point) algorithm on a 3-D lift whose third coordinate encodes the
-// particle type at a scale a magnitude larger than the collective's
-// diameter (so correspondences never cross types), then reorder particles
-// by type and correspondence. The paper used the Point Cloud Library's ICP;
-// this package is a from-scratch equivalent (see DESIGN.md,
+// closest point) algorithm whose correspondences never cross types, then
+// reorder particles by type and correspondence. The paper keeps matches
+// inside a type with a 3-D lift whose third coordinate encodes the type at
+// a scale a magnitude larger than the collective's diameter; scanning each
+// type in the plane is the same search. The paper used the Point Cloud
+// Library's ICP; this package is a from-scratch equivalent (see DESIGN.md,
 // "Substitutions").
 package align
 

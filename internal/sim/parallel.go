@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/spatial"
 	"repro/internal/vec"
 )
 
@@ -22,9 +23,9 @@ import (
 // (Newton's third law is no longer exploited across particles), which the
 // parallel speed-up amortises from two workers up.
 
-// forcesSharded accumulates forces over per-particle shards. src selects a
-// grid backend; nil selects the cut-off-filtered full sweep.
-func (s *System) forcesSharded(src nbrSource) {
+// forcesSharded accumulates forces over per-particle shards. A nil grid
+// selects the cut-off-filtered full sweep.
+func (s *System) forcesSharded(grid *spatial.DenseGrid) {
 	n := len(s.pos)
 	w := s.cfg.Workers
 	if w > n {
@@ -34,7 +35,7 @@ func (s *System) forcesSharded(src nbrSource) {
 		s.wnbr = append(s.wnbr, nil)
 	}
 	if w <= 1 {
-		s.wnbr[0] = s.shardForces(src, s.wnbr[0], 0, n)
+		s.wnbr[0] = s.shardForces(grid, s.wnbr[0], 0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -43,7 +44,7 @@ func (s *System) forcesSharded(src nbrSource) {
 		wg.Add(1)
 		go func(k, lo, hi int) {
 			defer wg.Done()
-			s.wnbr[k] = s.shardForces(src, s.wnbr[k], lo, hi)
+			s.wnbr[k] = s.shardForces(grid, s.wnbr[k], lo, hi)
 		}(k, lo, hi)
 	}
 	wg.Wait()
@@ -51,14 +52,14 @@ func (s *System) forcesSharded(src nbrSource) {
 
 // shardForces computes force[i] for every i in [lo, hi), returning the
 // (possibly grown) neighbour scratch buffer for reuse next step.
-func (s *System) shardForces(src nbrSource, nbr []int32, lo, hi int) []int32 {
+func (s *System) shardForces(grid *spatial.DenseGrid, nbr []int32, lo, hi int) []int32 {
 	rc := s.cfg.Cutoff
 	rc2 := rc * rc
 	inf := math.IsInf(rc, 1)
 	for i := lo; i < hi; i++ {
 		var acc vec.Vec2
-		if src != nil {
-			nbr = src.AppendNeighbors(nbr[:0], i, rc)
+		if grid != nil {
+			nbr = grid.AppendNeighbors(nbr[:0], i, rc)
 			for _, j := range nbr {
 				acc = acc.Add(s.oneSided(i, int(j)))
 			}

@@ -118,7 +118,7 @@ func TestShardedCentroidConservedWithoutNoise(t *testing.T) {
 	}
 }
 
-// newSpreadSystem builds a system whose configuration keeps the dense-grid
+// newSpreadSystem builds a system whose configuration keeps the grid
 // strategy selected (spread ≫ 3·rc, n ≥ 32).
 func newSpreadSystem(t *testing.T, workers int) *System {
 	t.Helper()
@@ -133,23 +133,74 @@ func newSpreadSystem(t *testing.T, workers int) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat, _, _ := sys.strategy(); strat != nbrDense {
-		t.Fatal("test setup: expected the dense-grid strategy")
+	if !sys.gridReady() {
+		t.Fatal("test setup: expected the grid strategy")
 	}
 	return sys
 }
 
-// Steady-state Step on the dense-grid path must not allocate: the grid and
-// all scratch buffers are recycled. Covers both the legacy serial sweep and
-// the inline sharded mode.
+// newClusteredSystem builds two far-apart clusters: their bounding box
+// spans ~5000×5000 cells, far more than the grid gives one bucket each,
+// so the grid wraps its cells into a bounded bucket table.
+func newClusteredSystem(t *testing.T, workers int) *System {
+	t.Helper()
+	cfg := shardedConfig(80, workers, 2).WithDefaults()
+	rng := rngx.New(10)
+	pos := make([]vec.Vec2, cfg.N)
+	for i := range pos {
+		x, y := rng.UniformDisc(8)
+		off := float64(i%2) * 1e4
+		pos[i] = vec.Vec2{X: x + off, Y: y + off}
+	}
+	sys, err := NewFromPositions(cfg, pos, rngx.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.gridReady() || sys.grid.Cells() >= 5000*5000 {
+		t.Fatal("test setup: expected the wrapped grid")
+	}
+	return sys
+}
+
+// Steady-state Step on the grid path must not allocate: the grid and all
+// scratch buffers are recycled, whether the collective is compact or
+// spread so far that the grid wraps. Covers both the legacy serial sweep
+// and the inline sharded mode.
 func TestStepSteadyStateAllocationFree(t *testing.T) {
-	for _, workers := range []int{0, 1} {
-		sys := newSpreadSystem(t, workers)
-		sys.Run(3) // warm up grid and scratch buffers
-		allocs := testing.AllocsPerRun(30, sys.Step)
-		if allocs != 0 {
-			t.Fatalf("Workers=%d: steady-state Step allocated %.1f times per run, want 0",
-				workers, allocs)
+	for name, build := range map[string]func(*testing.T, int) *System{
+		"spread":    newSpreadSystem,
+		"clustered": newClusteredSystem,
+	} {
+		for _, workers := range []int{0, 1} {
+			sys := build(t, workers)
+			sys.Run(3) // warm up grid and scratch buffers
+			allocs := testing.AllocsPerRun(30, sys.Step)
+			if allocs != 0 {
+				t.Fatalf("%s, Workers=%d: steady-state Step allocated %.1f times per run, want 0",
+					name, workers, allocs)
+			}
+		}
+	}
+}
+
+// A diverged particle — far out, at infinity or NaN — must never make a
+// step panic: a box too wide for one bucket per cell wraps, and one whose
+// cells cannot be indexed falls back to the O(n²) sweep.
+func TestStepSurvivesExtremeCoordinates(t *testing.T) {
+	for _, far := range []float64{1e18, -1e18, 1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, at := range []int{0, 127} {
+			for _, workers := range []int{0, 1} {
+				sys := newSpreadSystem(t, workers)
+				sys.pos[at] = vec.Vec2{X: far, Y: -far}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("particle %d at %g, Workers=%d: Step panicked: %v", at, far, workers, r)
+						}
+					}()
+					sys.Run(3)
+				}()
+			}
 		}
 	}
 }

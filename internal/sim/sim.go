@@ -268,12 +268,12 @@ func (s *System) Config() Config { return s.cfg }
 // relative to the collective's extent a cell-list grid gives O(n) total
 // work; otherwise (rc = ∞ or rc spanning the whole collective) an O(n²)
 // pair sweep is cheaper in practice. The choice is re-made every step from
-// the current bounding box. All paths are exact: the two grid backends
-// visit neighbours in the same order and so are interchangeable
-// bit-for-bit, while the brute sweep accumulates in a different order and
-// agrees with them up to floating-point rounding (the tests verify
-// agreement to 1e-9). The grid is persistent and rebuilt in place, so in
-// steady state the grid path allocates nothing.
+// the current bounding box. Both paths are exact: the grid visits
+// neighbours in one fixed order however spread out the collective is,
+// while the brute sweep accumulates in a different order and agrees with
+// it up to floating-point rounding (the tests verify agreement to 1e-9).
+// The grid is persistent and rebuilt in place, so in steady state the grid
+// path allocates nothing.
 func (s *System) Step() {
 	s.computeForces()
 	dt := s.cfg.Dt
@@ -303,68 +303,40 @@ func (s *System) noiseAt(i int) vec.Vec2 {
 	}
 }
 
-// nbrStrategy is the per-step neighbour-search choice.
-type nbrStrategy uint8
-
-const (
-	nbrBrute  nbrStrategy = iota // O(n²) pair sweep
-	nbrDense                     // flat CSR cell list, allocation-free rebuild
-	nbrSparse                    // map-backed cell list, O(n) memory at any spread
-)
-
-// Dense-grid memory is O(cells); beyond this many cells per particle the
-// sparse map grid wins.
-const (
-	maxDenseCellsPerPoint = 64
-	maxDenseCellsFloor    = 4096
-)
-
-// strategy decides the neighbour search for the current frame and returns
-// the frame's bounding box alongside, so the dense rebuild can reuse it
-// instead of scanning the positions a second time.
-func (s *System) strategy() (strat nbrStrategy, min, max vec.Vec2) {
+// gridReady rebuilds the cell-list grid over the current positions and
+// reports whether it serves this step's neighbour search; false selects
+// the O(n²) sweep.
+func (s *System) gridReady() bool {
 	rc := s.cfg.Cutoff
-	if math.IsInf(rc, 1) {
-		return nbrBrute, min, max
+	if math.IsInf(rc, 1) || len(s.pos) < 32 {
+		return false
 	}
-	min, max = vec.BoundingBox(s.pos)
-	ex, ey := max.X-min.X, max.Y-min.Y
+	min, max := vec.BoundingBox(s.pos)
 	// A grid pays off when the 3×3 cell window covers clearly less than
 	// the whole collective.
-	if !(math.Max(ex, ey) > 3*rc) || len(s.pos) < 32 {
-		return nbrBrute, min, max
+	if !(math.Max(max.X-min.X, max.Y-min.Y) > 3*rc) {
+		return false
 	}
-	if (ex/rc+1)*(ey/rc+1) > float64(maxDenseCellsPerPoint*len(s.pos)+maxDenseCellsFloor) {
-		return nbrSparse, min, max
+	if s.grid == nil {
+		s.grid = spatial.NewDenseGrid(rc)
 	}
-	return nbrDense, min, max
-}
-
-// nbrSource is the common query surface of the two grid backends.
-type nbrSource interface {
-	AppendNeighbors(dst []int32, i int, radius float64) []int32
+	// A diverged run's cells may not be indexable; it falls back to the
+	// sweep.
+	return s.grid.RebuildBounded(s.pos, min, max)
 }
 
 func (s *System) computeForces() {
 	for i := range s.force {
 		s.force[i] = vec.Vec2{}
 	}
-	var src nbrSource // nil selects the O(n²) sweep
-	strat, min, max := s.strategy()
-	switch strat {
-	case nbrDense:
-		if s.grid == nil {
-			s.grid = spatial.NewDenseGrid(s.cfg.Cutoff)
-		}
-		s.grid.RebuildBounded(s.pos, min, max)
-		src = s.grid
-	case nbrSparse:
-		src = spatial.NewGrid(s.pos, s.cfg.Cutoff)
+	var grid *spatial.DenseGrid // nil selects the O(n²) sweep
+	if s.gridReady() {
+		grid = s.grid
 	}
 	if s.cfg.Workers > 0 {
-		s.forcesSharded(src)
-	} else if src != nil {
-		s.forcesScan(src)
+		s.forcesSharded(grid)
+	} else if grid != nil {
+		s.forcesScan(grid)
 	} else {
 		s.forcesBrute()
 	}
@@ -413,10 +385,10 @@ func (s *System) forcesBrute() {
 // forcesScan is the serial grid path: each unordered pair is evaluated once,
 // discovered from the lower-index particle's neighbour list. The scratch
 // buffer s.nbr is recycled across particles and steps.
-func (s *System) forcesScan(src nbrSource) {
+func (s *System) forcesScan(grid *spatial.DenseGrid) {
 	rc := s.cfg.Cutoff
 	for i := range s.pos {
-		s.nbr = src.AppendNeighbors(s.nbr[:0], i, rc)
+		s.nbr = grid.AppendNeighbors(s.nbr[:0], i, rc)
 		for _, j := range s.nbr {
 			if int(j) > i { // each unordered pair once
 				s.pairForce(i, int(j))

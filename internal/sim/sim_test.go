@@ -166,17 +166,17 @@ func TestGridAndBruteForcesAgree(t *testing.T) {
 	rng := rngx.New(3)
 	pos := make([]vec.Vec2, cfg.N)
 	for i := range pos {
-		x, y := rng.UniformDisc(20) // spread ≫ 3·rc so useGrid() is true
+		x, y := rng.UniformDisc(20) // spread ≫ 3·rc so gridReady() is true
 		pos[i] = vec.Vec2{X: x, Y: y}
 	}
 	sys, err := NewFromPositions(cfg, pos, rngx.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat, _, _ := sys.strategy(); strat != nbrDense {
-		t.Fatal("test setup: expected the dense-grid strategy to be selected")
+	if !sys.gridReady() {
+		t.Fatal("test setup: expected the grid strategy to be selected")
 	}
-	sys.computeForces() // dense-grid path
+	sys.computeForces() // grid path
 	fromGrid := append([]vec.Vec2(nil), sys.force...)
 	for i := range sys.force {
 		sys.force[i] = vec.Vec2{}

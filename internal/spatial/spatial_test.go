@@ -35,16 +35,26 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// Property: grid radius queries agree exactly with brute force for random
-// point sets, radii and cell sizes.
+// Property: grid radius queries agree exactly with brute force on random
+// point sets, radii and cell sizes, also with NaN points and far outliers
+// mixed in — a diverged particle must not disturb anyone else's query.
 func TestGridMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 40; trial++ {
 		n := 5 + r.IntN(120)
 		pts := randomPoints(r, n, 30)
+		for k := r.IntN(3); k > 0; k-- {
+			pts[1+r.IntN(n-1)] = v2(math.NaN(), 0) // a NaN first point would void the bounding box
+		}
+		for k := r.IntN(3); k > 0; k-- {
+			pts[r.IntN(n)] = v2((r.Float64()-0.5)*1e15, (r.Float64()-0.5)*1e15)
+		}
 		radius := 0.5 + r.Float64()*8
 		cell := 0.3 + r.Float64()*6
-		g := NewGrid(pts, cell)
+		g := NewDenseGrid(cell)
+		if !g.Rebuild(pts) {
+			t.Fatalf("trial %d: rebuild refused", trial)
+		}
 		for i := 0; i < n; i++ {
 			got := sorted(g.Neighbors(i, radius))
 			want := sorted(BruteNeighbors(pts, i, radius))
@@ -57,7 +67,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 
 func TestGridExcludesSelf(t *testing.T) {
 	pts := []vec.Vec2{v2(0, 0), v2(0.1, 0), v2(5, 5)}
-	g := NewGrid(pts, 1)
+	g := NewDenseGridFrom(pts, 1)
 	for _, j := range g.Neighbors(0, 2) {
 		if j == 0 {
 			t.Fatal("grid returned the query point itself")
@@ -68,7 +78,7 @@ func TestGridExcludesSelf(t *testing.T) {
 func TestGridBoundaryInclusive(t *testing.T) {
 	// A point exactly at the radius must be included (<=).
 	pts := []vec.Vec2{v2(0, 0), v2(2, 0)}
-	g := NewGrid(pts, 1)
+	g := NewDenseGridFrom(pts, 1)
 	if got := g.Neighbors(0, 2); len(got) != 1 {
 		t.Fatalf("boundary point excluded: %v", got)
 	}
@@ -76,7 +86,7 @@ func TestGridBoundaryInclusive(t *testing.T) {
 
 func TestGridCountWithin(t *testing.T) {
 	pts := []vec.Vec2{v2(0, 0), v2(1, 0), v2(0, 1), v2(10, 10)}
-	g := NewGrid(pts, 2)
+	g := NewDenseGridFrom(pts, 2)
 	if got := g.CountWithin(0, 1.5); got != 2 {
 		t.Fatalf("CountWithin = %d, want 2", got)
 	}
@@ -85,8 +95,8 @@ func TestGridCountWithin(t *testing.T) {
 func TestGridDeterministicOrder(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
 	pts := randomPoints(r, 60, 20)
-	g1 := NewGrid(pts, 2)
-	g2 := NewGrid(pts, 2)
+	g1 := NewDenseGridFrom(pts, 2)
+	g2 := NewDenseGridFrom(pts, 2)
 	for i := range pts {
 		a := g1.Neighbors(i, 5)
 		b := g2.Neighbors(i, 5)
@@ -96,6 +106,8 @@ func TestGridDeterministicOrder(t *testing.T) {
 	}
 }
 
+// Building a grid straight from points checks its cell size like
+// NewDenseGrid does, empty point set or not.
 func TestGridRejectsBadCellSize(t *testing.T) {
 	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
 		func() {
@@ -104,7 +116,7 @@ func TestGridRejectsBadCellSize(t *testing.T) {
 					t.Errorf("cell size %v should panic", bad)
 				}
 			}()
-			NewGrid(nil, bad)
+			NewDenseGridFrom(nil, bad)
 		}()
 	}
 }
@@ -114,108 +126,5 @@ func TestBruteNeighborsInfiniteRadius(t *testing.T) {
 	got := BruteNeighbors(pts, 0, math.Inf(1))
 	if len(got) != 2 {
 		t.Fatalf("rc=inf should return all others, got %v", got)
-	}
-}
-
-func liftPoints(ps []vec.Vec2, z float64) []vec.Vec3 {
-	out := make([]vec.Vec3, len(ps))
-	for i, p := range ps {
-		out[i] = vec.Vec3{X: p.X, Y: p.Y, Z: z}
-	}
-	return out
-}
-
-// Property: k-d tree nearest neighbour agrees with brute force on random
-// inputs, including queries far outside the point cloud.
-func TestKDTreeMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewPCG(5, 6))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + r.IntN(200)
-		pts := make([]vec.Vec3, n)
-		for i := range pts {
-			pts[i] = vec.Vec3{
-				X: (r.Float64() - 0.5) * 20,
-				Y: (r.Float64() - 0.5) * 20,
-				Z: float64(r.IntN(4)) * 100,
-			}
-		}
-		tree := NewKDTree3(pts)
-		if tree.Len() != n {
-			t.Fatalf("tree has %d nodes, want %d", tree.Len(), n)
-		}
-		for q := 0; q < 50; q++ {
-			query := vec.Vec3{
-				X: (r.Float64() - 0.5) * 60,
-				Y: (r.Float64() - 0.5) * 60,
-				Z: float64(r.IntN(4)) * 100,
-			}
-			gi, gd := tree.Nearest(query)
-			_, bd := BruteNearest3(pts, query)
-			// Indices may differ under exact ties; distances must
-			// agree exactly.
-			if gd != bd {
-				t.Fatalf("trial %d: tree dist %v, brute dist %v", trial, gd, bd)
-			}
-			if pts[gi].Dist2(query) != gd {
-				t.Fatal("returned index inconsistent with returned distance")
-			}
-		}
-	}
-}
-
-func TestKDTreeSinglePoint(t *testing.T) {
-	tree := NewKDTree3([]vec.Vec3{v3(1, 2, 3)})
-	i, d2 := tree.Nearest(v3(1, 2, 4))
-	if i != 0 || d2 != 1 {
-		t.Fatalf("Nearest = %d, %v", i, d2)
-	}
-}
-
-func TestKDTreeDuplicatePoints(t *testing.T) {
-	pts := []vec.Vec3{v3(1, 1, 0), v3(1, 1, 0), v3(2, 2, 0)}
-	tree := NewKDTree3(pts)
-	i, d2 := tree.Nearest(v3(1, 1, 0))
-	if d2 != 0 {
-		t.Fatalf("exact duplicate query: d2 = %v", d2)
-	}
-	if i != 0 && i != 1 {
-		t.Fatalf("unexpected index %d", i)
-	}
-}
-
-func TestKDTreeEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Nearest on empty tree should panic")
-		}
-	}()
-	NewKDTree3(nil).Nearest(vec.Vec3{})
-}
-
-func TestKDTreeTypeLiftSeparation(t *testing.T) {
-	// With a type lift much larger than the spatial extent, the nearest
-	// neighbour of a lifted query is always a point of the same type,
-	// even when another type's point is spatially closer — the property
-	// the ICP alignment relies on.
-	r := rand.New(rand.NewPCG(7, 8))
-	spatialPts := randomPoints(r, 50, 10)
-	var lifted []vec.Vec3
-	types := make([]int, 50)
-	for i, p := range spatialPts {
-		types[i] = i % 3
-		lifted = append(lifted, vec.Vec3{X: p.X, Y: p.Y, Z: float64(types[i]) * 1000})
-	}
-	tree := NewKDTree3(lifted)
-	for q := 0; q < 200; q++ {
-		qt := q % 3
-		query := vec.Vec3{
-			X: (r.Float64() - 0.5) * 10,
-			Y: (r.Float64() - 0.5) * 10,
-			Z: float64(qt) * 1000,
-		}
-		i, _ := tree.Nearest(query)
-		if types[i] != qt {
-			t.Fatalf("nearest crossed types: query type %d matched point of type %d", qt, types[i])
-		}
 	}
 }

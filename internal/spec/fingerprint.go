@@ -35,7 +35,12 @@ func PipelineFingerprint(id string, p experiment.Pipeline) (fp uint64, ok bool) 
 	fmt.Fprintf(h, "ens|%d|%d|%d|%d|", ec.M, ec.Steps, ec.RecordEvery, ec.Seed)
 	s := ec.Sim
 	fmt.Fprintf(h, "sim|%d|%v|%g|%g|%g|%g|%g|%d|", s.N, s.Types, s.Cutoff, s.Dt, s.NoiseVariance, s.InitRadius, s.EquilibriumThreshold, s.EquilibriumWindow)
-	fmt.Fprintf(h, "obs|%+v|", p.Observer)
+	// The observer enters as the %+v text of observer.Config when the
+	// recipe was frozen, field by field; align.Options then also carried
+	// TypeScaleFactor and BruteForceNN, which no pipeline ever set.
+	o, icp := p.Observer, p.Observer.Align.ICP
+	fmt.Fprintf(h, "obs|{Align:{ICP:{MaxIterations:%d Tolerance:%v TypeScaleFactor:0 Restarts:%d BruteForceNN:false} Reference:%d Workers:%d} KMeansK:%d Seed:%d SkipAlign:%t}|",
+		icp.MaxIterations, icp.Tolerance, icp.Restarts, o.Align.Reference, o.Align.Workers, o.KMeansK, o.Seed, o.SkipAlign)
 	fmt.Fprintf(h, "force|%+v", fspec)
 	// The approximate tier changes the numbers, so it keys the
 	// fingerprint — but only when enabled: exact-tier pipelines (tier

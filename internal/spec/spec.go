@@ -283,6 +283,16 @@ func (sp Spec) Validate() error {
 		errors.As(err, &se)
 		add(se)
 	}
+	if e := sp.Ensemble; e != nil {
+		for _, f := range [...]struct {
+			name string
+			v    int
+		}{{"ensemble.m", e.M}, {"ensemble.steps", e.Steps}, {"ensemble.recordEvery", e.RecordEvery}} {
+			if f.v < 0 {
+				add(errf(f.name, "must be >= 0, got %d", f.v))
+			}
+		}
+	}
 	if sp.Estimator != nil {
 		for _, e := range sp.Estimator.validate() {
 			add(e)

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/align"
 	"repro/internal/experiment"
 	"repro/internal/forces"
 	"repro/internal/observer"
@@ -144,6 +145,25 @@ func TestPipelineRoundTrip(t *testing.T) {
 // silently invalidated — bump the checkpoint file version instead of
 // changing the recipe.
 func TestFingerprintMatchesLegacyCheckpointKey(t *testing.T) {
+	// legacyObserver is observer.Config in its layout when the recipe was
+	// frozen: align.Options then also carried TypeScaleFactor and
+	// BruteForceNN. The key hashes its %+v text.
+	type legacyObserver struct {
+		Align struct {
+			ICP struct {
+				MaxIterations   int
+				Tolerance       float64
+				TypeScaleFactor float64
+				Restarts        int
+				BruteForceNN    bool
+			}
+			Reference align.Reference
+			Workers   int
+		}
+		KMeansK   int
+		Seed      uint64
+		SkipAlign bool
+	}
 	legacy := func(id string, p experiment.Pipeline) (uint64, bool) {
 		fspec, err := forces.ToSpec(p.Ensemble.Sim.Force)
 		if err != nil {
@@ -155,14 +175,26 @@ func TestFingerprintMatchesLegacyCheckpointKey(t *testing.T) {
 		fmt.Fprintf(h, "ens|%d|%d|%d|%d|", ec.M, ec.Steps, ec.RecordEvery, ec.Seed)
 		s := ec.Sim
 		fmt.Fprintf(h, "sim|%d|%v|%g|%g|%g|%g|%g|%d|", s.N, s.Types, s.Cutoff, s.Dt, s.NoiseVariance, s.InitRadius, s.EquilibriumThreshold, s.EquilibriumWindow)
-		fmt.Fprintf(h, "obs|%+v|", p.Observer)
+		var o legacyObserver
+		o.Align.ICP.MaxIterations = p.Observer.Align.ICP.MaxIterations
+		o.Align.ICP.Tolerance = p.Observer.Align.ICP.Tolerance
+		o.Align.ICP.Restarts = p.Observer.Align.ICP.Restarts
+		o.Align.Reference = p.Observer.Align.Reference
+		o.Align.Workers = p.Observer.Align.Workers
+		o.KMeansK, o.Seed, o.SkipAlign = p.Observer.KMeansK, p.Observer.Seed, p.Observer.SkipAlign
+		fmt.Fprintf(h, "obs|%+v|", o)
 		fmt.Fprintf(h, "force|%+v", fspec)
 		return h.Sum64(), true
 	}
+	tuned := experiment.Pipeline{Name: "c", Observer: observer.Config{KMeansK: 3, Seed: 1 << 63, SkipAlign: true},
+		Ensemble: sim.EnsembleConfig{Sim: fig4ish(), M: 8, Steps: 4, RecordEvery: 2, Seed: 3}}
+	tuned.Observer.Align = align.FrameOptions{ICP: align.Options{MaxIterations: 20, Tolerance: 1.0 / 3, Restarts: 4},
+		Reference: align.RefMedoid, Workers: 7}
 	pipelines := []experiment.Pipeline{
 		{Name: "a", Ensemble: sim.EnsembleConfig{Sim: fig4ish(), M: 32, Steps: 40, RecordEvery: 20, Seed: 7}},
 		{Name: "b", Estimator: experiment.EstKernel, Bins: 6, TrackEntropies: true,
 			Ensemble: sim.EnsembleConfig{Sim: fig4ish(), M: 16, Steps: 10, RecordEvery: 5, Seed: 1}},
+		tuned,
 	}
 	for i, p := range pipelines {
 		id := fmt.Sprintf("run-%d", i)
@@ -437,6 +469,39 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"version":99,"scenario":"fig8"}`), "future"); err == nil {
 		t.Fatal("future version accepted")
+	}
+}
+
+// TestParseRejectsBadGrids: every malformed grid sweep fails to load,
+// naming the offending field.
+func TestParseRejectsBadGrids(t *testing.T) {
+	for body, field := range map[string]string{
+		`{"version":1,"sweep":{"typeCounts":[1]}}`:                                      "sweep.force",
+		`{"version":1,"sweep":{"force":{"family":"f9"}}}`:                               "sweep.force.family",
+		`{"version":1,"sweep":{"force":{"family":"f1"},"typeCounts":[0]}}`:              "sweep.typeCounts",
+		`{"version":1,"sweep":{"force":{"family":"f2"}},"ensemble":{"m":-1}}`:           "ensemble.m",
+		`{"version":1,"sweep":{"force":{"family":"f2"}},"ensemble":{"steps":-1}}`:       "ensemble.steps",
+		`{"version":1,"sweep":{"force":{"family":"f2"}},"ensemble":{"recordEvery":-1}}`: "ensemble.recordEvery",
+		`{"version":1,"sweep":{"force":{"family":"f2"}},"sim":{"n":-1}}`:                "sim.n",
+		`{"version":1,"sweep":{"force":{"family":"f2"}},"estimator":{"k":-1}}`:          "estimator.k",
+		`{"version":1,"sweep":{"force":{"family":"f1","rLo":5}}}`:                       "sweep.force.rLo/rHi",
+		`{"version":1,"sweep":{"force":{"family":"f2","tauLo":9,"tauHi":2}}}`:           "sweep.force.tauLo/tauHi",
+		`{"version":1,"sweep":{"force":{"family":"f1","rLo":-1,"rHi":4}}}`:              "sweep.force.rLo/rHi",
+	} {
+		_, err := Parse([]byte(body), "grid.json")
+		found := false
+		for _, e := range multiErrors(errors.Unwrap(err)) { // under the path prefix
+			found = found || e.Field == field
+		}
+		if !found {
+			t.Errorf("%s: want an error on %s, got %v", body, field, err)
+		}
+	}
+	if _, err := Parse([]byte(`{`), "truncated"); err == nil {
+		t.Error("truncated JSON accepted")
+	}
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Error("missing file accepted")
 	}
 }
 

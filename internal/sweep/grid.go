@@ -2,10 +2,8 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 
 	"repro/internal/experiment"
 	"repro/internal/forces"
@@ -23,61 +21,42 @@ type GridForce = spec.GridForce
 // type counts × cut-off radii of random-matrix systems, every cell
 // averaged over repeated draws. It is built from (and converts back to)
 // the declarative spec.Spec — `sopsweep -spec file.json` parses the
-// versioned Spec format and runs through GridFromSpec; this struct's own
-// JSON tags remain only for the legacy pre-Spec grid files.
+// versioned Spec format and runs through GridFromSpec.
 //
-// A cutoff ≤ 0 means rc = ∞ (JSON has no infinity literal). Zero-valued
-// scale fields (m, steps, recordEvery, repeats) inherit the surrounding
-// Scale.
+// A cutoff ≤ 0 means rc = ∞. Zero-valued scale fields (M, Steps,
+// RecordEvery, Repeats) inherit the surrounding Scale.
 type GridSpec struct {
-	Name       string    `json:"name"`
-	N          int       `json:"n"`
-	TypeCounts []int     `json:"typeCounts"`
-	Cutoffs    []float64 `json:"cutoffs"`
-	Force      GridForce `json:"force"`
+	Name       string
+	N          int
+	TypeCounts []int
+	Cutoffs    []float64
+	Force      GridForce
 
 	// Scale overrides; 0 inherits the surrounding Scale.
-	M           int `json:"m"`
-	Steps       int `json:"steps"`
-	RecordEvery int `json:"recordEvery"`
-	Repeats     int `json:"repeats"`
+	M           int
+	Steps       int
+	RecordEvery int
+	Repeats     int
 
 	// Estimator selects the MI estimator ("" = pipeline default, the
 	// corrected KSG-2); K is its k-NN parameter (0 = default 4); Bins
 	// the per-dimension bin count of the binned kind.
-	Estimator string `json:"estimator"`
-	K         int    `json:"k"`
-	Bins      int    `json:"bins,omitempty"`
+	Estimator string
+	K         int
+	Bins      int
 	// Tier selects the estimator tier ("" / "exact" or "approx");
 	// Subsample is the approximate tier's per-run evaluation budget
 	// (1 ≤ r < m).
-	Tier      string `json:"tier,omitempty"`
-	Subsample int    `json:"subsample,omitempty"`
+	Tier      string
+	Subsample int
 	// Decompose additionally records the per-type decomposition;
 	// TrackEntropies the per-step entropy profile.
-	Decompose      bool `json:"decompose"`
-	TrackEntropies bool `json:"trackEntropies,omitempty"`
+	Decompose      bool
+	TrackEntropies bool
 }
 
-// LoadGridSpec reads and validates a legacy (pre-Spec) JSON grid file.
-// New files should use the versioned Spec format; sopsweep accepts both.
-func LoadGridSpec(path string) (*GridSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var g GridSpec
-	if err := json.Unmarshal(data, &g); err != nil {
-		return nil, fmt.Errorf("sweep: parse grid spec %s: %w", path, err)
-	}
-	if err := g.validate(); err != nil {
-		return nil, fmt.Errorf("sweep: grid spec %s: %w", path, err)
-	}
-	return &g, nil
-}
-
-// validate delegates to the spec layer's grid validation, so legacy grid
-// files and Spec sweeps are held to identical rules.
+// validate delegates to the spec layer's grid validation, so grids built
+// in code and Spec sweeps are held to identical rules.
 func (g *GridSpec) validate() error {
 	if g.N < 0 || g.M < 0 || g.Steps < 0 || g.RecordEvery < 0 || g.K < 0 {
 		return fmt.Errorf("negative counts are invalid")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/spec"
 )
 
 func TestScenarioRegistry(t *testing.T) {
@@ -65,47 +66,36 @@ func TestScenariosRunAtTinyScale(t *testing.T) {
 	}
 }
 
+// TestGridSpecLoadAndValidate: a grid file loads through the one spec
+// reader and materialises as its executable GridSpec; malformed grids are
+// rejected by spec.Parse (see its tests) and by GridFromSpec.
 func TestGridSpecLoadAndValidate(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.json")
+	good := filepath.Join(t.TempDir(), "good.json")
 	if err := os.WriteFile(good, []byte(`{
+		"version": 1,
 		"name": "demo",
-		"n": 10,
-		"typeCounts": [1, 2],
-		"cutoffs": [5, -1],
-		"force": {"family": "f1"},
-		"m": 10, "steps": 8, "recordEvery": 4, "repeats": 2
+		"sim": {"n": 10},
+		"ensemble": {"m": 10, "steps": 8, "recordEvery": 4},
+		"sweep": {"typeCounts": [1, 2], "cutoffs": [5, -1], "force": {"family": "f1"}, "repeats": 2}
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadGridSpec(good)
+	sp, err := spec.Load(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Name != "demo" || len(g.TypeCounts) != 2 {
-		t.Fatalf("parsed grid = %+v", g)
+	g, err := GridFromSpec(sp)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for name, body := range map[string]string{
-		"no-family.json":   `{"typeCounts": [1]}`,
-		"bad-family.json":  `{"force": {"family": "f9"}}`,
-		"bad-types.json":   `{"force": {"family": "f1"}, "typeCounts": [0]}`,
-		"negative.json":    `{"force": {"family": "f2"}, "m": -1}`,
-		"half-range.json":  `{"force": {"family": "f1", "rLo": 5}}`,
-		"inverted.json":    `{"force": {"family": "f2", "tauLo": 9, "tauHi": 2}}`,
-		"nonpositive.json": `{"force": {"family": "f1", "rLo": -1, "rHi": 4}}`,
-		"not-json.json":    `{`,
-	} {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadGridSpec(p); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
+	if g.Name != "demo" || g.N != 10 || len(g.TypeCounts) != 2 || len(g.Cutoffs) != 2 || g.Force.Family != "f1" {
+		t.Fatalf("materialised grid = %+v", g)
 	}
-	if _, err := LoadGridSpec(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
+	if _, err := GridFromSpec(spec.Spec{Version: spec.Version, Scenario: "fig8"}); err == nil {
+		t.Fatal("scenario spec materialised as a grid")
+	}
+	if _, err := GridFromSpec(spec.Spec{Sweep: &spec.Sweep{TypeCounts: []int{0}}}); err == nil {
+		t.Fatal("invalid grid materialised")
 	}
 }
 

@@ -225,32 +225,6 @@ func TestBoundingBox(t *testing.T) {
 	}
 }
 
-func TestVec3Basics(t *testing.T) {
-	a := Vec3{1, 2, 3}
-	b := Vec3{4, 5, 6}
-	if got := a.Add(b); got != (Vec3{5, 7, 9}) {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := a.Sub(b); got != (Vec3{-3, -3, -3}) {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := a.Dot(b); got != 32 {
-		t.Fatalf("Dot = %v", got)
-	}
-	if got := a.Scale(2); got != (Vec3{2, 4, 6}) {
-		t.Fatalf("Scale = %v", got)
-	}
-	if !approx(a.Norm(), math.Sqrt(14), eps) {
-		t.Fatalf("Norm = %v", a.Norm())
-	}
-	if got := a.XY(); got != (Vec2{1, 2}) {
-		t.Fatalf("XY = %v", got)
-	}
-	if got := a.Dist2(b); got != 27 {
-		t.Fatalf("Dist2 = %v", got)
-	}
-}
-
 func TestTriangleInequality(t *testing.T) {
 	r := rand.New(rand.NewPCG(19, 20))
 	for i := 0; i < 500; i++ {

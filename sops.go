@@ -297,8 +297,6 @@ type (
 	SweepRunner = sweep.Runner
 	// SweepScenario is a named, registry-provided sweep family.
 	SweepScenario = sweep.Scenario
-	// SweepGrid is the JSON-loadable custom grid description.
-	SweepGrid = sweep.GridSpec
 	// WorkerBudget is a shared pool of execution tokens that bounds the
 	// machine-wide active work of any number of concurrent pipelines.
 	WorkerBudget = workpool.Tokens
@@ -329,8 +327,6 @@ var (
 	// finds one by name.
 	SweepScenarios      = sweep.Scenarios
 	LookupSweepScenario = sweep.LookupScenario
-	// LoadSweepGrid reads a custom-grid JSON spec.
-	LoadSweepGrid = sweep.LoadGridSpec
 	// AverageMI runs repeated pipelines through a Sweeper and returns the
 	// pointwise-mean MI curve; MeanMICurve / MeanDeltaI are the ordered
 	// reducers behind the sweep figures.
