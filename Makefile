@@ -10,12 +10,12 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# lint builds the sopslint multichecker (internal/lint: mapiter,
-# rngsource, walltime, ctxflow, tokenpair, goroleak, chansend,
-# dettaint) and runs it over the module through `go vet -vettool`,
-# exactly as CI does. Standalone runs — no vet build cache, handy while
-# iterating on an analyzer — are `go run ./cmd/sopslint ./...`
-# (add -json for machine-readable output).
+# lint builds the sopslint multichecker (internal/lint: rngsource,
+# walltime, ctxflow, tokenpair, goroleak, chansend, dettaint,
+# speccoverage, errverbatim, allocfree) and runs it over the module
+# through `go vet -vettool`, exactly as CI does. Standalone runs — no
+# vet build cache, handy while iterating on an analyzer — are
+# `go run ./cmd/sopslint ./...` (add -json for machine-readable output).
 lint:
 	$(GO) build -o bin/sopslint ./cmd/sopslint
 	$(GO) vet -vettool=$(CURDIR)/bin/sopslint ./...

@@ -35,10 +35,9 @@ import (
 //   - interface-boxing argument conversions and variadic calls, both
 //     of which materialize hidden slices or boxes;
 //   - string<->[]byte conversions, which copy;
-//   - calls to functions that allocate — package-local ones by
-//     summary, cross-package ones via AllocFact. Amortized-growth
-//     helpers (a body that branches on cap()) are sanctioned and not
-//     counted.
+//   - calls to functions that allocate, as their AllocFact records —
+//     package-local and cross-package alike. Amortized-growth helpers
+//     (a body that branches on cap()) are sanctioned and not counted.
 //
 // The hot set is the central hotPaths list plus any declaration whose
 // doc comment carries //sopslint:hotpath <reason>; the reason is
@@ -65,7 +64,6 @@ var hotPaths = map[string]bool{
 const hotpathPrefix = "//sopslint:hotpath"
 
 func runAllocFree(pass *analysis.Pass) error {
-	sums := allocSummaries(pass)
 	for _, f := range pass.SourceFiles() {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -83,7 +81,7 @@ func runAllocFree(pass *analysis.Pass) error {
 				}
 			}
 			if hot {
-				checkHotBody(pass, fd, sums)
+				checkHotBody(pass, fd)
 			}
 		}
 	}
@@ -126,12 +124,12 @@ func hotpathAnnotation(fd *ast.FuncDecl) (string, token.Pos, bool) {
 }
 
 // checkHotBody reports every allocation site in a hot declaration.
-func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl, sums map[*types.Func]bool) {
+func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 	name := fd.Name.Name
 	scratch := scratchObjects(pass, fd)
 	guarded, _ := allocExemptRanges(pass, fd.Body)
 	report := func(pos token.Pos, what string) {
-		pass.Reportf(pos, "%s in hot path %s: steady-state iterations must not allocate; hoist into a scratch field or reuse a caller-provided buffer, or annotate //sopslint:ignore allocfree <reason>", what, name)
+		pass.Reportf(pos, "%s in hot path %s: steady-state iterations must not allocate; hoist into a scratch field or reuse a caller-provided buffer", what, name)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -161,14 +159,14 @@ func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl, sums map[*types.Func]bo
 				report(n.Pos(), "slice literal allocates")
 			}
 		case *ast.CallExpr:
-			checkHotCall(pass, fd, n, sums, scratch, guarded, report)
+			checkHotCall(pass, n, scratch, guarded, report)
 		}
 		return true
 	})
 }
 
 // checkHotCall classifies one call expression inside a hot body.
-func checkHotCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, sums map[*types.Func]bool, scratch map[types.Object]bool, guarded posRanges, report func(token.Pos, string)) {
+func checkHotCall(pass *analysis.Pass, call *ast.CallExpr, scratch map[types.Object]bool, guarded posRanges, report func(token.Pos, string)) {
 	// Conversions: string<->[]byte copies.
 	if tv, ok := pass.Pkg.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		dst, src := tv.Type, pass.TypeOf(call.Args[0])
@@ -197,15 +195,8 @@ func checkHotCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, sum
 	if fn == nil {
 		return
 	}
-	// Allocating callee: local summary or imported AllocFact.
-	allocates, known := sums[fn]
-	if !known {
-		var af AllocFact
-		if pass.ImportObjectFact(fn, &af) {
-			allocates = af.Allocates
-		}
-	}
-	if allocates && !guarded.contains(call.Pos()) {
+	var af AllocFact
+	if pass.ImportObjectFact(fn, &af) && af.Allocates && !guarded.contains(call.Pos()) {
 		report(call.Pos(), fmt.Sprintf("call to %s, which allocates,", calleeLabel(fn)))
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -458,26 +449,11 @@ func captured(pass *analysis.Pass, lit *ast.FuncLit, fd *ast.FuncDecl) string {
 	return name
 }
 
-// allocSummaries reports, per package-local declaration, whether its
-// body unconditionally allocates — make/new, map/slice/address-taken
-// literals, or string<->[]byte conversions outside a cap() guard.
-// Amortized-growth helpers (any cap() guard in the body) are
-// sanctioned wholesale: their steady-state path is allocation-free by
-// construction. Memoized so allocfree and the fact exporter share one
-// computation.
-func allocSummaries(pass *analysis.Pass) map[*types.Func]bool {
-	return pass.Pkg.Memo("lint.allocSummaries", func() any {
-		sums := map[*types.Func]bool{}
-		for fn, fd := range localDeclsFor(pass) {
-			if fd.Body == nil {
-				continue
-			}
-			sums[fn] = bodyAllocates(pass, fd.Body)
-		}
-		return sums
-	}).(map[*types.Func]bool)
-}
-
+// bodyAllocates reports whether a body unconditionally allocates —
+// make/new, map/slice/address-taken literals, or string<->[]byte
+// conversions outside a cap() guard. Amortized-growth helpers (any
+// cap() guard in the body) are sanctioned wholesale: their steady-state
+// path is allocation-free by construction.
 func bodyAllocates(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	guarded, hasCapGuard := allocExemptRanges(pass, body)
 	allocates := false
@@ -528,12 +504,12 @@ func bodyAllocates(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	return !hasCapGuard
 }
 
-// exportAllocFacts publishes an AllocFact for every exported
-// declaration whose body allocates, so hot paths in dependent packages
-// see cross-package allocation without reading this package's source.
+// exportAllocFacts publishes an AllocFact for every declaration whose
+// body allocates, so hot paths here and in dependent packages see the
+// allocation at the call.
 func exportAllocFacts(pass *analysis.Pass) {
-	for fn, allocates := range allocSummaries(pass) {
-		if allocates && fn.Exported() {
+	for fn, fd := range localDeclsFor(pass) {
+		if bodyAllocates(pass, fd.Body) {
 			pass.ExportObjectFact(fn, &AllocFact{Allocates: true})
 		}
 	}

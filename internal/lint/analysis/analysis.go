@@ -6,11 +6,12 @@
 // The upstream module is not vendored here — the container images this
 // repo builds in carry only the Go toolchain — so the suite typechecks
 // packages itself from compiler export data (see the sibling load
-// package) and keeps the analyzer surface to exactly what the five
-// sopslint analyzers need: typed ASTs, position-addressed diagnostics,
-// and per-file traversal that skips _test.go files (the determinism,
-// cancellation and budget contracts bind production code; tests are free
-// to use wall clocks, raw rand and context.Background()).
+// package) and keeps the analyzer surface to exactly what the sopslint
+// analyzers need: typed ASTs, position-addressed diagnostics, object
+// facts, a CFG and dataflow solver, and per-file traversal that skips
+// _test.go files (the determinism, cancellation and budget contracts
+// bind production code; tests are free to use wall clocks, raw rand and
+// context.Background()).
 package analysis
 
 import (
@@ -26,8 +27,8 @@ import (
 // Pass.Reportf; analyzers are stateless and safe to reuse across
 // packages.
 type Analyzer struct {
-	// Name is the identifier used in diagnostics and in
-	// //sopslint:ignore directives. Lower-case, no spaces.
+	// Name is the identifier used in diagnostics. Lower-case, no
+	// spaces.
 	Name string
 	// Doc states the contract the analyzer mechanizes, first line short.
 	Doc string
@@ -45,10 +46,10 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Facts is the cross-package fact store shared by the run: facts of
-	// this package's dependencies on entry, plus this package's own
-	// exports once its fact pass has run. Nil disables cross-package
-	// facts — analyzers then fall back to their package-local summaries.
+	// Facts is the fact store shared by the run: facts of this
+	// package's dependencies on entry, plus this package's own exports
+	// once its fact pass has run. Analyzers read every call summary,
+	// local or cross-package, from it.
 	Facts *FactSet
 
 	memo map[string]any
@@ -71,7 +72,7 @@ func (p *Package) Memo(key string, build func() any) any {
 }
 
 // A Diagnostic is one finding, addressed by resolved source position so
-// drivers can print, sort and suppress it without the FileSet in hand.
+// drivers can print and sort it without the FileSet in hand.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
@@ -103,21 +104,14 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
 
 // ImportObjectFact copies the stored fact of ptr's type about obj into
-// *ptr. It reports false when the run carries no fact store or no such
-// fact was exported — callers then fall back to local reasoning.
+// *ptr. It reports false when no such fact was exported.
 func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	if p.Pkg.Facts == nil || obj == nil {
-		return false
-	}
 	return p.Pkg.Facts.ImportObjectFact(obj, ptr)
 }
 
-// ExportObjectFact publishes fact about obj for downstream packages.
-// A no-op without a fact store.
+// ExportObjectFact publishes fact about obj for this package's later
+// passes and for downstream packages.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.Pkg.Facts == nil || obj == nil {
-		return
-	}
 	p.Pkg.Facts.ExportObjectFact(obj, fact)
 }
 

@@ -192,6 +192,9 @@ type TaintState map[types.Object]TaintVal
 
 // Merge unions two states (may-analysis: tainted on some path).
 func (s TaintState) Merge(o TaintState) TaintState {
+	if len(o) == 0 {
+		return s
+	}
 	out := make(TaintState, len(s)+len(o))
 	for k, v := range s {
 		out[k] = v
@@ -234,8 +237,12 @@ func (s TaintState) Equal(o TaintState) bool {
 }
 
 // Set returns a copy of the state with obj's taint replaced (a strong
-// update: assignment kills the old fact).
+// update: assignment kills the old fact), or the state itself when that
+// changes nothing — states are never mutated, so sharing is safe.
 func (s TaintState) Set(obj types.Object, v TaintVal) TaintState {
+	if cur, ok := s[obj]; cur == v && ok == (v.Kinds != 0) {
+		return s
+	}
 	out := make(TaintState, len(s)+1)
 	for k, w := range s {
 		out[k] = w

@@ -1,11 +1,11 @@
 package analysis
 
-// This file is the cross-package half of the analysis layer: durable,
-// object-keyed facts. An analyzer computing a package exports facts
-// about that package's objects (a function's taint summary, a struct's
-// annotated fields); analyzers of downstream packages import them at
-// call/use sites, so interprocedural reasoning crosses package
-// boundaries instead of stopping at one package-local hop.
+// This file is the summary half of the analysis layer: durable,
+// object-keyed facts. A package's fact pass exports facts about the
+// package's objects (a function's taint summary, a struct's annotated
+// fields); analyzers of that package and of downstream packages import
+// them at call/use sites, so one lookup serves a local callee and one
+// across a package boundary.
 //
 // Facts travel two ways, both through the same FactSet:
 //

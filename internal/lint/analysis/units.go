@@ -1,12 +1,9 @@
 package analysis
 
-// This file enumerates function units and carries the one-level
-// call-graph summary pass. A unit is one body the CFG/dataflow layer
-// analyzes in isolation: a function declaration or a function literal —
-// matching how the concurrency and determinism contracts are written
-// (each goroutine body is its own lifecycle). Summaries let an analyzer
-// look one call deep without a whole-program graph: compute a fact per
-// package-local declaration, then consult it at call sites.
+// This file enumerates function units. A unit is one body the
+// CFG/dataflow layer analyzes in isolation: a function declaration or a
+// function literal — matching how the concurrency and determinism
+// contracts are written (each goroutine body is its own lifecycle).
 
 import (
 	"go/ast"
@@ -84,10 +81,9 @@ func (c *CFGs) For(body *ast.BlockStmt) *CFG {
 	return g
 }
 
-// LocalDecls maps every package-local function and method object to its
-// declaration, the resolution step of the one-level call-graph pass:
-// a call site looks its callee up here and, when found, consults the
-// callee's summary instead of treating the call as opaque.
+// LocalDecls maps every package-local function and method object with a
+// body to its declaration: the functions a package's fact pass
+// summarizes.
 func LocalDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
 	out := map[*types.Func]*ast.FuncDecl{}
 	for _, f := range pkg.Files {
@@ -102,23 +98,4 @@ func LocalDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
 		}
 	}
 	return out
-}
-
-// Summarize computes a summary per package-local declaration. Two
-// passes: the first computes every summary with callees treated
-// conservatively, the second recomputes with first-pass summaries in
-// hand, so facts propagate one call level through the package graph
-// (acyclic chains of depth two converge exactly; deeper or cyclic
-// chains stay conservative).
-func Summarize[S any](pkg *Package, compute func(fd *ast.FuncDecl, prev map[*types.Func]S) S) map[*types.Func]S {
-	decls := LocalDecls(pkg)
-	sums := map[*types.Func]S{}
-	for fn, fd := range decls {
-		sums[fn] = compute(fd, nil)
-	}
-	next := make(map[*types.Func]S, len(sums))
-	for fn, fd := range decls {
-		next[fn] = compute(fd, sums)
-	}
-	return next
 }

@@ -1,8 +1,12 @@
 package lint
 
-import "testing"
+import (
+	"fmt"
+	"testing"
 
-func TestMapiterCorpus(t *testing.T) { runCorpus(t, soloCheck(Mapiter), "mapiter") }
+	"repro/internal/lint/analysis"
+	"repro/internal/lint/load"
+)
 
 func TestRNGSourceCorpus(t *testing.T) { runCorpus(t, soloCheck(RNGSource), "rngsource") }
 
@@ -26,8 +30,58 @@ func TestErrVerbatimCorpus(t *testing.T) {
 	runCorpus(t, soloCheck(ErrVerbatim), "errverbatim", "errverbatim/wrapx")
 }
 
+// TestErrVerbatimRepeatable reruns errverbatim over its corpus with a
+// fresh fact store each time and requires identical diagnostics: which
+// wrapper chains are followed must not depend on the order a map hands
+// out the declarations.
+func TestErrVerbatimRepeatable(t *testing.T) {
+	loaded, err := load.Corpus("testdata", "errverbatim", "errverbatim/wrapx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 50; i++ {
+		facts := analysis.NewFactSet()
+		pkgs := make([]*analysis.Package, len(loaded))
+		for j, p := range loaded {
+			pkgs[j] = &analysis.Package{Path: p.Path, Fset: p.Fset, Files: p.Files, Types: p.Types, Info: p.Info, Facts: facts}
+		}
+		diags, err := Run(pkgs, soloCheck(ErrVerbatim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprint(diags)
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d differs from run 0:\n%s\nwant:\n%s", i, got, first)
+		}
+	}
+}
+
 func TestAllocFreeCorpus(t *testing.T) {
 	runCorpus(t, soloCheck(AllocFree), "allocfree", "allocfree/helper")
+}
+
+// TestHotPathsResolve pins allocfree's hot-path list to the code: every
+// key must name a function declared in the module, so renaming a hot
+// function fails here instead of silently dropping it from the check.
+func TestHotPathsResolve(t *testing.T) {
+	pkgs, err := load.Packages("", "repro/...")
+	if err != nil {
+		t.Fatalf("loading module packages: %v", err)
+	}
+	declared := map[string]bool{}
+	for _, p := range pkgs {
+		for fn := range analysis.LocalDecls(p) {
+			declared[funcKey(fn)] = true
+		}
+	}
+	for key := range hotPaths {
+		if !declared[key] {
+			t.Errorf("hot path %s names no function in the module", key)
+		}
+	}
 }
 
 // TestFactFlowCorpus is the cross-package fact proof: the taint facts
@@ -51,12 +105,6 @@ func TestCtxFlowFactsCorpus(t *testing.T) {
 	runCorpus(t, soloCheck(CtxFlow), "ctxflowx", "ctxflowx/rootsrc")
 }
 
-// TestSuppressionCorpus exercises the //sopslint:ignore directive: it
-// runs the walltime analyzer over a corpus where every clock read is
-// paired with a directive — valid (suppressing), misnamed (not
-// suppressing), or malformed (a diagnostic in its own right).
-func TestSuppressionCorpus(t *testing.T) { runCorpus(t, soloCheck(Walltime), "suppress") }
-
 // TestDefaultChecksScope pins the package scoping of the suite: which
 // contract binds which import paths.
 func TestDefaultChecksScope(t *testing.T) {
@@ -69,11 +117,6 @@ func TestDefaultChecksScope(t *testing.T) {
 		path     string
 		want     bool
 	}{
-		// mapiter binds only the result-producing packages.
-		{"mapiter", "repro/internal/infotheory", true},
-		{"mapiter", "repro/internal/sweep", true},
-		{"mapiter", "repro/internal/vec", false},
-		{"mapiter", "repro/cmd/sops", false},
 		// rngsource binds the whole module except rngx itself.
 		{"rngsource", "repro/internal/rngx", false},
 		{"rngsource", "repro/internal/sim", true},
@@ -101,6 +144,8 @@ func TestDefaultChecksScope(t *testing.T) {
 		{"chansend", "repro/cmd/sops", false},
 		// dettaint binds the result-producing packages plus the spec
 		// package (the fingerprint lives there).
+		{"dettaint", "repro/internal/infotheory", true},
+		{"dettaint", "repro/internal/sweep", true},
 		{"dettaint", "repro/internal/experiment", true},
 		{"dettaint", "repro/internal/spec", true},
 		{"dettaint", "repro/internal/vec", false},

@@ -58,7 +58,7 @@ func checkSend(pass *analysis.Pass, u analysis.Unit, send *ast.SendStmt) {
 	if obj == nil || !unbufferedMake(pass, u.Enclosing, obj) {
 		return
 	}
-	pass.Reportf(send.Pos(), "blocking send on unbuffered %s in a loop with no done/ctx arm: if the consumers stop early (first-error return), this send blocks forever and the pool deadlocks; wrap it in a select with a done or ctx.Done() case (or annotate //sopslint:ignore chansend <reason>)", id.Name)
+	pass.Reportf(send.Pos(), "blocking send on unbuffered %s in a loop with no done/ctx arm: if the consumers stop early (first-error return), this send blocks forever and the pool deadlocks; wrap it in a select with a done or ctx.Done() case", id.Name)
 }
 
 // inLoop reports whether the path from the unit body to the send

@@ -20,7 +20,7 @@ import (
 //     shape is the documented legacy wrapper: a function with no ctx
 //     parameter whose Background() feeds a call to its own Ctx variant
 //     (Run → RunCtx). There the root is the API seam itself, and the
-//     exemption is structural rather than an ignore directive.
+//     exemption is structural.
 //  2. An exported function that accepts a context but then calls the
 //     context-free variant of an API that has one (Acquire where
 //     AcquireCtx exists), quietly dropping cancellation mid-chain —

@@ -10,24 +10,29 @@ import (
 // Contract (DESIGN.md): repeat runs are bit-identical, and a run's
 // fingerprint is a pure function of its spec. Three value sources break
 // that if they reach a result: map iteration order (randomized per
-// range statement), the wall clock, and raw math/rand randomness (rngx
-// is the sanctioned, seed-derived source). Where mapiter checks the
-// shape of a single loop, dettaint follows the values: taint flows
-// through locals, arithmetic, containers and one level of package-local
-// calls, and is reported where it lands in a sink —
+// range statement — a float summed, or a slice appended, in map order
+// differs between two runs of the same binary), the wall clock, and raw
+// math/rand randomness (rngx is the sanctioned, seed-derived source).
+// Dettaint follows the values: taint flows through locals, arithmetic,
+// containers and calls (through their TaintFacts), and is reported
+// where it lands in a sink —
 //
-//   - a write into a hash (the fingerprint/checkpoint identity), or
+//   - a write into a hash (the fingerprint/checkpoint identity);
 //   - a value returned by an exported function (a result leaving the
-//     package).
+//     package);
+//   - a map-order or raw-rand value stored where it outlives the
+//     function: a receiver or parameter field or element, a captured or
+//     package variable, or the receiver of a method called with it.
 //
 // The sanctioned idioms sanitize: sorting a key slice clears its
-// map-order taint (collect-sort-iterate), key-indexed container writes
-// and exact integer accumulation are order-insensitive and propagate
-// nothing. Wall-clock values are a dettaint concern only at hash
-// writes; their instrumentation lifecycle is walltime's contract.
+// map-order taint (collect-sort-iterate, the sortedCounts idiom),
+// key-indexed container writes and exact integer accumulation are
+// order-insensitive and propagate nothing. Wall-clock values are a
+// dettaint concern only at hash writes; their instrumentation lifecycle
+// is walltime's contract.
 var Dettaint = &analysis.Analyzer{
 	Name: "dettaint",
-	Doc:  "track map-order/wall-clock/raw-rand taint to returned results and fingerprint hash writes",
+	Doc:  "track map-order/wall-clock/raw-rand taint to returned results, stores that outlive the function, and fingerprint hash writes",
 	Run:  runDettaint,
 }
 
@@ -42,9 +47,11 @@ func runDettaint(pass *analysis.Pass) error {
 					if ev.where != "" {
 						where = " " + ev.where
 					}
-					pass.Reportf(ev.pos, "nondeterministic value (%s) feeds the fingerprint/checkpoint hash%s: the hash must be a pure function of the spec; derive the bytes from sorted, seed-keyed inputs, or annotate //sopslint:ignore dettaint <reason>", taintLabel(ev), where)
+					pass.Reportf(ev.pos, "nondeterministic value (%s) feeds the fingerprint/checkpoint hash%s: the hash must be a pure function of the spec; derive the bytes from sorted, seed-keyed inputs", taintLabel(ev), where)
 				case evReturnSink:
-					pass.Reportf(ev.pos, "nondeterministic value (%s) reaches the result returned by %s: results must be bit-identical across runs; collect and sort map keys (the sortedCounts idiom) or draw randomness from rngx, or annotate //sopslint:ignore dettaint <reason>", taintLabel(ev), ev.where)
+					pass.Reportf(ev.pos, "nondeterministic value (%s) reaches the result returned by %s: results must be bit-identical across runs; collect and sort map keys (the sortedCounts idiom) or draw randomness from rngx", taintLabel(ev), ev.where)
+				case evStoreEscape:
+					pass.Reportf(ev.pos, "nondeterministic value (%s) is stored in %s: results must be bit-identical across runs; collect and sort map keys (the sortedCounts idiom) or draw randomness from rngx", taintLabel(ev), ev.where)
 				}
 			}
 		}

@@ -26,8 +26,9 @@ import (
 //     from a cancellation branch (case <-ctx.Done(), if ctx.Err() !=
 //     nil) discards the sentinel entirely;
 //   - laundering through a helper: passing the context error to a
-//     wrapper function — local or, via ErrWrapFact, in another package
-//     — that folds it into a new error.
+//     function whose ErrWrapFact says it folds that parameter into a new
+//     error — in this package or another, through any depth of
+//     wrappers.
 //
 // Values are tracked through locals (err := ctx.Err()), and
 // context.Canceled, context.DeadlineExceeded, context.Cause(ctx) and
@@ -39,7 +40,6 @@ var ErrVerbatim = &analysis.Analyzer{
 }
 
 func runErrVerbatim(pass *analysis.Pass) error {
-	sums := errWrapSummaries(pass)
 	for _, f := range pass.SourceFiles() {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -47,7 +47,7 @@ func runErrVerbatim(pass *analysis.Pass) error {
 				continue
 			}
 			cancel := cancelErrObjs(pass, fd.Body)
-			checkErrVerbatim(pass, fd, cancel, sums)
+			checkErrVerbatim(pass, fd, cancel)
 		}
 	}
 	return nil
@@ -131,7 +131,7 @@ func isCancelExpr(pass *analysis.Pass, e ast.Expr, objs map[types.Object]bool) b
 
 // checkErrVerbatim walks one declaration and reports the three
 // verbatim-contract violations.
-func checkErrVerbatim(pass *analysis.Pass, fd *ast.FuncDecl, cancel map[types.Object]bool, sums map[*types.Func]uint32) {
+func checkErrVerbatim(pass *analysis.Pass, fd *ast.FuncDecl, cancel map[types.Object]bool) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -143,25 +143,18 @@ func checkErrVerbatim(pass *analysis.Pass, fd *ast.FuncDecl, cancel map[types.Ob
 			if fn.Name() == "Errorf" && pkgPathIs(fn.Pkg(), "fmt") {
 				for _, arg := range n.Args[min(1, len(n.Args)):] {
 					if isCancelExpr(pass, arg, cancel) {
-						pass.Reportf(n.Pos(), "%s wraps the context cancellation error in fmt.Errorf: return ctx.Err() verbatim so errors.Is(err, context.Canceled) holds for every caller, or annotate //sopslint:ignore errverbatim <reason>", fd.Name.Name)
+						pass.Reportf(n.Pos(), "%s wraps the context cancellation error in fmt.Errorf: return ctx.Err() verbatim so errors.Is(err, context.Canceled) holds for every caller", fd.Name.Name)
 						return true
 					}
 				}
 				return true
 			}
-			// Rule 2: laundering through a wrapper helper, local or
-			// (via ErrWrapFact) in another package.
-			mask, known := sums[fn]
-			if !known {
-				var wf ErrWrapFact
-				if pass.ImportObjectFact(fn, &wf) {
-					mask, known = wf.Params, true
-				}
-			}
-			if known && mask != 0 {
+			// Rule 2: laundering through a wrapper helper.
+			var wf ErrWrapFact
+			if pass.ImportObjectFact(fn, &wf) {
 				for i, arg := range n.Args {
-					if i < 32 && mask&(1<<uint(i)) != 0 && isCancelExpr(pass, arg, cancel) {
-						pass.Reportf(n.Pos(), "%s passes the context cancellation error to %s, which wraps it into a new error: return ctx.Err() verbatim so errors.Is(err, context.Canceled) holds for every caller, or annotate //sopslint:ignore errverbatim <reason>", fd.Name.Name, calleeLabel(fn))
+					if i < 32 && wf.Params&(1<<uint(i)) != 0 && isCancelExpr(pass, arg, cancel) {
+						pass.Reportf(n.Pos(), "%s passes the context cancellation error to %s, which wraps it into a new error: return ctx.Err() verbatim so errors.Is(err, context.Canceled) holds for every caller", fd.Name.Name, calleeLabel(fn))
 						return true
 					}
 				}
@@ -267,7 +260,7 @@ func reportFabricatedReturns(pass *analysis.Pass, fd *ast.FuncDecl, body []ast.S
 					}
 				}
 				if fabricated {
-					pass.Reportf(ret.Pos(), "%s observes cancellation but returns a fabricated error, discarding the context sentinel: return ctx.Err() verbatim so errors.Is(err, context.Canceled) holds for every caller, or annotate //sopslint:ignore errverbatim <reason>", fd.Name.Name)
+					pass.Reportf(ret.Pos(), "%s observes cancellation but returns a fabricated error, discarding the context sentinel: return ctx.Err() verbatim so errors.Is(err, context.Canceled) holds for every caller", fd.Name.Name)
 				}
 			}
 			return true
@@ -275,32 +268,10 @@ func reportFabricatedReturns(pass *analysis.Pass, fd *ast.FuncDecl, body []ast.S
 	}
 }
 
-// errWrapSummaries computes, per package-local declaration, the mask of
-// parameters that the function folds into a new error — directly via a
-// fmt.Errorf argument, or one level deep through another local wrapper.
-// Memoized on the package so errverbatim and the fact exporter share
-// one computation.
-func errWrapSummaries(pass *analysis.Pass) map[*types.Func]uint32 {
-	return pass.Pkg.Memo("lint.errWrapSummaries", func() any {
-		decls := localDeclsFor(pass)
-		sums := map[*types.Func]uint32{}
-		// Two rounds: round 1 sees direct fmt.Errorf wraps, round 2
-		// sees params laundered through a round-1 wrapper.
-		for round := 0; round < 2; round++ {
-			for fn, fd := range decls {
-				if fd.Body == nil {
-					continue
-				}
-				sums[fn] |= wrapMask(pass, fd, sums)
-			}
-		}
-		return sums
-	}).(map[*types.Func]uint32)
-}
-
 // wrapMask returns the bitmask of fd's parameters that reach an
-// error-wrap site, given the wrapper summaries computed so far.
-func wrapMask(pass *analysis.Pass, fd *ast.FuncDecl, sums map[*types.Func]uint32) uint32 {
+// error-wrap site — a fmt.Errorf argument, or an argument of a callee
+// whose ErrWrapFact wraps it — given the facts exported so far.
+func wrapMask(pass *analysis.Pass, fd *ast.FuncDecl) uint32 {
 	errType := types.Universe.Lookup("error").Type()
 	params := map[types.Object]uint{}
 	i := 0
@@ -346,9 +317,10 @@ func wrapMask(pass *analysis.Pass, fd *ast.FuncDecl, sums map[*types.Func]uint32
 			}
 			return true
 		}
-		if calleeMask := sums[fn]; calleeMask != 0 {
+		var wf ErrWrapFact
+		if pass.ImportObjectFact(fn, &wf) {
 			for j, arg := range call.Args {
-				if j < 32 && calleeMask&(1<<uint(j)) != 0 {
+				if j < 32 && wf.Params&(1<<uint(j)) != 0 {
 					wraps(arg)
 				}
 			}
@@ -358,13 +330,30 @@ func wrapMask(pass *analysis.Pass, fd *ast.FuncDecl, sums map[*types.Func]uint32
 	return mask
 }
 
-// exportErrWrapFacts publishes an ErrWrapFact for every exported
-// declaration that wraps one of its parameters into a new error, so
-// errverbatim in dependent packages can catch cross-package laundering.
+// exportErrWrapFacts publishes an ErrWrapFact for every declaration
+// that wraps one of its parameters into a new error. Each round
+// recomputes every mask from the previous round's facts, then exports
+// them together, until no mask changes: a wrapper chain of any depth
+// is followed, whatever order the declarations are visited in. Masks
+// only grow, so the rounds end.
 func exportErrWrapFacts(pass *analysis.Pass) {
-	for fn, mask := range errWrapSummaries(pass) {
-		if mask != 0 && fn.Exported() {
-			pass.ExportObjectFact(fn, &ErrWrapFact{Params: mask})
+	decls := localDeclsFor(pass)
+	prev := map[*types.Func]uint32{}
+	for {
+		next := make(map[*types.Func]uint32, len(decls))
+		changed := false
+		for fn, fd := range decls {
+			next[fn] = wrapMask(pass, fd)
+			changed = changed || next[fn] != prev[fn]
 		}
+		if !changed {
+			return
+		}
+		for fn, mask := range next {
+			if mask != 0 {
+				pass.ExportObjectFact(fn, &ErrWrapFact{Params: mask})
+			}
+		}
+		prev = next
 	}
 }

@@ -1,13 +1,14 @@
 package lint
 
-// This file defines the suite's cross-package facts — the durable
-// observations one package's analysis exports for its dependents — and
-// the fact pass that computes them. Facts make the flow-sensitive
-// analyzers genuinely interprocedural across package boundaries: the
-// fingerprint flow spec → experiment → sweep, the goroutine lifecycles
-// coordinated across internal/sweep/remote, and the cancellation-error
-// identity contract all span packages, and one-package-local summaries
-// stop exactly where those contracts start to matter.
+// This file defines the suite's facts — the durable per-function and
+// per-struct observations a package's fact pass exports — and the fact
+// pass that computes them. Facts are the suite's only summary store:
+// analyzers read a callee's summary from them whether the callee lives
+// in the package under analysis or in a dependency, so the fingerprint
+// flow spec → experiment → sweep, the goroutine lifecycles coordinated
+// across internal/sweep/remote, and the cancellation-error identity
+// contract are followed across package boundaries by the same lookup
+// that serves a local call.
 //
 // In-process (meta-test, standalone) the packages of a run share one
 // analysis.FactSet and are visited in dependency order; under
@@ -28,12 +29,10 @@ import (
 // the suite's vocabulary).
 type Fact = analysis.Fact
 
-// TaintFact is a function's exported taint summary: the same
-// (ret, escapes, sinks) triple the in-package summaries carry, so the
-// taint engine applies cross-package calls exactly like local ones.
-// A present fact with zero masks is information too — "this function
-// introduces and propagates nothing" — and silences the conservative
-// at-the-boundary clock-escape report.
+// TaintFact is a function's taint summary, applied at every call site
+// of the function. A present fact with zero masks is information too —
+// "this function introduces and propagates nothing" — and silences the
+// conservative at-the-boundary clock-escape report.
 type TaintFact struct {
 	// Ret holds taint kinds a call introduces plus the param bits whose
 	// taint flows through to a result.
@@ -114,12 +113,8 @@ var factPass = &analysis.Analyzer{
 // ExportFacts runs the fact pass over one package: every fact producer
 // publishes into pkg.Facts, regardless of which analyzers are scoped to
 // run on the package — dependents outside a contract's scope still
-// supply facts to packages inside it. Idempotent per package; a no-op
-// without a fact store.
+// supply facts to packages inside it. Idempotent per package.
 func ExportFacts(pkg *analysis.Package) {
-	if pkg.Facts == nil {
-		return
-	}
 	pkg.Memo("lint.factsExported", func() any {
 		pass := &analysis.Pass{Analyzer: factPass, Pkg: pkg}
 		exportTaintFacts(pass)

@@ -178,9 +178,10 @@ func TestUnitRejectsCorruptVetx(t *testing.T) {
 }
 
 // TestFactFlowRequiresFacts is the negative control for the factflow
-// corpus: with the fact store stubbed out, the cross-package
-// diagnostics in factflow/b disappear — proving they ride imported
-// facts, not some local approximation.
+// corpus: with each package given its own empty fact store, so nothing
+// factflow/a exports reaches factflow/b, the cross-package diagnostics
+// in factflow/b disappear — proving they ride imported facts, not some
+// local approximation.
 func TestFactFlowRequiresFacts(t *testing.T) {
 	checks := []Check{{Analyzer: Walltime}, {Analyzer: Dettaint}}
 	countB := func(pkgs []*analysis.Package) int {
@@ -211,7 +212,7 @@ func TestFactFlowRequiresFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pkgs {
-		p.Facts = nil
+		p.Facts = analysis.NewFactSet()
 	}
 	if n := countB(pkgs); n != 0 {
 		t.Errorf("without facts: %d diagnostics in factflow/b, want 0", n)

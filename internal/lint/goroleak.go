@@ -31,11 +31,7 @@ import (
 //     body already owns reaps it;
 //   - a named callee handed the caller's context or a channel — the
 //     callee owns its termination through them — or whose own body is
-//     bounded in the sense above: locally via its declaration, across
-//     packages via an exported BoundedFact.
-//
-// An intentionally detached goroutine carries a //sopslint:ignore
-// goroleak directive arguing why nothing it touches outlives it.
+//     bounded in the sense above, as its BoundedFact records.
 var Goroleak = &analysis.Analyzer{
 	Name: "goroleak",
 	Doc:  "flag goroutines in library code with no join: no WaitGroup pairing, no close/send-join, no ctx/done bound",
@@ -65,24 +61,18 @@ func checkGoStmt(pass *analysis.Pass, cfgs *analysis.CFGs, u analysis.Unit, gs *
 		// A named callee: the caller can join it through what it hands
 		// over — the context (cancellation reaps it) or a channel (the
 		// callee signals or is signalled through it) — or the callee's
-		// own body is bounded: checked on its declaration locally, or
-		// through an exported BoundedFact across packages.
+		// own body is bounded, as its BoundedFact records.
 		for _, arg := range gs.Call.Args {
 			t := pass.TypeOf(arg)
 			if isContextType(t) || isChanType(t) {
 				return
 			}
 		}
-		if fn := calleeFunc(pass, gs.Call); fn != nil {
-			if fd := localDeclsFor(pass)[fn]; fd != nil && fd.Body != nil && bodyBounded(pass, fd.Body) {
-				return
-			}
-			var bf BoundedFact
-			if pass.ImportObjectFact(fn, &bf) {
-				return
-			}
+		var bf BoundedFact
+		if fn := calleeFunc(pass, gs.Call); fn != nil && pass.ImportObjectFact(fn, &bf) {
+			return
 		}
-		pass.Reportf(gs.Pos(), "goroutine calls %s with no context or channel to join it: the callee outlives the caller unobserved; pass the caller's ctx, a done channel, or wrap in a WaitGroup-joined literal (or annotate //sopslint:ignore goroleak <reason>)", types.ExprString(gs.Call.Fun))
+		pass.Reportf(gs.Pos(), "goroutine calls %s with no context or channel to join it: the callee outlives the caller unobserved; pass the caller's ctx, a done channel, or wrap in a WaitGroup-joined literal", types.ExprString(gs.Call.Fun))
 		return
 	}
 
@@ -91,7 +81,7 @@ func checkGoStmt(pass *analysis.Pass, cfgs *analysis.CFGs, u analysis.Unit, gs *
 		sendJoined(pass, u, lit, cfg) || boundedBody(pass, lit) {
 		return
 	}
-	pass.Reportf(gs.Pos(), "goroutine is not joined: no WaitGroup Add-before-go/Done-on-all-paths/Wait pairing, no closed or sent channel the owner receives, no ctx/done bound — teardown can race it (the accept-loop teardown bug); join it or annotate //sopslint:ignore goroleak <reason>")
+	pass.Reportf(gs.Pos(), "goroutine is not joined: no WaitGroup Add-before-go/Done-on-all-paths/Wait pairing, no closed or sent channel the owner receives, no ctx/done bound — teardown can race it (the accept-loop teardown bug)")
 }
 
 // wgJoined checks the WaitGroup pairing: recv.Done() on every exit path
@@ -289,14 +279,11 @@ func bodyBounded(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	return bounded
 }
 
-// exportBoundedFacts publishes a BoundedFact for every exported
-// declaration whose body is bounded, so `go pkg.F(x)` in another
-// package is recognized as joined.
+// exportBoundedFacts publishes a BoundedFact for every declaration
+// whose body is bounded, so `go f(x)` is recognized as joined in this
+// package and in every importer.
 func exportBoundedFacts(pass *analysis.Pass) {
 	for fn, fd := range localDeclsFor(pass) {
-		if !fn.Exported() || fd.Body == nil {
-			continue
-		}
 		if bodyBounded(pass, fd.Body) {
 			pass.ExportObjectFact(fn, &BoundedFact{})
 		}

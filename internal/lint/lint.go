@@ -1,41 +1,35 @@
-// Package lint is sopslint: eleven custom static analyzers that
-// mechanize this repository's written contracts — bit-identical
-// determinism, rngx-derived randomness, wall-clock-free fingerprints,
-// context-aware cancellation, balanced worker-token accounting, joined
-// goroutine lifecycles, cancellable producer sends,
-// nondeterminism-free result/fingerprint flows, fingerprint coverage
-// of every spec knob, verbatim cancellation errors, and
-// allocation-free hot paths (DESIGN.md, "Mechanized contracts"). The
-// suite runs as `go vet -vettool=$(sopslint)` in CI, standalone via
-// cmd/sopslint, and in-process through the meta-test that keeps this
-// repository at zero diagnostics.
+// Package lint is sopslint: ten custom static analyzers that mechanize
+// this repository's written contracts — bit-identical determinism,
+// rngx-derived randomness, wall-clock-free fingerprints, context-aware
+// cancellation, balanced worker-token accounting, joined goroutine
+// lifecycles, cancellable producer sends, nondeterminism-free
+// result/fingerprint flows, fingerprint coverage of every spec knob,
+// verbatim cancellation errors, and allocation-free hot paths
+// (DESIGN.md, "Mechanized contracts"). The suite runs as
+// `go vet -vettool=$(sopslint)` in CI, standalone via cmd/sopslint, and
+// in-process through the meta-test that keeps this repository at zero
+// diagnostics.
 //
 // The syntax-shape analyzers work on the AST directly; walltime,
-// dettaint, goroleak and chansend sit on the flow-sensitive layer in
-// internal/lint/analysis — a per-function CFG, a worklist dataflow
-// solver, and one-level call summaries — so sanctioned idioms
-// (collect-sort-iterate, deferred Done on all paths, Duration
-// instrumentation columns) pass without annotation.
+// dettaint, tokenpair, goroleak and chansend sit on the flow-sensitive
+// layer in internal/lint/analysis — a per-function CFG and a worklist
+// dataflow solver — so sanctioned idioms (collect-sort-iterate,
+// deferred Done on all paths, Duration instrumentation columns) pass
+// without annotation.
 //
-// Analysis is modular across packages: before any analyzer runs on a
-// package, ExportFacts publishes that package's gob-serialized facts
-// (taint summaries, bounded goroutine launchers, context-root minting,
-// error-wrapping helpers, allocation summaries, nohash exclusions) to
-// its FactSet, and analyzers consult imported facts at cross-package
-// call and type boundaries. Under `go vet` the facts ride the .vetx
-// files of the unitchecker protocol; in-process, load.Packages returns
-// packages in dependency order sharing one fact set — the two paths
-// see identical diagnostics.
+// Facts are the one summary store. Before any analyzer runs on a
+// package, ExportFacts publishes gob-serializable facts about every
+// function and struct the package declares (taint summaries, bounded
+// goroutine launchers, context-root minting, error-wrapping helpers,
+// allocation summaries, nohash exclusions) to its FactSet, and
+// analyzers look every callee up there, in the same package or across
+// a package boundary. Under `go vet` the facts ride the .vetx files of
+// the unitchecker protocol; in-process, load.Packages returns packages
+// in dependency order sharing one fact set — the two paths see
+// identical diagnostics.
 //
-// A finding that is a sanctioned exception is silenced with a directive
-// on (or immediately above) the offending line:
-//
-//	//sopslint:ignore <analyzer>[,<analyzer>...] <reason>
-//
-// The directive names one or more analyzers (comma-separated, no
-// spaces) and must give a reason; a directive naming an unknown
-// analyzer, or giving no reason, is itself a diagnostic, so
-// suppressions cannot rot silently.
+// There is no suppression directive: a finding is fixed, or the
+// analyzer learns the sanctioned idiom it misread.
 package lint
 
 import (
@@ -54,8 +48,8 @@ type Check struct {
 }
 
 // resultProducing lists the packages whose outputs feed figures, sweep
-// checkpoints or persisted results — the scope of the mapiter
-// determinism contract.
+// checkpoints or persisted results — with the spec package, the scope
+// of the dettaint determinism contract.
 var resultProducing = map[string]bool{
 	"repro/internal/infotheory":   true,
 	"repro/internal/infodynamics": true,
@@ -82,16 +76,10 @@ func contractScope(path string) bool {
 	return path == "repro" || strings.HasPrefix(path, "repro/internal/")
 }
 
-// Analyzers returns the eleven sopslint analyzers.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Mapiter, RNGSource, Walltime, CtxFlow, TokenPair, Goroleak, Chansend, Dettaint, SpecCoverage, ErrVerbatim, AllocFree}
-}
-
 // DefaultChecks returns the suite with each analyzer scoped to the
 // packages its contract covers (see DESIGN.md, "Mechanized contracts").
 func DefaultChecks() []Check {
 	return []Check{
-		{Mapiter, func(p string) bool { return resultProducing[p] }},
 		{RNGSource, func(p string) bool { return inModule(p) && p != "repro/internal/rngx" }},
 		{Walltime, contractScope},
 		{CtxFlow, contractScope},
@@ -105,8 +93,8 @@ func DefaultChecks() []Check {
 	}
 }
 
-// Run applies the checks to the packages, resolves //sopslint:ignore
-// directives, and returns the surviving diagnostics sorted by position.
+// Run applies the checks to the packages and returns the diagnostics
+// sorted by position.
 func Run(pkgs []*analysis.Package, checks []Check) ([]analysis.Diagnostic, error) {
 	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
@@ -114,7 +102,6 @@ func Run(pkgs []*analysis.Package, checks []Check) ([]analysis.Diagnostic, error
 		// on it — and, with pkgs in dependency order, on everything
 		// that imports it — see the exports.
 		ExportFacts(pkg)
-		var diags []analysis.Diagnostic
 		for _, c := range checks {
 			if c.AppliesTo != nil && !c.AppliesTo(basePath(pkg.Path)) {
 				continue
@@ -123,9 +110,8 @@ func Run(pkgs []*analysis.Package, checks []Check) ([]analysis.Diagnostic, error
 			if err != nil {
 				return nil, err
 			}
-			diags = append(diags, ds...)
+			all = append(all, ds...)
 		}
-		all = append(all, applyDirectives(pkg, diags)...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]

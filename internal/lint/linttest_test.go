@@ -7,10 +7,10 @@ package lint
 //	code() // want "regexp matching the message"
 //
 // (or the block form /* want "..." */ when the line's trailing comment
-// position is taken by a directive under test). The harness runs the
-// given checks — including //sopslint:ignore processing, since it goes
-// through lint.Run — and fails on any unexpected or missing diagnostic,
-// so each corpus pins both the flagged and the allowed cases.
+// position is taken by an annotation under test). The harness runs the
+// given checks through lint.Run — fact pass included — and fails on
+// any unexpected or missing diagnostic, so each corpus pins both the
+// flagged and the allowed cases.
 
 import (
 	"regexp"
@@ -38,8 +38,8 @@ type wantMarker struct {
 func soloCheck(a *analysis.Analyzer) []Check { return []Check{{Analyzer: a}} }
 
 // runCorpus loads testdata/src/<path> for each path, applies the checks
-// through lint.Run (directive processing included) and compares the
-// surviving diagnostics line by line against the corpus's want markers.
+// through lint.Run and compares the diagnostics line by line against
+// the corpus's want markers.
 func runCorpus(t *testing.T, checks []Check, paths ...string) {
 	t.Helper()
 	pkgs, err := load.Corpus("testdata", paths...)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -30,8 +31,8 @@ import (
 //   - structs reachable from a subject through module-typed fields are
 //     checked field by field: each must be read on some fingerprint
 //     path, be inside a whole-consumed struct, or carry an explicit
-//     //sopslint:nohash <reason> annotation (exported via NoHashFact
-//     so cross-package fields stay covered);
+//     //sopslint:nohash <reason> annotation (read from the struct's
+//     NoHashFact, so fields of any package are covered alike);
 //   - subject structs declared in the analyzed package must also have
 //     a Validate method — a spec that keys results must be checkable.
 //
@@ -44,8 +45,7 @@ var SpecCoverage = &analysis.Analyzer{
 }
 
 func runSpecCoverage(pass *analysis.Pass) error {
-	nh := nohashFieldsFor(pass)
-	for _, d := range nh.malformed {
+	for _, d := range nohashFieldsFor(pass).malformed {
 		pass.Reportf(d, "//sopslint:nohash needs a reason — write //sopslint:nohash <why this field cannot affect results>")
 	}
 	for _, f := range pass.SourceFiles() {
@@ -54,7 +54,7 @@ func runSpecCoverage(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil || !strings.HasSuffix(fd.Name.Name, "Fingerprint") {
 				continue
 			}
-			checkFingerprintRoot(pass, fd, nh)
+			checkFingerprintRoot(pass, fd)
 		}
 	}
 	return nil
@@ -62,7 +62,7 @@ func runSpecCoverage(pass *analysis.Pass) error {
 
 // checkFingerprintRoot runs the coverage analysis for one Fingerprint
 // declaration.
-func checkFingerprintRoot(pass *analysis.Pass, root *ast.FuncDecl, nh *nohashInfo) {
+func checkFingerprintRoot(pass *analysis.Pass, root *ast.FuncDecl) {
 	subjects := subjectStructs(pass, root)
 	if len(subjects) == 0 {
 		return
@@ -101,7 +101,7 @@ func checkFingerprintRoot(pass *analysis.Pass, root *ast.FuncDecl, nh *nohashInf
 			if !local && !field.Exported() {
 				continue
 			}
-			if fieldNoHash(pass, nh, named, field.Name()) {
+			if fieldNoHash(pass, named, field.Name()) {
 				continue
 			}
 			if next := moduleNamed(pass, field.Type()); next != nil {
@@ -326,24 +326,11 @@ func hasValidateMethod(named *types.Named, from *types.Package) bool {
 	return ok
 }
 
-// fieldNoHash reports whether the field carries a nohash annotation —
-// in this package's source, or via a NoHashFact exported by the
-// struct's defining package.
-func fieldNoHash(pass *analysis.Pass, nh *nohashInfo, named *types.Named, field string) bool {
-	obj := named.Obj()
-	if obj.Pkg() == pass.Pkg.Types {
-		return nh.fields[obj] != nil && nh.fields[obj][field]
-	}
+// fieldNoHash reports whether the field carries a nohash annotation,
+// as the struct's NoHashFact records.
+func fieldNoHash(pass *analysis.Pass, named *types.Named, field string) bool {
 	var fact NoHashFact
-	if !pass.ImportObjectFact(obj, &fact) {
-		return false
-	}
-	for _, name := range fact.Fields {
-		if name == field {
-			return true
-		}
-	}
-	return false
+	return pass.ImportObjectFact(named.Obj(), &fact) && slices.Contains(fact.Fields, field)
 }
 
 // nohashInfo is the package's parsed //sopslint:nohash annotations:
@@ -421,15 +408,11 @@ func nohashAnnotation(field *ast.Field) (string, token.Pos, bool) {
 	return "", 0, false
 }
 
-// exportNoHashFacts publishes a NoHashFact per exported struct with
-// nohash-annotated fields, so speccoverage in dependent packages sees
-// the exclusions without reading this package's source.
+// exportNoHashFacts publishes a NoHashFact per struct with
+// nohash-annotated fields, so speccoverage here and in dependent
+// packages sees the exclusions.
 func exportNoHashFacts(pass *analysis.Pass) {
-	nh := nohashFieldsFor(pass)
-	for obj, fields := range nh.fields {
-		if !obj.Exported() {
-			continue
-		}
+	for obj, fields := range nohashFieldsFor(pass).fields {
 		names := make([]string, 0, len(fields))
 		for name := range fields {
 			names = append(names, name)

@@ -4,8 +4,8 @@ package lint
 // analyzers (walltime, dettaint): a forward may-dataflow over the
 // analysis-package CFGs tracking three kinds of nondeterminism per local
 // variable — map iteration order, wall-clock reads, raw (non-rngx)
-// randomness — with one-level call summaries so taint survives a hop
-// through package-local helpers.
+// randomness — with every call applied through the callee's TaintFact,
+// so taint survives a hop through a helper in this package or another.
 //
 // The engine is deliberately idiom-aware, so the sanctioned patterns
 // pass without directives:
@@ -14,7 +14,9 @@ package lint
 //     sort.* / slices.Sort* call sanitizes it, ranging over the sorted
 //     slice yields clean keys (the sortedCounts idiom);
 //   - key-indexed writes and exact integer accumulation are
-//     order-insensitive and do not propagate map-order taint;
+//     order-insensitive and do not propagate map-order taint — not even
+//     into storage that outlives the function, where any other map-order
+//     write is an escape;
 //   - wall-clock values stay legal while they remain transparently
 //     time-typed instrumentation (time.Time/time.Duration locals,
 //     slices of them, Duration-typed struct columns) and are flagged
@@ -25,12 +27,16 @@ package lint
 // Each function unit is analyzed in isolation with clean parameters;
 // what a callee does with a tainted argument is captured in its summary
 // (param→result flow, param→escape, param→hash-sink) and reported at
-// the call site.
+// the call site. The fact pass computes the package's summaries in two
+// snapshot rounds: round 1 treats package-local callees as plain
+// unions, round 2 reads the round-1 facts, so a summary sees through
+// one local call hop.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -46,6 +52,10 @@ const (
 
 	taintKinds      = taintMapOrder | taintClock | taintRand
 	taintParamShift = 3
+
+	// taintDet are the kinds that break bit-identical results wherever
+	// they land; wall-clock values only matter where they escape.
+	taintDet = taintMapOrder | taintRand
 )
 
 func paramBit(i int) uint32 {
@@ -78,6 +88,11 @@ const (
 	// from an exported function — nondeterminism reaching a result.
 	// Reported by dettaint.
 	evReturnSink
+	// evStoreEscape: a map-order or raw-rand tainted value is written
+	// into storage that outlives the function — a receiver or parameter
+	// field or element, a captured or package variable, or the receiver
+	// of a method called with it. Reported by dettaint.
+	evStoreEscape
 )
 
 // taintEvent is one observation at a source position.
@@ -89,74 +104,47 @@ type taintEvent struct {
 	where string // event-specific context for the message
 }
 
-// taintSummary is the one-level call summary of a declaration.
-type taintSummary struct {
-	// ret holds the taint kinds a call introduces plus the param bits
-	// whose taint flows through to a result.
-	ret uint32
-	// escapes holds param bits that reach a clock-escape point inside
-	// the callee (passing a clock-tainted arg there escapes it).
-	escapes uint32
-	// sinks holds param bits that reach a hash write inside the callee.
-	sinks uint32
-	// src names the intrinsic source when ret carries kind bits.
-	src string
-}
-
 // taintEngine analyzes the units of one package.
 type taintEngine struct {
-	pass  *analysis.Pass
-	cfgs  *analysis.CFGs
-	decls map[*types.Func]*ast.FuncDecl
-	sums  map[*types.Func]taintSummary
+	pass *analysis.Pass
+	cfgs *analysis.CFGs
 
 	// per-unit analysis state
 	summaryMode bool
-	params      map[types.Object]uint32 // summary mode: param object → bit
-	results     []types.Object          // named results, for bare returns
-	exported    bool                    // reporting mode: unit is an exported decl
+	unit        analysis.Unit
+	results     []types.Object // named results, for bare returns
+	exported    bool           // reporting mode: unit is an exported decl
 	funcName    string
-	events      []taintEvent
-	emitting    bool
 }
 
-// taintEngineFor returns the package's memoized taint engine: walltime,
-// dettaint and the fact pass share one summary computation per package.
-// The engine only reads pass.Pkg (types, info, facts), so the first
-// pass's engine serves every later one.
+// taintEngineFor returns the package's memoized taint engine, shared by
+// walltime, dettaint and the fact pass. The engine only reads pass.Pkg
+// (types, info, facts), so the first pass's engine serves every later
+// one.
 func taintEngineFor(pass *analysis.Pass) *taintEngine {
 	return pass.Pkg.Memo("lint.taintEngine", func() any {
-		return newTaintEngine(pass)
+		return &taintEngine{pass: pass, cfgs: analysis.NewCFGs(terminalForCFG)}
 	}).(*taintEngine)
 }
 
-// exportTaintFacts publishes every exported declaration's summary as a
+// exportTaintFacts publishes every declaration's summary as a
 // TaintFact, including zero summaries: "introduces and propagates
 // nothing" is what lets a clock-tainted argument cross into a callee
-// known to keep it in the instrumentation family.
+// known to keep it in the instrumentation family. Each round computes
+// every summary from the facts the previous round left, then exports
+// them together.
 func exportTaintFacts(pass *analysis.Pass) {
 	e := taintEngineFor(pass)
-	for fn, sum := range e.sums {
-		if !fn.Exported() {
-			continue
+	decls := localDeclsFor(pass)
+	for round := 0; round < 2; round++ {
+		sums := make(map[*types.Func]*TaintFact, len(decls))
+		for fn, fd := range decls {
+			sums[fn] = e.summarize(fd)
 		}
-		pass.ExportObjectFact(fn, &TaintFact{Ret: sum.ret, Escapes: sum.escapes, Sinks: sum.sinks, Src: sum.src})
+		for fn, sum := range sums {
+			pass.ExportObjectFact(fn, sum)
+		}
 	}
-}
-
-// newTaintEngine builds the engine for one pass: summaries first, then
-// callers analyze units with analyze().
-func newTaintEngine(pass *analysis.Pass) *taintEngine {
-	e := &taintEngine{
-		pass:  pass,
-		cfgs:  analysis.NewCFGs(terminalForCFG),
-		decls: map[*types.Func]*ast.FuncDecl{},
-	}
-	e.decls = analysis.LocalDecls(pass.Pkg)
-	e.sums = analysis.Summarize(pass.Pkg, func(fd *ast.FuncDecl, prev map[*types.Func]taintSummary) taintSummary {
-		return e.summarize(fd, prev)
-	})
-	return e
 }
 
 // terminalForCFG adapts the suite's terminal-call test to the CFG
@@ -165,37 +153,30 @@ func terminalForCFG(call *ast.CallExpr) bool { return isTerminalCall(call) }
 
 // summarize computes one declaration's summary: seed every parameter
 // with its bit, run the flow, union the returns.
-func (e *taintEngine) summarize(fd *ast.FuncDecl, prev map[*types.Func]taintSummary) taintSummary {
+func (e *taintEngine) summarize(fd *ast.FuncDecl) *TaintFact {
 	saved := *e
 	defer func() { *e = saved }()
 
 	e.summaryMode = true
-	e.sums = prev
-	e.emitting = false
-	e.events = nil
-
+	e.unit = analysis.Unit{Decl: fd, Enclosing: fd}
 	state := analysis.TaintState{}
-	e.params = map[types.Object]uint32{}
 	for i, obj := range e.paramObjs(fd) {
 		if b := paramBit(i); b != 0 && obj != nil {
-			e.params[obj] = b
 			state = state.Add(obj, analysis.TaintVal{Kinds: b})
 		}
 	}
 	e.results = namedResults(e.pass, fd.Type)
 
-	sum := taintSummary{}
+	sum := &TaintFact{}
 	collect := func(ev taintEvent) {
 		switch ev.kind {
 		case evClockEscape:
-			sum.escapes |= ev.kinds &^ taintKinds
+			sum.Escapes |= ev.kinds &^ taintKinds
 		case evHashSink:
-			sum.sinks |= ev.kinds &^ taintKinds
+			sum.Sinks |= ev.kinds &^ taintKinds
 		}
 	}
-	retMask, src := e.flowUnit(fd.Body, state, collect)
-	sum.ret = retMask
-	sum.src = src
+	sum.Ret, sum.Src = e.flowUnit(fd.Body, state, collect)
 	return sum
 }
 
@@ -245,14 +226,13 @@ func (e *taintEngine) analyze(u analysis.Unit) []taintEvent {
 	defer func() { *e = saved }()
 
 	e.summaryMode = false
-	e.params = nil
+	e.unit = u
 	e.exported = u.Decl != nil && u.Decl.Name.IsExported()
 	e.funcName = "function literal"
 	if u.Decl != nil {
 		e.funcName = u.Decl.Name.Name
 	}
 	e.results = namedResults(e.pass, u.FuncType())
-	e.events = nil
 	var events []taintEvent
 	e.flowUnit(u.Body(), analysis.TaintState{}, func(ev taintEvent) {
 		events = append(events, ev)
@@ -367,7 +347,7 @@ func (e *taintEngine) transfer(st analysis.TaintState, n ast.Node, emit func(tai
 	case *ast.ExprStmt:
 		st = e.sanitizers(st, n.X)
 		e.eval(st, n.X, emit)
-		return st
+		return e.callStores(st, n.X, emit)
 	case *ast.ReturnStmt:
 		if emit != nil && !e.summaryMode && e.exported {
 			mask, src := e.returnTaint(st, n)
@@ -458,19 +438,19 @@ func (e *taintEngine) transferAssign(st analysis.TaintState, n *ast.AssignStmt, 
 
 	for i, lhs := range n.Lhs {
 		v := valFor(i)
+		if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
+			continue
+		}
+		if integerAccum && isInteger(e.pass.TypeOf(lhs)) {
+			v.Kinds &^= taintMapOrder // exact, commutative
+		}
 		switch lhs := ast.Unparen(lhs).(type) {
 		case *ast.Ident:
-			if lhs.Name == "_" {
-				continue
-			}
 			obj := e.pass.ObjectOf(lhs)
 			if obj == nil {
 				continue
 			}
 			if opAssign {
-				if integerAccum && isInteger(obj.Type()) {
-					v.Kinds &^= taintMapOrder // exact, commutative
-				}
 				st = st.Add(obj, v)
 			} else {
 				st = st.Set(obj, v)
@@ -494,33 +474,92 @@ func (e *taintEngine) transferAssign(st analysis.TaintState, n *ast.AssignStmt, 
 		case *ast.StarExpr:
 			st = e.weakenInto(st, lhs.X, v)
 		}
+		if v.Kinds&taintDet != 0 {
+			if obj, indirect := e.storeBase(lhs); e.outlives(obj, indirect) {
+				e.storeEscape(emit, n.Pos(), v, types.ExprString(lhs))
+			}
+		}
 	}
 	return st
+}
+
+// callStores applies a statement-level method call's effect on its
+// receiver: a call carrying map-order or raw-rand arguments may store
+// them there (acc.Add(v)), so a local receiver takes their taint and a
+// receiver that outlives the unit is an escape. Hash receivers are the
+// hash sink's concern.
+func (e *taintEngine) callStores(st analysis.TaintState, x ast.Expr, emit func(taintEvent)) analysis.TaintState {
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
+	if !ok {
+		return st
+	}
+	fn, recv := calleeFunc(e.pass, call), recvExprOf(call)
+	if fn == nil || recv == nil || fn.Type().(*types.Signature).Recv() == nil || isHashType(e.pass.TypeOf(recv)) {
+		return st
+	}
+	var v analysis.TaintVal
+	for _, a := range call.Args {
+		v = mergeVals(v, e.eval(st, a, nil))
+	}
+	if v.Kinds &= taintDet; v.Kinds == 0 {
+		return st
+	}
+	if obj, _ := e.storeBase(recv); e.outlives(obj, true) {
+		e.storeEscape(emit, call.Pos(), v, types.ExprString(recv)+" (via "+fn.Name()+")")
+		return st
+	}
+	return e.weakenInto(st, recv, v)
+}
+
+// storeBase resolves the variable a write through lhs lands in, and
+// whether the write reaches it through a field, element or pointer.
+func (e *taintEngine) storeBase(lhs ast.Expr) (types.Object, bool) {
+	indirect := false
+	for {
+		switch x := ast.Unparen(lhs).(type) {
+		case *ast.Ident:
+			return e.pass.ObjectOf(x), indirect
+		case *ast.SelectorExpr:
+			lhs, indirect = x.X, true
+		case *ast.IndexExpr:
+			lhs, indirect = x.X, true
+		case *ast.StarExpr:
+			lhs, indirect = x.X, true
+		default:
+			return nil, indirect
+		}
+	}
+}
+
+// outlives reports whether a write into obj — through a field, element
+// or pointer when indirect — lands in storage that outlives the unit: a
+// package or captured variable, or a receiver or parameter reached
+// indirectly. Named results are left out: what lands there is returned.
+func (e *taintEngine) outlives(obj types.Object, indirect bool) bool {
+	v, ok := obj.(*types.Var)
+	if !ok {
+		return false
+	}
+	body := e.unit.Body()
+	if v.Pos() < e.unit.FuncType().Pos() || v.Pos() >= body.End() {
+		return true
+	}
+	return indirect && v.Pos() < body.Pos() && !slices.Contains(e.results, obj)
+}
+
+// storeEscape reports a map-order or raw-rand value stored in target, a
+// place that outlives the unit.
+func (e *taintEngine) storeEscape(emit func(taintEvent), pos token.Pos, v analysis.TaintVal, target string) {
+	e.emitEv(emit, taintEvent{kind: evStoreEscape, pos: pos, kinds: v.Kinds & taintDet, src: v.Src, where: target + ", which outlives " + e.funcName})
 }
 
 // weakenInto adds v to the object at the base of a container/field
 // write expression (weak update: the old contents survive).
 func (e *taintEngine) weakenInto(st analysis.TaintState, base ast.Expr, v analysis.TaintVal) analysis.TaintState {
-	if v.Kinds == 0 {
-		return st
+	if obj, _ := e.storeBase(base); obj != nil && v.Kinds != 0 {
+		return st.Add(obj, v)
 	}
-	for {
-		switch b := ast.Unparen(base).(type) {
-		case *ast.Ident:
-			if obj := e.pass.ObjectOf(b); obj != nil {
-				return st.Add(obj, v)
-			}
-			return st
-		case *ast.IndexExpr:
-			base = b.X
-		case *ast.SelectorExpr:
-			base = b.X
-		case *ast.StarExpr:
-			base = b.X
-		default:
-			return st
-		}
-	}
+	return st
 }
 
 func (e *taintEngine) transferRange(st analysis.TaintState, n *ast.RangeStmt, emit func(taintEvent)) analysis.TaintState {
@@ -765,62 +804,27 @@ func (e *taintEngine) evalCall(st analysis.TaintState, call *ast.CallExpr, emit 
 		return v
 	}
 
-	// Package-local callee with a summary: one-level interprocedural
-	// flow — kinds the callee introduces, plus the taint of arguments
-	// whose parameter reaches a result, escape or sink.
-	if e.decls[fn] != nil {
-		if sum, ok := e.summaryOf(fn); ok {
-			return e.applySummary(call, sum, recvTaint, argTaints, emit)
-		}
-		// summary unavailable (first summary pass): conservative union
-		v := recvTaint
-		for _, a := range argTaints {
-			v = mergeVals(v, a)
-		}
-		return v
-	}
-
-	// Same-package callee without a declaration here (interface
-	// methods, declarations in other files of a corpus stub):
-	// conservative union, no package boundary.
-	if fn.Pkg() == e.pass.Pkg.Types {
-		v := recvTaint
-		for _, a := range argTaints {
-			v = mergeVals(v, a)
-		}
-		return v
-	}
-
-	// Cross-package callee with an exported taint fact (another module
-	// package already analyzed): apply it exactly like a local summary,
-	// so taint flows — and sanctioned handling is recognized — across
-	// package boundaries instead of stopping at one hop.
+	// Callee with a taint fact, in this package or an analyzed one:
+	// kinds the callee introduces, plus the taint of arguments whose
+	// parameter reaches a result, escape or sink.
 	var tf TaintFact
 	if e.pass.ImportObjectFact(fn, &tf) {
-		return e.applySummary(call, taintSummary{ret: tf.Ret, escapes: tf.Escapes, sinks: tf.Sinks, src: tf.Src}, recvTaint, argTaints, emit)
+		return e.applySummary(call, tf, recvTaint, argTaints, emit)
 	}
 
-	// Cross-package call without a fact: a clock-tainted operand handed
-	// to another package's API escapes the instrumentation family
-	// (time-package helpers were handled above).
+	// No fact: a conservative union. Within the package (round 1 of
+	// the fact pass, interface methods) that is all; a clock-tainted
+	// operand handed to another package's API escapes the
+	// instrumentation family (time-package helpers were handled above).
 	v := recvTaint
 	for _, a := range argTaints {
 		v = mergeVals(v, a)
 	}
-	if clockEscaping(v.Kinds) && !pkgPathIs(fn.Pkg(), "time") {
+	if fn.Pkg() != e.pass.Pkg.Types && clockEscaping(v.Kinds) && !pkgPathIs(fn.Pkg(), "time") {
 		e.emitEv(emit, taintEvent{kind: evClockEscape, pos: call.Pos(), kinds: v.Kinds, src: v.Src, where: "passed to " + calleeLabel(fn)})
 		v.Kinds &^= taintClock
 	}
 	return v
-}
-
-// summaryOf looks up fn's summary, if the engine has one.
-func (e *taintEngine) summaryOf(fn *types.Func) (taintSummary, bool) {
-	if e.sums == nil {
-		return taintSummary{}, false
-	}
-	s, ok := e.sums[fn]
-	return s, ok
 }
 
 // callOperands evaluates the receiver and arguments of a resolved call.
@@ -841,26 +845,26 @@ func (e *taintEngine) callOperands(st analysis.TaintState, call *ast.CallExpr, f
 
 // applySummary folds a callee summary into the call's result taint and
 // re-raises escapes/sinks the callee performs on tainted arguments.
-func (e *taintEngine) applySummary(call *ast.CallExpr, sum taintSummary, recvTaint analysis.TaintVal, argTaints []analysis.TaintVal, emit func(taintEvent)) analysis.TaintVal {
+func (e *taintEngine) applySummary(call *ast.CallExpr, sum TaintFact, recvTaint analysis.TaintVal, argTaints []analysis.TaintVal, emit func(taintEvent)) analysis.TaintVal {
 	operands := append([]analysis.TaintVal{recvTaint}, argTaints...)
 	// When the callee has no receiver, parameter 0 is the first arg.
 	fn := calleeFunc(e.pass, call)
 	if sig, _ := fn.Type().(*types.Signature); sig != nil && sig.Recv() == nil {
 		operands = argTaints
 	}
-	out := analysis.TaintVal{Kinds: sum.ret & taintKinds, Src: sum.src}
+	out := analysis.TaintVal{Kinds: sum.Ret & taintKinds, Src: sum.Src}
 	for i, op := range operands {
 		b := paramBit(i)
 		if b == 0 || op.Kinds&taintKinds == 0 {
 			continue
 		}
-		if sum.ret&b != 0 {
+		if sum.Ret&b != 0 {
 			out = mergeVals(out, op)
 		}
-		if sum.escapes&b != 0 && op.Kinds&taintClock != 0 {
+		if sum.Escapes&b != 0 && op.Kinds&taintClock != 0 {
 			e.emitEv(emit, taintEvent{kind: evClockEscape, pos: call.Pos(), kinds: op.Kinds, src: op.Src, where: "passed to " + fn.Name() + ", which lets it escape"})
 		}
-		if sum.sinks&b != 0 {
+		if sum.Sinks&b != 0 {
 			e.emitEv(emit, taintEvent{kind: evHashSink, pos: call.Pos(), kinds: op.Kinds & taintKinds, src: op.Src, where: "via " + fn.Name()})
 		}
 	}

@@ -1,11 +1,11 @@
 // Package dettaint is the corpus for the dettaint analyzer:
 // nondeterminism taint — map iteration order, the wall clock, raw
 // math/rand randomness — is followed through locals, arithmetic,
-// containers and one level of package-local calls, and flagged where it
-// reaches a result returned by an exported function or a write into the
-// fingerprint hash. The sanctioned idioms (collect-sort-iterate,
-// key-indexed writes, exact integer accumulation, rngx-style seeded
-// draws) pass without directives.
+// containers and calls, and flagged where it reaches a result returned
+// by an exported function, storage that outlives the function, or a
+// write into the fingerprint hash. The sanctioned idioms
+// (collect-sort-iterate, key-indexed writes, exact integer
+// accumulation, rngx-style seeded draws) pass without annotation.
 package dettaint
 
 import (

@@ -84,3 +84,30 @@ func VerbatimTracked(ctx context.Context) error {
 	}
 	return nil
 }
+
+// LaunderDeep3 launders through a chain of three local wrappers: the
+// innermost wraps, the outer two pass the error on.
+func LaunderDeep3(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return chain3(ctx.Err()) // want "LaunderDeep3 passes the context cancellation error to errverbatim.chain3"
+	}
+}
+
+func chain3(err error) error { return chain2(err) }
+func chain2(err error) error { return chain1(err) }
+func chain1(err error) error { return fmt.Errorf("chain: %w", err) }
+
+// LaunderDeep5 launders through a chain of five.
+func LaunderDeep5(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return relay5("stop", err) // want "LaunderDeep5 passes the context cancellation error to errverbatim.relay5"
+	}
+	return nil
+}
+
+func relay5(op string, err error) error { return relay4(op, err) }
+func relay4(op string, err error) error { return relay3(op, err) }
+func relay3(op string, err error) error { return relay2(op, err) }
+func relay2(op string, err error) error { return relay1(op, err) }
+func relay1(op string, err error) error { return fmt.Errorf("%s: %w", op, err) }

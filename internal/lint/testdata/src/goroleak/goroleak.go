@@ -175,6 +175,17 @@ func detached(run func(context.Context) error) {
 	_ = run(context.TODO())
 }
 
+// NamedBounded: a named callee whose own body waits on the group it
+// is handed is bounded, as its BoundedFact records.
+func NamedBounded(dead *sync.WaitGroup, stop func()) {
+	go awaitGroup(dead, stop)
+}
+
+func awaitGroup(dead *sync.WaitGroup, stop func()) {
+	dead.Wait()
+	stop()
+}
+
 // PlainLeak: no join of any kind.
 func PlainLeak(work func()) {
 	go func() { // want "goroutine is not joined"

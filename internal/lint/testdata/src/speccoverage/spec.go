@@ -24,9 +24,17 @@ type Spec struct {
 	K    int
 	W    Whole
 	Deep dep.Knobs
+	T    tuning
 	Skip int //sopslint:nohash derived from K at load time
 	Bad  int /* want "needs a reason" */ //sopslint:nohash
 	Miss int // want "field Spec.Miss is fingerprint-reachable but never hashed"
+}
+
+// tuning is an unexported part of the spec: its annotation is honoured
+// through its NoHashFact like any other struct's.
+type tuning struct {
+	Rate  float64
+	Trace bool //sopslint:nohash diagnostics switch, never read by the estimator
 }
 
 // Validate keeps Spec checkable before it keys any result.
@@ -41,7 +49,7 @@ func (s Spec) Validate() error {
 // which only the NoHashFact-aware cross-package walk can see.
 func (s Spec) Fingerprint() uint64 { // want "field Knobs.Extra \\(package speccoverage/dep\\) is fingerprint-reachable but never hashed"
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|", s.Name, s.K)
+	fmt.Fprintf(h, "%s|%d|%g|", s.Name, s.K, s.T.Rate)
 	fmt.Fprintf(h, "%+v|", s.W)
 	writeDeep(h, s.Deep)
 	return h.Sum64()

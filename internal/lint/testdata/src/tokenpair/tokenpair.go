@@ -79,5 +79,112 @@ func PanicPath(tok *workpool.Tokens) {
 	tok.Release()
 }
 
+// PerIteration acquires and releases once per loop iteration: allowed.
+func PerIteration(tok *workpool.Tokens, items []int) {
+	for range items {
+		tok.Acquire()
+		work()
+		tok.Release()
+	}
+}
+
+// BreakThenRelease leaves the loop holding the token and releases it
+// after the loop; every other path released inside. Allowed.
+func BreakThenRelease(tok *workpool.Tokens, items []int) {
+	for range items {
+		tok.Acquire()
+		if mode() {
+			break
+		}
+		tok.Release()
+	}
+	tok.Release()
+}
+
+// ContinuePastRelease skips the release on some iterations: the next
+// iteration acquires again with the token still held.
+func ContinuePastRelease(tok *workpool.Tokens, items []int) {
+	for range items {
+		tok.Acquire() // want "not released on every path"
+		if mode() {
+			continue
+		}
+		tok.Release()
+	}
+}
+
+// SelectReturn returns from one select arm while holding.
+func SelectReturn(tok *workpool.Tokens, a, b chan int) int {
+	tok.Acquire() // want "not released on every path"
+	select {
+	case v := <-a:
+		return v
+	case <-b:
+	}
+	tok.Release()
+	return 0
+}
+
+// WorkerBody is the shared-pool worker loop: the AcquireCtx error
+// branch reports and returns holding nothing, the success path
+// releases before looking at the item's error. Allowed.
+func WorkerBody(ctx context.Context, tok *workpool.Tokens, next chan int, fn func(int) error, fail func(error)) {
+	for i := range next {
+		if err := tok.AcquireCtx(ctx); err != nil {
+			fail(err)
+			return
+		}
+		err := fn(i)
+		tok.Release()
+		if err != nil {
+			fail(err)
+			return
+		}
+	}
+}
+
+// CondForm tests AcquireCtx's error in the condition itself; the error
+// branch holds nothing. Allowed.
+func CondForm(ctx context.Context, tok *workpool.Tokens) {
+	if tok.AcquireCtx(ctx) != nil {
+		return
+	}
+	work()
+	tok.Release()
+}
+
+// HandOff passes the token to a goroutine that releases it. Allowed.
+func HandOff(tok *workpool.Tokens, done chan struct{}) {
+	tok.Acquire()
+	go func() {
+		defer tok.Release()
+		work()
+		close(done)
+	}()
+}
+
+// ReleaseInLoop releases only on some iterations, and on none when the
+// loop runs zero times.
+func ReleaseInLoop(tok *workpool.Tokens, items []int) {
+	tok.Acquire() // want "not released on every path"
+	for range items {
+		if mode() {
+			tok.Release()
+		}
+	}
+}
+
+// EndlessContinue never exits, so no path reaches the end holding; but
+// the continue comes back to the acquire with the token still held.
+func EndlessContinue(tok *workpool.Tokens) {
+	for {
+		tok.Acquire() // want "not released on every path"
+		if mode() {
+			continue
+		}
+		tok.Release()
+	}
+}
+
 func work()      {}
 func mode() bool { return false }

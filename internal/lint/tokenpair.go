@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/lint/analysis"
@@ -13,92 +14,163 @@ import (
 // Contract (DESIGN.md): the shared token budget bounds machine-wide
 // active work; one leaked token permanently shrinks the budget for
 // every in-flight run, and a leaked-on-error token is precisely how a
-// cancelled sweep would deadlock its siblings. The analyzer accepts a
-// `defer tok.Release()` anywhere in the function, or a Release on every
-// control-flow path after a successful acquire. The error return of
-// AcquireCtx holds no token, so the canonical
+// cancelled sweep would deadlock its siblings. The check is a forward
+// "token held" dataflow over the function's CFG: the acquire makes the
+// token held, a Release on the same receiver — or a `go` statement
+// handing it to a literal that releases it — ends the hold, and the
+// acquire is flagged when the token can still be held where a path
+// reaches the function's exit, or when a loop comes back to the acquire
+// still holding. A deferred Release covers every exit. The error
+// return of AcquireCtx holds no token, so the then-branch of
 //
 //	if err := tok.AcquireCtx(ctx); err != nil { return err }
 //
-// form starts the held region after the if statement.
-//
-// The path analysis is intentionally conservative: loops guarantee
-// nothing (they may run zero times), break/goto while holding counts as
-// a leak, and panics/os.Exit are treated as non-leaking (the process is
-// unwinding). False positives carry a //sopslint:ignore tokenpair
-// directive with the argument for why the pairing holds.
+// — or of an `if err != nil` directly after `err := tok.AcquireCtx(ctx)`
+// — starts not held. Paths that panic or exit the process are not
+// leaks: the process is unwinding.
 var TokenPair = &analysis.Analyzer{
 	Name: "tokenpair",
-	Doc:  "flag workpool.Tokens.Acquire/AcquireCtx calls without a Release on some path (defer-or-all-branches)",
+	Doc:  "flag workpool.Tokens.Acquire/AcquireCtx calls whose token can still be held at a function exit",
 	Run:  runTokenPair,
 }
 
 func runTokenPair(pass *analysis.Pass) error {
+	cfgs := analysis.NewCFGs(terminalForCFG)
 	for _, f := range pass.SourceFiles() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkTokenFunc(pass, fn.Body)
+		for _, u := range analysis.Units(f) {
+			walkShallow(u.Body(), func(n ast.Node) {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return
 				}
-			case *ast.FuncLit:
-				checkTokenFunc(pass, fn.Body)
-			}
-			return true
-		})
+				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Acquire" && sel.Sel.Name != "AcquireCtx") || !isTokensType(pass.TypeOf(sel.X)) {
+					return
+				}
+				recv := types.ExprString(sel.X)
+				if tokenLeaks(pass, u.Body(), cfgs.For(u.Body()), call, recv) {
+					pass.Reportf(call.Pos(), "Tokens.%s is not released on every path; defer %s.Release() or release on all branches (a leaked token shrinks the shared budget for every in-flight run)", sel.Sel.Name, recv)
+				}
+			})
+		}
 	}
 	return nil
 }
 
-// acquireSite is one Tokens.Acquire/AcquireCtx call in a function body.
-type acquireSite struct {
-	call *ast.CallExpr
-	recv string // rendered receiver expression, the release must match
-	ctx  bool   // AcquireCtx (error return means "not held")
-}
-
-// checkTokenFunc analyzes one function body in isolation; nested
-// function literals are separate functions with their own analysis.
-func checkTokenFunc(pass *analysis.Pass, body *ast.BlockStmt) {
-	var sites []acquireSite
-	walkShallow(body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
+// tokenLeaks solves the token-held flow for the acquire call on recv.
+func tokenLeaks(pass *analysis.Pass, body *ast.BlockStmt, cfg *analysis.CFG, call *ast.CallExpr, recv string) bool {
+	for _, d := range cfg.Defers {
+		if releases(d.Call, recv) {
+			return false
 		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Acquire" && sel.Sel.Name != "AcquireCtx") {
-			return
-		}
-		if !isTokensType(pass.TypeOf(sel.X)) {
-			return
-		}
-		sites = append(sites, acquireSite{
-			call: call,
-			recv: types.ExprString(sel.X),
-			ctx:  sel.Sel.Name == "AcquireCtx",
-		})
+	}
+	notHeld := errBranches(pass, body, cfg, call)
+	reacquired := false
+	held := analysis.Solve(cfg, analysis.Problem[bool]{
+		Dir:   analysis.Forward,
+		Merge: func(a, b bool) bool { return a || b },
+		Equal: func(a, b bool) bool { return a == b },
+		Transfer: func(b *analysis.Block, h bool) bool {
+			h = h && !notHeld[b]
+			for _, n := range b.Nodes {
+				if gs, ok := n.(*ast.GoStmt); ok && releases(gs.Call, recv) {
+					h = false
+					continue
+				}
+				if rs, ok := n.(*ast.RangeStmt); ok {
+					n = rs.X // the loop head carries the whole loop; only the range expression runs here
+				}
+				walkShallow(n, func(m ast.Node) {
+					switch {
+					case m == call:
+						// The flow only grows, so a hold seen here also
+						// holds at the fixpoint.
+						reacquired = reacquired || h
+						h = true
+					case isReleaseCall(m, recv):
+						h = false
+					}
+				})
+			}
+			return h && !b.Terminal
+		},
 	})
-	for _, site := range sites {
-		if hasDeferRelease(body, site.recv) {
-			continue
-		}
-		after, ok := heldRegion(body, site)
-		if !ok {
-			pass.Reportf(site.call.Pos(), "Tokens.%s: cannot follow the acquired token; defer %s.Release() right after the acquire", acquireName(site), site.recv)
-			continue
-		}
-		if seqReleases(after, site.recv) != relReleased {
-			pass.Reportf(site.call.Pos(), "Tokens.%s is not released on every path; defer %s.Release() or release on all branches (a leaked token shrinks the shared budget for every in-flight run)", acquireName(site), site.recv)
-		}
-	}
+	return reacquired || held[cfg.Exit]
 }
 
-func acquireName(s acquireSite) string {
-	if s.ctx {
-		return "AcquireCtx"
+// errBranches returns the then-blocks of the if statements that test
+// the error of call, an AcquireCtx: `call != nil`, or `err != nil`
+// where err is assigned from call by the if's init or by the statement
+// right before the if. Those branches run only when no token was taken.
+func errBranches(pass *analysis.Pass, body *ast.BlockStmt, cfg *analysis.CFG, call *ast.CallExpr) map[*analysis.Block]bool {
+	testsErr := func(cond ast.Expr, assign ast.Stmt) bool {
+		bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+		if !ok || bin.Op != token.NEQ {
+			return false
+		}
+		as, isAssign := assign.(*ast.AssignStmt)
+		fromCall := isAssign && len(as.Rhs) == 1 && ast.Unparen(as.Rhs[0]) == call
+		for _, x := range []ast.Expr{bin.X, bin.Y} {
+			id, isIdent := ast.Unparen(x).(*ast.Ident)
+			if ast.Unparen(x) == call || fromCall && isIdent && mentionsObject(pass, as.Lhs[0], pass.ObjectOf(id)) {
+				return true
+			}
+		}
+		return false
 	}
-	return "Acquire"
+	conds := map[ast.Node]bool{}
+	walkShallow(body, func(n ast.Node) {
+		var list []ast.Stmt
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			if testsErr(n.Cond, n.Init) {
+				conds[n.Cond] = true
+			}
+		case *ast.BlockStmt:
+			list = n.List
+		case *ast.CaseClause:
+			list = n.Body
+		case *ast.CommClause:
+			list = n.Body
+		}
+		for i := 1; i < len(list); i++ {
+			if ifs, ok := list[i].(*ast.IfStmt); ok && testsErr(ifs.Cond, list[i-1]) {
+				conds[ifs.Cond] = true
+			}
+		}
+	})
+	out := map[*analysis.Block]bool{}
+	for _, b := range cfg.Blocks {
+		if len(b.Nodes) > 0 && conds[b.Nodes[len(b.Nodes)-1]] {
+			out[b.Succs[0]] = true // BuildCFG wires an if's then-branch first
+		}
+	}
+	return out
+}
+
+// releases reports whether a deferred or spawned call releases recv's
+// token: it is recv.Release() itself, or a literal whose body calls it.
+func releases(call *ast.CallExpr, recv string) bool {
+	lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit)
+	if !ok {
+		return isReleaseCall(call, recv)
+	}
+	found := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		found = found || isReleaseCall(n, recv)
+		return !found
+	})
+	return found
+}
+
+// isReleaseCall recognizes <recv>.Release(...) by rendered receiver.
+func isReleaseCall(n ast.Node, recv string) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Release" && types.ExprString(sel.X) == recv
 }
 
 // isTokensType recognizes workpool.Tokens (possibly behind a pointer).
@@ -115,359 +187,4 @@ func isTokensType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Tokens" && pkgPathIs(obj.Pkg(), "workpool")
-}
-
-// walkShallow visits every node of the function body without descending
-// into nested function literals.
-func walkShallow(n ast.Node, visit func(ast.Node)) {
-	ast.Inspect(n, func(c ast.Node) bool {
-		if _, ok := c.(*ast.FuncLit); ok && c != n {
-			return false
-		}
-		if c != nil {
-			visit(c)
-		}
-		return true
-	})
-}
-
-// heldRegion returns the statements that execute while the token is
-// held: the suffix of the acquire's enclosing statement list. For the
-// if-init AcquireCtx form the held region starts after the whole if
-// statement (its error branch holds nothing); for a standalone
-// `err := t.AcquireCtx(ctx)` followed by an `if err != nil` check, that
-// check is likewise skipped.
-func heldRegion(body *ast.BlockStmt, site acquireSite) ([]ast.Stmt, bool) {
-	path := pathTo(body, site.call)
-	if path == nil {
-		return nil, false
-	}
-	// Find the outermost statement S containing the call whose parent is
-	// a statement list, and that list.
-	for i := len(path) - 1; i > 0; i-- {
-		list := stmtList(path[i-1])
-		if list == nil {
-			continue
-		}
-		s, ok := path[i].(ast.Stmt)
-		if !ok {
-			continue
-		}
-		idx := -1
-		for j, st := range list {
-			if st == s {
-				idx = j
-				break
-			}
-		}
-		if idx < 0 {
-			continue
-		}
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			return list[idx+1:], true
-		case *ast.IfStmt:
-			// Acquire in the init/cond: the branch taken on acquire
-			// error returns nothing held; hold begins after the if.
-			if !containsNode(s.Body, site.call) {
-				return list[idx+1:], true
-			}
-			return nil, false
-		case *ast.AssignStmt:
-			rest := list[idx+1:]
-			// err := t.AcquireCtx(ctx); if err != nil { ... } — skip the
-			// not-held error branch.
-			if site.ctx && len(rest) > 0 {
-				if ifs, ok := rest[0].(*ast.IfStmt); ok && condMentionsLHS(ifs, s) {
-					return rest[1:], true
-				}
-			}
-			return rest, true
-		}
-		return nil, false
-	}
-	return nil, false
-}
-
-// containsNode reports whether target lies within root.
-func containsNode(root, target ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == target {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// condMentionsLHS reports whether the if condition reads a variable
-// assigned by the given statement (the err of an AcquireCtx).
-func condMentionsLHS(ifs *ast.IfStmt, assign *ast.AssignStmt) bool {
-	names := map[string]bool{}
-	for _, lhs := range assign.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok {
-			names[id.Name] = true
-		}
-	}
-	found := false
-	ast.Inspect(ifs.Cond, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && names[id.Name] {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// stmtList returns the statement list a node carries, if it is a
-// list-bearing node.
-func stmtList(n ast.Node) []ast.Stmt {
-	switch n := n.(type) {
-	case *ast.BlockStmt:
-		return n.List
-	case *ast.CaseClause:
-		return n.Body
-	case *ast.CommClause:
-		return n.Body
-	}
-	return nil
-}
-
-// pathTo returns the ancestor chain from root down to target inclusive,
-// or nil.
-func pathTo(root ast.Node, target ast.Node) []ast.Node {
-	var stack, found []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		if n == target {
-			found = append([]ast.Node(nil), stack...)
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// relStatus is the release state of one control-flow region.
-type relStatus int
-
-const (
-	relPending  relStatus = iota // no release yet; control continues
-	relReleased                  // released (or safely terminated) on all paths
-	relLeaked                    // some path exits while still holding
-)
-
-// seqReleases walks a statement sequence executed while holding the
-// token and decides whether every path releases it. Reaching the end of
-// the sequence still holding counts as a leak: the sequence is the
-// held region, so falling off its end (function return, or the next
-// loop iteration's acquire) leaks the token.
-func seqReleases(stmts []ast.Stmt, recv string) relStatus {
-	for _, s := range stmts {
-		switch stmtReleases(s, recv) {
-		case relReleased:
-			return relReleased
-		case relLeaked:
-			return relLeaked
-		}
-	}
-	return relLeaked
-}
-
-// seqStatus is seqReleases for nested regions, where running off the
-// end just continues in the parent region.
-func seqStatus(stmts []ast.Stmt, recv string) relStatus {
-	for _, s := range stmts {
-		switch stmtReleases(s, recv) {
-		case relReleased:
-			return relReleased
-		case relLeaked:
-			return relLeaked
-		}
-	}
-	return relPending
-}
-
-func stmtReleases(s ast.Stmt, recv string) relStatus {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if isReleaseCall(s.X, recv) {
-			return relReleased
-		}
-		if isTerminalCall(s.X) {
-			return relReleased
-		}
-		return relPending
-	case *ast.DeferStmt:
-		if isReleaseCall(s.Call, recv) || deferredLitReleases(s.Call, recv) {
-			return relReleased
-		}
-		return relPending
-	case *ast.ReturnStmt:
-		return relLeaked
-	case *ast.BranchStmt:
-		// break/continue/goto while holding jumps somewhere this local
-		// analysis cannot follow; demand the release first (or a defer).
-		return relLeaked
-	case *ast.IfStmt:
-		thenS := seqStatus(s.Body.List, recv)
-		elseS := relPending
-		switch e := s.Else.(type) {
-		case *ast.BlockStmt:
-			elseS = seqStatus(e.List, recv)
-		case *ast.IfStmt:
-			elseS = stmtReleases(e, recv)
-		}
-		if thenS == relLeaked || elseS == relLeaked {
-			return relLeaked
-		}
-		if thenS == relReleased && elseS == relReleased {
-			return relReleased
-		}
-		return relPending
-	case *ast.BlockStmt:
-		return seqStatus(s.List, recv)
-	case *ast.LabeledStmt:
-		return stmtReleases(s.Stmt, recv)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return clausesRelease(s, recv)
-	case *ast.ForStmt:
-		if st := seqStatus(s.Body.List, recv); st == relLeaked {
-			return relLeaked
-		}
-		return relPending // zero iterations possible
-	case *ast.RangeStmt:
-		if st := seqStatus(s.Body.List, recv); st == relLeaked {
-			return relLeaked
-		}
-		return relPending
-	case *ast.GoStmt:
-		// handing the token off to a goroutine that releases it
-		if deferredLitReleases(s.Call, recv) {
-			return relReleased
-		}
-		return relPending
-	}
-	return relPending
-}
-
-// clausesRelease folds the case clauses of a switch/select: all clauses
-// must release (and a default/else must exist) for the statement to
-// guarantee release; any leaking clause leaks.
-func clausesRelease(s ast.Stmt, recv string) relStatus {
-	var body *ast.BlockStmt
-	hasDefault := false
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		body = s.Body
-	case *ast.TypeSwitchStmt:
-		body = s.Body
-	case *ast.SelectStmt:
-		body = s.Body
-	}
-	all := relReleased
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			stmts = c.Body
-			if c.List == nil {
-				hasDefault = true
-			}
-		case *ast.CommClause:
-			stmts = c.Body
-			if c.Comm == nil {
-				hasDefault = true
-			}
-		}
-		switch seqStatus(stmts, recv) {
-		case relLeaked:
-			return relLeaked
-		case relPending:
-			all = relPending
-		}
-	}
-	if _, isSelect := s.(*ast.SelectStmt); isSelect {
-		hasDefault = true // a select blocks until some clause runs
-	}
-	if all == relReleased && hasDefault && len(body.List) > 0 {
-		return relReleased
-	}
-	return relPending
-}
-
-// hasDeferRelease reports whether the function body defers a Release on
-// the receiver anywhere — the gold-standard pairing.
-func hasDeferRelease(body *ast.BlockStmt, recv string) bool {
-	found := false
-	walkShallow(body, func(n ast.Node) {
-		d, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return
-		}
-		if isReleaseCall(d.Call, recv) || deferredLitReleases(d.Call, recv) {
-			found = true
-		}
-	})
-	return found
-}
-
-// isReleaseCall recognizes <recv>.Release(...) by rendered receiver.
-func isReleaseCall(e ast.Expr, recv string) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Release" {
-		return false
-	}
-	return types.ExprString(sel.X) == recv
-}
-
-// deferredLitReleases recognizes defer func() { ... recv.Release() ... }().
-func deferredLitReleases(call *ast.CallExpr, recv string) bool {
-	lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit)
-	if !ok {
-		return false
-	}
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if e, ok := n.(*ast.ExprStmt); ok && isReleaseCall(e.X, recv) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// isTerminalCall recognizes calls that unwind or end the process:
-// panic, os.Exit, log.Fatal*.
-func isTerminalCall(e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		if pkg, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			if pkg.Name == "os" && fun.Sel.Name == "Exit" {
-				return true
-			}
-			if pkg.Name == "log" && (fun.Sel.Name == "Fatal" || fun.Sel.Name == "Fatalf" || fun.Sel.Name == "Fatalln") {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -66,3 +66,84 @@ func isInteger(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
 }
+
+// isBuiltin reports whether call invokes the named builtin.
+func isBuiltin(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, isBuiltin := pass.ObjectOf(id).(*types.Builtin)
+	return isBuiltin
+}
+
+// walkShallow visits every node of the function body without descending
+// into nested function literals.
+func walkShallow(n ast.Node, visit func(ast.Node)) {
+	ast.Inspect(n, func(c ast.Node) bool {
+		if _, ok := c.(*ast.FuncLit); ok && c != n {
+			return false
+		}
+		if c != nil {
+			visit(c)
+		}
+		return true
+	})
+}
+
+// containsNode reports whether target lies within root.
+func containsNode(root, target ast.Node) bool {
+	found := false
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == target {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// pathTo returns the ancestor chain from root down to target inclusive,
+// or nil.
+func pathTo(root ast.Node, target ast.Node) []ast.Node {
+	var stack, found []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if found != nil {
+			return false
+		}
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		if n == target {
+			found = append([]ast.Node(nil), stack...)
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// isTerminalCall recognizes calls that unwind or end the process:
+// panic, os.Exit, log.Fatal*.
+func isTerminalCall(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name == "panic"
+	case *ast.SelectorExpr:
+		if pkg, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
+			if pkg.Name == "os" && fun.Sel.Name == "Exit" {
+				return true
+			}
+			if pkg.Name == "log" && (fun.Sel.Name == "Fatal" || fun.Sel.Name == "Fatalf" || fun.Sel.Name == "Fatalln") {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -22,8 +22,8 @@ import (
 //   - a non-time accessor on a time value (UnixNano, Seconds, String);
 //   - a comparison, whose boolean steers control flow;
 //   - an argument to another package's API (conn.SetReadDeadline,
-//     fmt.Fprintf) — including one level deep through a package-local
-//     helper whose summary says the parameter escapes.
+//     fmt.Fprintf) — including through a helper whose TaintFact says
+//     the parameter escapes.
 //
 // The suite scopes this check to the root package and internal/... (the
 // conservative superset of the fingerprint/checkpoint import closure);
@@ -48,7 +48,7 @@ func runWalltime(pass *analysis.Pass) error {
 				if src == "" {
 					src = "time.Now"
 				}
-				pass.Reportf(ev.pos, "wall-clock read %s %s: results must be a pure function of the spec; keep timings in time.Duration instrumentation columns, take times in the CLI layer, or annotate //sopslint:ignore walltime <reason>", src, ev.where)
+				pass.Reportf(ev.pos, "wall-clock read %s %s: results must be a pure function of the spec; keep timings in time.Duration instrumentation columns, or take times in the CLI layer", src, ev.where)
 			}
 		}
 	}
