@@ -107,3 +107,17 @@ func TestCMIApproxValidation(t *testing.T) {
 		t.Error("mismatched sample counts did not error")
 	}
 }
+
+// TestCMIApproxGoldenBits pins the approximate CMI's output across
+// versions: the MI and StdErr bit patterns of one subsampled estimate.
+func TestCMIApproxGoldenBits(t *testing.T) {
+	const wantMI, wantSE = 0xbfbe75a7ee67364b, 0x3fb25a222cf55872
+	xs, ys, zs := gaussianTriplet(300, 40)
+	est, err := ConditionalMutualInfoApprox(xs, ys, zs, 4, infotheory.ApproxOptions{Subsample: 37, Seed: 40, Sequence: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mi, se := math.Float64bits(est.MI), math.Float64bits(est.StdErr); mi != wantMI || se != wantSE {
+		t.Errorf("MI, StdErr bits = %#016x, %#016x; want %#016x, %#016x", mi, se, uint64(wantMI), uint64(wantSE))
+	}
+}

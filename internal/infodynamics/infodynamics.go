@@ -19,7 +19,6 @@ package infodynamics
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/infotheory"
 	"repro/internal/knn"
@@ -66,9 +65,10 @@ func ConditionalMutualInfo(xs, ys, zs [][]float64, k int) (float64, error) {
 // drawn evaluation points, with neighbour searches and subspace counts
 // still exact over all m samples — the conditional sibling of
 // infotheory's MultiInfoKSGApprox, with the same deterministic draw
-// (rngx.NewStream(Seed, Sequence)), the same finite-population-corrected
-// standard error, and the same 95% interval semantics. Results depend
-// only on the inputs and options, never on scheduling.
+// (rngx.NewStream(Seed, Sequence)) and the same reduction,
+// infotheory.SubsampleEstimate: the finite-population-corrected standard
+// error and the 95% interval. Results depend only on the inputs and
+// options, never on scheduling.
 func ConditionalMutualInfoApprox(xs, ys, zs [][]float64, k int, opts infotheory.ApproxOptions) (infotheory.ApproxEstimate, error) {
 	w, err := buildCMISpace(xs, ys, zs, k)
 	if err != nil {
@@ -80,37 +80,12 @@ func ConditionalMutualInfoApprox(xs, ys, zs [][]float64, k int, opts infotheory.
 	}
 	stream := rngx.NewStream(opts.Seed, opts.Sequence)
 	drawn := stream.SampleInto(make([]int32, w.m), w.m, r)
-	aVals := make([]float64, r)
+	terms := make([]float64, r)
 	neigh := make([]knn.Neighbor, 0, k)
 	for pos, i := range drawn {
-		aVals[pos], neigh = w.term(int(i), k, neigh)
+		terms[pos], neigh = w.term(int(i), k, neigh)
 	}
-	// Reduce in draw order; mean and spread as in the multi-information
-	// tier, with the sign of the ψ-terms flipped (here they add).
-	var sum mathx.KahanSum
-	for _, a := range aVals {
-		sum.Add(a)
-	}
-	mean := sum.Sum() / float64(r)
-	var se float64
-	if r > 1 && w.m > 1 {
-		var devSum mathx.KahanSum
-		for _, a := range aVals {
-			dev := a - mean
-			devSum.Add(dev * dev)
-		}
-		s2 := devSum.Sum() / float64(r-1)
-		fpc := math.Sqrt(float64(w.m-r) / float64(w.m-1))
-		se = math.Sqrt(s2/float64(r)) * fpc
-	}
-	est := infotheory.ApproxEstimate{
-		MI:     mathx.Log2(mathx.Digamma(float64(k)) + mean),
-		StdErr: mathx.Log2(se),
-		Evals:  r,
-	}
-	est.CILow = est.MI - 1.96*est.StdErr
-	est.CIHigh = est.MI + 1.96*est.StdErr
-	return est, nil
+	return infotheory.SubsampleEstimate(mathx.Digamma(float64(k)), terms, w.m), nil
 }
 
 // cmiSpace is the validated, tree-indexed workspace shared by the exact

@@ -104,18 +104,17 @@ func TestApproxBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestApproxIndependentOfEngineHistory is the stable-id contract at the
-// engine level: an engine that previously estimated other datasets —
-// whose cached Morton permutation and refresh decisions therefore
-// differ from a fresh engine's — must still produce byte-equal results.
+// TestApproxIndependentOfEngineHistory: an engine that previously
+// estimated other datasets — same shape, another shape, or the exact
+// tier, all of which leave trees and scratch behind — must produce
+// byte-equal results to a fresh engine. Results depend only on
+// (d, k, variant, opts), never on what the engine served before.
 func TestApproxIndependentOfEngineHistory(t *testing.T) {
 	target := scalingDataset(400, 4, 22)
 	opts := ApproxOptions{Subsample: 80, Seed: 5, Sequence: 2}
 	want := NewEngine(0).MultiInfoKSGApprox(target, DefaultBenchK, KSGPaper, opts)
 
-	// Same shape, different coordinates first: the cached permutation
-	// was computed for otherSame, and serving target goes through the
-	// Refresh (or internal-rebuild) path with that stale ordering.
+	// Same shape, different coordinates first.
 	otherSame := scalingDataset(400, 4, 23)
 	e := NewEngine(0)
 	_ = e.MultiInfoKSGApprox(otherSame, DefaultBenchK, KSGPaper, ApproxOptions{Subsample: 80, Seed: 1})
@@ -123,8 +122,8 @@ func TestApproxIndependentOfEngineHistory(t *testing.T) {
 		t.Errorf("after same-shape history: %+v, want %+v", got, want)
 	}
 
-	// Different shape in between: forces a layout rebuild, another
-	// history a fresh engine never saw.
+	// Different shape in between, another history a fresh engine never
+	// saw.
 	otherShape := scalingDataset(150, 7, 24)
 	_ = e.MultiInfoKSGApprox(otherShape, DefaultBenchK, KSGPaper, ApproxOptions{Subsample: 10, Seed: 1})
 	if got := e.MultiInfoKSGApprox(target, DefaultBenchK, KSGPaper, opts); got != want {
@@ -132,7 +131,7 @@ func TestApproxIndependentOfEngineHistory(t *testing.T) {
 	}
 
 	// Interleaved exact-tier calls must not perturb the approximate
-	// tier either (they share the engine but not the working set).
+	// tier either (both tiers rebuild the same trees per call).
 	_ = e.MultiInfoKSG(otherSame, DefaultBenchK)
 	if got := e.MultiInfoKSGApprox(target, DefaultBenchK, KSGPaper, opts); got != want {
 		t.Errorf("after exact-tier interleaving: %+v, want %+v", got, want)
@@ -163,8 +162,7 @@ func TestApproxDrawDependsOnSeedAndSequence(t *testing.T) {
 }
 
 // TestApproxSteadyStateAllocationFree: across same-shaped datasets (the
-// pipeline's consecutive steps, served by the Refresh path) a warm
-// serial engine must not allocate.
+// pipeline's consecutive steps) a warm serial engine must not allocate.
 func TestApproxSteadyStateAllocationFree(t *testing.T) {
 	e := NewEngine(0)
 	frames := []*Dataset{
@@ -173,7 +171,7 @@ func TestApproxSteadyStateAllocationFree(t *testing.T) {
 		scalingDataset(256, 4, 32),
 	}
 	opts := ApproxOptions{Subsample: 64, Seed: 1}
-	for _, d := range frames { // warm every buffer of the double-buffer cycle
+	for _, d := range frames {
 		_ = e.MultiInfoKSGApprox(d, DefaultBenchK, KSG2, opts)
 	}
 	step := 0
@@ -209,5 +207,53 @@ func TestApproxEdgeCases(t *testing.T) {
 			}()
 			NewEngine(0).MultiInfoKSGApprox(d, 2, KSGPaper, ApproxOptions{Subsample: r, Seed: 1})
 		}()
+	}
+}
+
+// TestApproxGoldenBits pins the approximate tier's output across
+// versions: the MI and StdErr bit patterns of all three variants at
+// r ∈ {1, 37, m}, on a pipeline-shaped dataset and on a copy rounded to
+// a 0.5 lattice (distance ties and zero counts), all through one reused
+// engine. Every other approximate-tier test compares the tier with
+// itself; this one compares it with fixed values, so a refactor of the
+// tree or term machinery under the tier cannot shift a bit unnoticed.
+func TestApproxGoldenBits(t *testing.T) {
+	raw := scalingDataset(300, 4, 40)
+	lattice := scalingDataset(300, 4, 40)
+	for i := range lattice.data {
+		lattice.data[i] = math.Round(2*lattice.data[i]) / 2
+	}
+	cases := []struct {
+		d       *Dataset
+		variant KSGVariant
+		r       int
+		mi, se  uint64
+	}{
+		{raw, KSGPaper, 1, 0x401b2a4cbb6d0da6, 0x0000000000000000},
+		{raw, KSGPaper, 37, 0x401d23077ecd9171, 0x3fe0f3d0aaa6f791},
+		{raw, KSGPaper, 300, 0x401f85ab87fba244, 0x0000000000000000},
+		{raw, KSG1, 1, 0x4000d808cc6ed849, 0x0000000000000000},
+		{raw, KSG1, 37, 0x4002e506cd0565cd, 0x3fd3b0b4167b2b0f},
+		{raw, KSG1, 300, 0x4004ba55d6d77a64, 0x0000000000000000},
+		{raw, KSG2, 1, 0x4001cb81386f6c20, 0x0000000000000000},
+		{raw, KSG2, 37, 0x4003b669d7996c7c, 0x3fd613d6c1135fe4},
+		{raw, KSG2, 300, 0x4006482e4c9ca98c, 0x0000000000000000},
+		{lattice, KSGPaper, 1, 0x4022c925ca298474, 0x0000000000000000},
+		{lattice, KSGPaper, 37, 0x4020c21ad28a02b7, 0x3fe114e29aad64dc},
+		{lattice, KSGPaper, 300, 0x40239947733decf0, 0x0000000000000000},
+		{lattice, KSG1, 1, 0xbfcca8503c7320e7, 0x0000000000000000},
+		{lattice, KSG1, 37, 0x3ffec33ed741bad5, 0x3fd4c72ab0d16d80},
+		{lattice, KSG1, 300, 0x4000eb8642d368d2, 0x0000000000000000},
+		{lattice, KSG2, 1, 0x3fe66b135a9994ea, 0x0000000000000000},
+		{lattice, KSG2, 37, 0x3ff42081f7c9e31b, 0x3fd2d57cdd5f900a},
+		{lattice, KSG2, 300, 0x3ffc57843e7340e4, 0x0000000000000000},
+	}
+	e := NewEngine(0)
+	for i, c := range cases {
+		est := e.MultiInfoKSGApprox(c.d, DefaultBenchK, c.variant, ApproxOptions{Subsample: c.r, Seed: 40, Sequence: 7})
+		if mi, se := math.Float64bits(est.MI), math.Float64bits(est.StdErr); mi != c.mi || se != c.se {
+			t.Errorf("case %d (%v, r=%d): MI, StdErr bits = %#016x, %#016x; want %#016x, %#016x",
+				i, c.variant, c.r, mi, se, c.mi, c.se)
+		}
 	}
 }

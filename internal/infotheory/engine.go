@@ -14,7 +14,10 @@ import (
 // nearest-neighbour core (package knn), with reusable scratch storage.
 // After warm-up, estimating same-shaped datasets performs no heap
 // allocation (with Workers ≤ 1), the same recycle pattern as
-// spatial.DenseGrid and align.Aligner.
+// spatial.DenseGrid and align.Aligner. Both KSG tiers run on one set of
+// trees and one per-sample term function: the exact tier evaluates the
+// terms at every sample, the approximate tier (approx.go) at a drawn
+// subsample.
 //
 // Every estimate is bit-identical to the retained brute-force reference
 // implementations (and therefore to the pre-engine code): the tree
@@ -47,9 +50,10 @@ type Engine struct {
 	oneVar  [1]int
 	scratch []workerScratch
 
-	// approx is the approximate tier's independent working set (Morton
-	// layout, refreshable trees, subsample scratch); see approx.go.
-	approx approxState
+	// Approximate-tier draw scratch (see approx.go): the sample indices,
+	// whose first r entries are the draw, and the per-draw term sums.
+	sampleIdx []int32
+	aVals     []float64
 }
 
 // workerScratch is the per-goroutine query state of one engine worker.
@@ -137,34 +141,7 @@ func (e *Engine) MultiInfoKSGVariant(d *Dataset, k int, variant KSGVariant) floa
 		panic("infotheory: KSG needs 1 <= k < m")
 	}
 
-	base := mathx.Digamma(float64(k)) + float64(n-1)*mathx.Digamma(float64(m))
-	if variant == KSG2 {
-		base -= float64(n-1) / float64(k)
-	}
-
-	// Joint tree directly over the dataset's contiguous rows; the
-	// variable layout supplies the Eq. (19) blocks.
-	e.blocks = e.blocks[:0]
-	for v := 0; v < n; v++ {
-		e.blocks = append(e.blocks, knn.Block{Off: d.offsets[v], Len: d.dims[v]})
-	}
-	e.joint.Rebuild(d.data, m, d.rowLen, knn.MaxEuclidean2, e.blocks)
-
-	// One tree per variable for the marginal counts, over flattened
-	// copies of the variable's columns.
-	for len(e.marg) < n {
-		e.marg = append(e.marg, knn.Tree{})
-		e.margPts = append(e.margPts, nil)
-	}
-	for v := 0; v < n; v++ {
-		w := d.dims[v]
-		pts := growFloats(e.margPts[v], m*w)
-		for s := 0; s < m; s++ {
-			copy(pts[s*w:(s+1)*w], d.Var(s, v))
-		}
-		e.margPts[v] = pts
-		e.marg[v].Rebuild(pts, m, w, knn.MaxEuclidean2, nil)
-	}
+	e.buildKSGTrees(d)
 
 	// Per-(sample, variable) digamma terms; reduced in fixed order below
 	// so the result does not depend on Workers.
@@ -181,8 +158,45 @@ func (e *Engine) MultiInfoKSGVariant(d *Dataset, k int, variant KSGVariant) floa
 	for _, p := range e.psi[:m*n] {
 		psiSum.Add(p)
 	}
-	nats := base - psiSum.Sum()/float64(m)
+	nats := ksgBase(k, m, n, variant) - psiSum.Sum()/float64(m)
 	return mathx.Log2(nats)
+}
+
+// ksgBase is the ψ(k) + (n−1)ψ(m) term of every KSG variant, less KSG2's
+// (n−1)/k correction.
+func ksgBase(k, m, n int, variant KSGVariant) float64 {
+	base := mathx.Digamma(float64(k)) + float64(n-1)*mathx.Digamma(float64(m))
+	if variant == KSG2 {
+		base -= float64(n-1) / float64(k)
+	}
+	return base
+}
+
+// buildKSGTrees indexes d for the KSG terms of both tiers: one joint
+// tree directly over the dataset's contiguous rows, whose variable
+// layout supplies the Eq. (19) blocks, and one tree per variable for the
+// marginal counts, over flattened copies of the variable's columns.
+func (e *Engine) buildKSGTrees(d *Dataset) {
+	m, n := d.NumSamples(), d.NumVars()
+	e.blocks = e.blocks[:0]
+	for v := 0; v < n; v++ {
+		e.blocks = append(e.blocks, knn.Block{Off: d.offsets[v], Len: d.dims[v]})
+	}
+	e.joint.Rebuild(d.data, m, d.rowLen, knn.MaxEuclidean2, e.blocks)
+
+	for len(e.marg) < n {
+		e.marg = append(e.marg, knn.Tree{})
+		e.margPts = append(e.margPts, nil)
+	}
+	for v := 0; v < n; v++ {
+		w := d.dims[v]
+		pts := growFloats(e.margPts[v], m*w)
+		for s := 0; s < m; s++ {
+			copy(pts[s*w:(s+1)*w], d.Var(s, v))
+		}
+		e.margPts[v] = pts
+		e.marg[v].Rebuild(pts, m, w, knn.MaxEuclidean2, nil)
+	}
 }
 
 // ksgChunk evaluates the per-(sample, variable) digamma terms of samples
@@ -191,41 +205,49 @@ func (e *Engine) ksgChunk(d *Dataset, k int, variant KSGVariant, worker, lo, hi 
 	n := d.NumVars()
 	sc := &e.scratch[worker]
 	for s := lo; s < hi; s++ {
-		nbs := e.joint.KNearest(d.Row(s), k, int32(s), sc.neigh)
-		sc.neigh = nbs
-		for v := 0; v < n; v++ {
-			var radius2 float64
-			switch variant {
-			case KSGPaper:
-				// Distance to the k-th joint neighbour, projected to
-				// variable v (Eq. 20).
-				radius2 = d.varDist2(s, int(nbs[k-1].Index), v)
-			case KSG1:
-				// Joint k-th neighbour distance (max-norm ball
-				// radius); squared via sqrt to match the reference
-				// expression bit for bit.
-				dist := sqrt(nbs[k-1].Dist)
-				radius2 = dist * dist
-			case KSG2:
-				// Largest v-marginal distance among the k nearest
-				// joint neighbours.
-				for j := 0; j < k; j++ {
-					if d2 := d.varDist2(s, int(nbs[j].Index), v); d2 > radius2 {
-						radius2 = d2
-					}
+		e.ksgTerms(d, k, variant, sc, s, e.psi[s*n:(s+1)*n])
+	}
+}
+
+// ksgTerms writes sample s's per-variable digamma terms ψ(c_v(s)) into
+// psi (one per variable), querying the trees buildKSGTrees built over d.
+// Both tiers evaluate their terms here: the exact tier at every sample,
+// the approximate tier at the drawn ones.
+func (e *Engine) ksgTerms(d *Dataset, k int, variant KSGVariant, sc *workerScratch, s int, psi []float64) {
+	nbs := e.joint.KNearest(d.Row(s), k, int32(s), sc.neigh)
+	sc.neigh = nbs
+	for v := range psi {
+		var radius2 float64
+		switch variant {
+		case KSGPaper:
+			// Distance to the k-th joint neighbour, projected to
+			// variable v (Eq. 20).
+			radius2 = d.varDist2(s, int(nbs[k-1].Index), v)
+		case KSG1:
+			// Joint k-th neighbour distance (max-norm ball radius);
+			// squared via sqrt to match the reference expression bit
+			// for bit.
+			dist := sqrt(nbs[k-1].Dist)
+			radius2 = dist * dist
+		case KSG2:
+			// Largest v-marginal distance among the k nearest joint
+			// neighbours.
+			for j := 0; j < k; j++ {
+				if d2 := d.varDist2(s, int(nbs[j].Index), v); d2 > radius2 {
+					radius2 = d2
 				}
 			}
-			c := e.marg[v].CountWithin(d.Var(s, v), radius2, variant == KSG2, int32(s))
-			switch variant {
-			case KSG1:
-				c++ // ψ(c_v + 1)
-			default:
-				if c < 1 {
-					c = 1 // clamp, see KSGPaper docs
-				}
-			}
-			e.psi[s*n+v] = mathx.Digamma(float64(c))
 		}
+		c := e.marg[v].CountWithin(d.Var(s, v), radius2, variant == KSG2, int32(s))
+		switch variant {
+		case KSG1:
+			c++ // ψ(c_v + 1)
+		default:
+			if c < 1 {
+				c = 1 // clamp, see KSGPaper docs
+			}
+		}
+		psi[v] = mathx.Digamma(float64(c))
 	}
 }
 

@@ -85,21 +85,6 @@ func (e *Engine) retainedBytes() int {
 	for i := range e.scratch {
 		b += 16*cap(e.scratch[i].neigh) + 8*cap(e.scratch[i].logs)
 	}
-	ap := &e.approx
-	b += ap.joint.RetainedBytes()
-	for i := range ap.marg {
-		b += ap.marg[i].RetainedBytes()
-	}
-	for buf := range ap.rows {
-		b += 8 * cap(ap.rows[buf])
-		for v := range ap.margPts[buf] {
-			b += 8 * cap(ap.margPts[buf][v])
-		}
-	}
-	b += ap.ms.RetainedBytes()
-	b += 8 * (cap(ap.dims) + cap(ap.offsets))
-	b += 16 * cap(ap.blocks)
-	b += 4 * (cap(ap.rowOf) + cap(ap.sampleIdx))
-	b += 8 * cap(ap.aVals)
+	b += 4*cap(e.sampleIdx) + 8*cap(e.aVals)
 	return b
 }

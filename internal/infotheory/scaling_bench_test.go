@@ -37,13 +37,15 @@ var scalingSink float64
 // 2000/5000/50000 beyond). Engines are warmed before timing, so the
 // B/op columns demonstrate the steady-state 0 allocs/op contract; the
 // brute rows (capped at m = 5000 — O(m²) is the wall the engine
-// removes) document the baseline, and the approx rows use the
-// BenchSubsample(m) evaluation budget with repeated same-dataset calls,
-// i.e. the zero-drift Refresh path a pipeline's consecutive steps hit.
-// The m = 50000 rows are skipped under -short (the CI race job); the
-// bench job uploads the full exact-vs-approximate curves side by side
-// as the ksg-scaling artifact, and EXPERIMENTS.md holds a reference
-// table.
+// removes) document the baseline. Both approximate-tier rows use the
+// BenchSubsample(m) evaluation budget: the approx rows re-estimate one
+// identical dataset, an input no pipeline produces, while the
+// approx-steps rows (m ≤ 5000) cycle three same-shaped datasets drawn
+// with different seeds, the traffic a pipeline estimation worker serves
+// as it moves from one recorded step to the next. The m = 50000 rows are
+// skipped under -short (the CI race job); the bench job uploads the full
+// exact-vs-approximate curves side by side as the ksg-scaling artifact,
+// and EXPERIMENTS.md holds a reference table.
 func BenchmarkKSGScaling(b *testing.B) {
 	const n, k = 8, DefaultBenchK
 	for _, m := range []int{128, 500, 2000, 5000, 50000} {
@@ -63,8 +65,8 @@ func BenchmarkKSGScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("approx/m=%d", m), func(b *testing.B) {
 			e := NewEngine(0)
 			opts := ApproxOptions{Subsample: BenchSubsample(m), Seed: uint64(m)}
-			// Two warm calls: the first builds into buffer 0, the second
-			// exercises (and warms) the Refresh double-buffer cycle.
+			// Warm twice; the second call keeps the row comparable with
+			// earlier entries of the trajectory.
 			est := e.MultiInfoKSGApprox(d, k, KSG2, opts)
 			est = e.MultiInfoKSGApprox(d, k, KSG2, opts)
 			scalingSink = est.MI
@@ -77,6 +79,20 @@ func BenchmarkKSGScaling(b *testing.B) {
 		if m > 5000 {
 			continue
 		}
+		steps := []*Dataset{d, scalingDataset(m, n, int64(m)+1), scalingDataset(m, n, int64(m)+2)}
+		b.Run(fmt.Sprintf("approx-steps/m=%d", m), func(b *testing.B) {
+			e := NewEngine(0)
+			opts := ApproxOptions{Subsample: BenchSubsample(m), Seed: uint64(m)}
+			for _, step := range steps {
+				scalingSink = e.MultiInfoKSGApprox(step, k, KSG2, opts).MI
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opts.Sequence = uint64(i)
+				scalingSink = e.MultiInfoKSGApprox(steps[i%len(steps)], k, KSG2, opts).MI
+			}
+		})
 		b.Run(fmt.Sprintf("brute/m=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

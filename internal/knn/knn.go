@@ -95,19 +95,6 @@ type Tree struct {
 	n      int
 	built  bool // tree nodes present; otherwise queries scan
 
-	// ids maps row index → caller-chosen stable identity; nil means the
-	// row index itself. Tie-breaks compare ids, so a tree over permuted
-	// rows (ids = original indices) ranks equal-distance candidates
-	// exactly as a tree over the original layout would — results become
-	// independent of row order. Neighbor.Index always reports the row.
-	ids []int32
-
-	// refreshed marks the split structure as stale: points have moved
-	// since the last Rebuild (via Refresh), boxes were recomputed but the
-	// partition invariant — left subtree ≤ node ≤ right subtree on the
-	// split axis — no longer holds. Queries then rely on box bounds only.
-	refreshed bool
-
 	nodes     []treeNode
 	boxes     []float64 // per node: dim lows then dim highs
 	root      int32
@@ -124,27 +111,13 @@ type Tree struct {
 // row); it is ignored by Chebyshev. The blocks slice is referenced, not
 // copied.
 func (t *Tree) Rebuild(pts []float64, n, dim int, metric Metric, blocks []Block) {
-	t.RebuildWithIDs(pts, n, dim, metric, blocks, nil)
-}
-
-// RebuildWithIDs is Rebuild with stable identities: ids[j] is the
-// tie-break identity of row j (referenced, not copied; ids must be
-// distinct for the ordering to be total). Use it when rows are a
-// permutation of some canonical layout and results must not depend on
-// the permutation. nil ids fall back to row indices (plain Rebuild).
-func (t *Tree) RebuildWithIDs(pts []float64, n, dim int, metric Metric, blocks []Block, ids []int32) {
 	if dim <= 0 || n < 0 || len(pts) < n*dim {
 		panic("knn: Rebuild needs n rows of dim coordinates")
-	}
-	if ids != nil && len(ids) < n {
-		panic("knn: RebuildWithIDs needs one id per row")
 	}
 	t.metric = metric
 	t.dim = dim
 	t.pts = pts
 	t.n = n
-	t.ids = ids
-	t.refreshed = false
 	if metric == Chebyshev || blocks == nil {
 		t.ownBlocks[0] = Block{0, dim}
 		t.blocks = t.ownBlocks[:]
@@ -169,109 +142,15 @@ func (t *Tree) RebuildWithIDs(pts []float64, n, dim int, metric Metric, blocks [
 	t.sorter = axisSorter{}
 }
 
-// Refresh re-points the index at moved coordinates without rebuilding
-// the split structure: bounding boxes are recomputed bottom-up (O(n·dim)
-// instead of the O(n log n · dim) sort-based rebuild) and queries switch
-// to box-only pruning, which stays exact because every bound still
-// dominates the distances actually computed. The shape of the last
-// (Re)build — n, dim, metric, blocks, ids — carries over unchanged.
-//
-// The split structure only prunes well while points sit near where the
-// build placed them, so Refresh measures the maximum coordinate
-// displacement against maxDrift × (largest root-box extent): exceeding
-// it — or passing storage that aliases the current points, which
-// destroys the old coordinates the drift check needs — triggers an
-// internal full rebuild instead. Returns true for the cheap refresh
-// path, false when it rebuilt. Either way the tree is exact afterwards.
-func (t *Tree) Refresh(pts []float64, maxDrift float64) bool {
-	if t.dim == 0 {
-		panic("knn: Refresh before Rebuild")
-	}
-	if len(pts) < t.n*t.dim {
-		panic("knn: Refresh needs the shape of the last Rebuild")
-	}
-	if !t.built {
-		t.pts = pts // flat scan has no structure to go stale
-		return true
-	}
-	if &pts[0] == &t.pts[0] {
-		t.rebuildInPlace(pts)
-		return false
-	}
-	limit := maxDrift * t.rootExtent()
-	for i, total := 0, t.n*t.dim; i < total; i++ {
-		if d := math.Abs(pts[i] - t.pts[i]); d > limit {
-			t.rebuildInPlace(pts)
-			return false
-		}
-	}
-	t.pts = pts
-	t.refreshBoxes()
-	t.refreshed = true
-	return true
-}
-
-// Refreshed reports whether the tree is currently serving queries on a
-// refreshed (box-only pruning) structure.
-func (t *Tree) Refreshed() bool { return t.refreshed }
-
-// rebuildInPlace rebuilds the node structure over pts, keeping the
-// shape, metric, blocks and ids of the last Rebuild. Only called while
-// built, so idx capacity is already n.
-func (t *Tree) rebuildInPlace(pts []float64) {
-	t.pts = pts
-	t.refreshed = false
-	t.nodes = t.nodes[:0]
-	t.boxes = t.boxes[:0]
-	t.idx = t.idx[:t.n]
-	for i := range t.idx {
-		t.idx[i] = int32(i)
-	}
-	t.root = t.build(t.idx, 0)
-	t.sorter = axisSorter{}
-}
-
-// rootExtent returns the largest per-coordinate extent of the root box —
-// the scale the Refresh drift bound is relative to.
-func (t *Tree) rootExtent() float64 {
-	lo := t.boxes[int(t.root)*2*t.dim : int(t.root)*2*t.dim+t.dim]
-	hi := t.boxes[int(t.root)*2*t.dim+t.dim : (int(t.root)*2+2)*t.dim]
-	var ext float64
-	for i := 0; i < t.dim; i++ {
-		if e := hi[i] - lo[i]; e > ext {
-			ext = e
-		}
-	}
-	return ext
-}
-
-// refreshBoxes recomputes every node's bounding box over the current
-// points. Nodes are appended pre-order by build, so a parent always
-// precedes its children and a single reverse pass sees both children
-// before their parent.
-func (t *Tree) refreshBoxes() {
-	for ni := len(t.nodes) - 1; ni >= 0; ni-- {
-		nd := &t.nodes[ni]
-		p := t.pts[int(nd.index)*t.dim : (int(nd.index)+1)*t.dim]
-		box := t.boxes[ni*2*t.dim : (ni*2+2)*t.dim]
-		copy(box[:t.dim], p)
-		copy(box[t.dim:], p)
-		t.mergeBox(int32(ni), nd.left)
-		t.mergeBox(int32(ni), nd.right)
-	}
-}
-
 // Release drops the tree's references to caller-owned data (points,
-// blocks, ids) and marks it empty, while keeping the internal node, box
+// blocks) and marks it empty, while keeping the internal node, box
 // and index storage for the next Rebuild. Pools call this so an idle
 // tree never pins a dataset's row slab.
 func (t *Tree) Release() {
 	t.pts = nil
 	t.blocks = nil
-	t.ids = nil
 	t.n = 0
 	t.built = false
-	t.refreshed = false
 	t.root = -1
 	t.nodes = t.nodes[:0]
 	t.boxes = t.boxes[:0]
@@ -279,7 +158,7 @@ func (t *Tree) Release() {
 
 // RetainedBytes reports the bytes of internal storage the tree keeps
 // across Rebuilds (node, box and index capacity). References to
-// caller-owned slices (pts, blocks, ids) are not counted — Release drops
+// caller-owned slices (pts, blocks) are not counted — Release drops
 // those.
 func (t *Tree) RetainedBytes() int {
 	const nodeBytes = 16 // treeNode: four int32 fields
@@ -514,26 +393,17 @@ type knnState struct {
 	dst     []Neighbor
 }
 
-// id returns row j's tie-break identity: the caller-supplied id when
-// present, the row index itself otherwise.
-func (t *Tree) id(j int32) int32 {
-	if t.ids == nil {
-		return j
-	}
-	return t.ids[j]
-}
-
-// nbLess orders candidates by (Dist, id) — the total order every result
-// set is sorted by.
-func (t *Tree) nbLess(a, b Neighbor) bool {
+// nbLess orders candidates by (Dist, Index) — the total order every
+// result set is sorted by.
+func nbLess(a, b Neighbor) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
-	return t.id(a.Index) < t.id(b.Index)
+	return a.Index < b.Index
 }
 
 // consider offers point j as a kNN candidate, maintaining dst as the k
-// best seen so far, sorted ascending by (Dist, id).
+// best seen so far, sorted ascending by (Dist, Index).
 func (st *knnState) consider(t *Tree, j int32) {
 	bound := math.Inf(1)
 	if len(st.dst) == st.k {
@@ -545,14 +415,14 @@ func (st *knnState) consider(t *Tree, j int32) {
 	}
 	nb := Neighbor{Index: j, Dist: d}
 	if len(st.dst) == st.k {
-		if !t.nbLess(nb, st.dst[st.k-1]) {
+		if !nbLess(nb, st.dst[st.k-1]) {
 			return
 		}
 		st.dst = st.dst[:st.k-1]
 	}
 	i := len(st.dst)
 	st.dst = append(st.dst, nb)
-	for i > 0 && t.nbLess(nb, st.dst[i-1]) {
+	for i > 0 && nbLess(nb, st.dst[i-1]) {
 		st.dst[i] = st.dst[i-1]
 		i--
 	}
@@ -560,11 +430,10 @@ func (st *knnState) consider(t *Tree, j int32) {
 }
 
 // KNearest returns the min(k, Len()-|{exclude}|) nearest neighbours of q,
-// sorted ascending by (distance, id) — exactly the prefix a brute-force
-// (distance, id) sort would produce; without caller-supplied ids that is
-// the historical (distance, index) order. exclude names a row to skip
-// (the query's own row), or -1. dst is the caller's scratch; the result
-// aliases it (grown if needed).
+// sorted ascending by (distance, index) — exactly the prefix a
+// brute-force (distance, index) sort would produce. exclude names a row
+// to skip (the query's own row), or -1. dst is the caller's scratch; the
+// result aliases it (grown if needed).
 func (t *Tree) KNearest(q []float64, k int, exclude int32, dst []Neighbor) []Neighbor {
 	dst = dst[:0]
 	if k <= 0 || t.n == 0 {
@@ -608,11 +477,7 @@ func (t *Tree) searchKNN(ni int32, st *knnState) {
 		near, far = far, near
 	}
 	t.searchKNN(near, st)
-	if len(st.dst) < st.k || t.refreshed {
-		// After Refresh the node's point no longer separates its
-		// subtrees on the split axis, so the plane-gap bound below would
-		// be unsound; the far child's entry box check (boxes are
-		// recomputed by Refresh) is then the only — still exact — gate.
+	if len(st.dst) < st.k {
 		t.searchKNN(far, st)
 		return
 	}

@@ -240,203 +240,6 @@ func TestSteadyStateRebuildAndQueryAllocationFree(t *testing.T) {
 	}
 }
 
-// perturb returns pts with every coordinate moved by at most frac of the
-// point set's largest extent — the "recorded frames move little" regime
-// Refresh exists for.
-func perturb(r *rand.Rand, pts []float64, frac float64) []float64 {
-	lo, hi := pts[0], pts[0]
-	for _, v := range pts {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	ext := hi - lo
-	out := make([]float64, len(pts))
-	for i, v := range pts {
-		out[i] = v + (r.Float64()*2-1)*frac*ext
-	}
-	return out
-}
-
-// TestRefreshMatchesRebuildExactly is the Refresh equivalence contract:
-// after any sequence of small or large moves, a refreshed (or
-// internally rebuilt) tree answers KNearest and CountWithin bit-identically
-// to a freshly built tree over the same coordinates.
-func TestRefreshMatchesRebuildExactly(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 80; trial++ {
-		pts, n, dim, blocks := randomInstance(r)
-		for _, metric := range []Metric{MaxEuclidean2, Chebyshev} {
-			bl := blocks
-			if metric == Chebyshev {
-				bl = nil
-			}
-			var tr Tree
-			tr.Rebuild(pts, n, dim, metric, bl)
-			cur := pts
-			for step := 0; step < 4; step++ {
-				// Alternate small drift (refresh path) and a big jump
-				// (internal rebuild path).
-				frac := 0.01
-				if step == 2 {
-					frac = 3.0
-				}
-				next := perturb(r, cur, frac)
-				refreshed := tr.Refresh(next, 0.1)
-				if step == 2 && refreshed && tr.TreeBacked() {
-					t.Fatalf("trial %d: 3×-extent jump took the refresh path", trial)
-				}
-				var fresh Tree
-				fresh.Rebuild(next, n, dim, metric, bl)
-				k := 1 + r.Intn(n)
-				for q := 0; q < n; q++ {
-					a := tr.KNearest(rowOf(next, dim, q), k, int32(q), nil)
-					b := fresh.KNearest(rowOf(next, dim, q), k, int32(q), nil)
-					if len(a) != len(b) {
-						t.Fatalf("trial %d step %d q=%d: %d vs %d neighbours", trial, step, q, len(a), len(b))
-					}
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("trial %d step %d q=%d: refreshed tree diverged: %v vs %v", trial, step, q, a[i], b[i])
-						}
-					}
-					if len(a) > 0 {
-						rad := a[len(a)-1].Dist
-						for _, inc := range []bool{false, true} {
-							ca := tr.CountWithin(rowOf(next, dim, q), rad, inc, int32(q))
-							cb := fresh.CountWithin(rowOf(next, dim, q), rad, inc, int32(q))
-							if ca != cb {
-								t.Fatalf("trial %d step %d q=%d: count %d vs %d", trial, step, q, ca, cb)
-							}
-						}
-					}
-				}
-				cur = next
-			}
-		}
-	}
-}
-
-func TestRefreshAliasedStorageRebuilds(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	pts, n, dim, blocks := randomInstance(r)
-	var tr Tree
-	tr.Rebuild(pts, n, dim, MaxEuclidean2, blocks)
-	if tr.Refresh(pts, 0.1) {
-		t.Fatal("aliased Refresh claimed the cheap path; old coordinates were unobservable")
-	}
-	if tr.Refreshed() {
-		t.Fatal("aliased Refresh left the tree marked refreshed")
-	}
-}
-
-func TestRefreshFlatScanFallback(t *testing.T) {
-	defer func(old int) { TreeDimLimit = old }(TreeDimLimit)
-	TreeDimLimit = 0 // force the scan path
-	r := rand.New(rand.NewSource(7))
-	pts, n, dim, blocks := randomInstance(r)
-	var tr Tree
-	tr.Rebuild(pts, n, dim, MaxEuclidean2, blocks)
-	next := perturb(r, pts, 5.0)
-	if !tr.Refresh(next, 0.1) {
-		t.Fatal("flat scan has no structure to go stale; Refresh must be trivial")
-	}
-	got := tr.KNearest(rowOf(next, dim, 0), 3, 0, nil)
-	want := bruteKNearest(next, n, dim, MaxEuclidean2, blocks, 0, 3)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("refreshed flat scan diverged from brute at %d", i)
-		}
-	}
-}
-
-func TestRefreshSteadyStateAllocationFree(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	const n, dim, k = 256, 4, 4
-	a := make([]float64, n*dim)
-	b := make([]float64, n*dim)
-	for i := range a {
-		a[i] = r.NormFloat64()
-	}
-	copy(b, a)
-	var tr Tree
-	tr.Rebuild(a, n, dim, MaxEuclidean2, nil)
-	scratch := make([]Neighbor, 0, k)
-	cur, next := a, b
-	allocs := testing.AllocsPerRun(10, func() {
-		for i := range next {
-			next[i] = cur[i] + 1e-6*r.NormFloat64()
-		}
-		if !tr.Refresh(next, 0.1) {
-			t.Fatal("tiny drift took the rebuild path")
-		}
-		for q := 0; q < n; q++ {
-			scratch = tr.KNearest(rowOf(next, dim, q), k, int32(q), scratch)
-		}
-		cur, next = next, cur
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state refresh+query allocates %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestStableIDsMakeResultsPermutationInvariant pins the property the
-// approximate estimator tier builds on: a tree over Morton- (or any-)
-// permuted rows with ids = original indices returns, for every query,
-// the same (distance, original-index) neighbour list and the same counts
-// as a tree over the original layout.
-func TestStableIDsMakeResultsPermutationInvariant(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 60; trial++ {
-		pts, n, dim, blocks := randomInstance(r)
-		perm := r.Perm(n)
-		permuted := make([]float64, len(pts))
-		ids := make([]int32, n)
-		rowOfOrig := make([]int32, n) // original index → permuted row
-		for row, orig := range perm {
-			copy(permuted[row*dim:(row+1)*dim], pts[orig*dim:(orig+1)*dim])
-			ids[row] = int32(orig)
-			rowOfOrig[orig] = int32(row)
-		}
-		for _, metric := range []Metric{MaxEuclidean2, Chebyshev} {
-			bl := blocks
-			if metric == Chebyshev {
-				bl = nil
-			}
-			var base, permTree Tree
-			base.Rebuild(pts, n, dim, metric, bl)
-			permTree.RebuildWithIDs(permuted, n, dim, metric, bl, ids)
-			k := 1 + r.Intn(n)
-			for q := 0; q < n; q++ {
-				want := base.KNearest(rowOf(pts, dim, q), k, int32(q), nil)
-				got := permTree.KNearest(rowOf(pts, dim, q), k, rowOfOrig[q], nil)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d q=%d: %d vs %d neighbours", trial, q, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].Dist != want[i].Dist || ids[got[i].Index] != want[i].Index {
-						t.Fatalf("trial %d metric %v q=%d neighbour %d: got {row %d → id %d, %v}, want {%d, %v}",
-							trial, metric, q, i, got[i].Index, ids[got[i].Index], got[i].Dist, want[i].Index, want[i].Dist)
-					}
-				}
-				if len(want) > 0 {
-					rad := want[len(want)-1].Dist
-					for _, inc := range []bool{false, true} {
-						cw := base.CountWithin(rowOf(pts, dim, q), rad, inc, int32(q))
-						cg := permTree.CountWithin(rowOf(pts, dim, q), rad, inc, rowOfOrig[q])
-						if cw != cg {
-							t.Fatalf("trial %d q=%d: count %d vs %d", trial, q, cw, cg)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestReleaseDropsReferencesKeepsStorage(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	pts, n, dim, blocks := randomInstance(r)

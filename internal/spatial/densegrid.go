@@ -1,7 +1,6 @@
 // Package spatial provides the simulator's neighbour search: a uniform
 // cell-list grid answering the fixed-radius queries of the N_rc(i)
-// neighbourhoods of Eq. 6, plus the Morton row ordering the estimator
-// engine lays its datasets out by.
+// neighbourhoods of Eq. 6.
 //
 // DenseGrid is exact — it returns the same neighbours as brute force —
 // and visits them in one deterministic order whatever the spread of the
@@ -78,9 +77,6 @@ func NewDenseGridFrom(points []vec.Vec2, cellSize float64) *DenseGrid {
 	g.Rebuild(points)
 	return g
 }
-
-// CellSize returns the grid's cell size.
-func (g *DenseGrid) CellSize() float64 { return g.cellSize }
 
 // Len returns the number of points indexed by the last Rebuild.
 func (g *DenseGrid) Len() int { return len(g.points) }
