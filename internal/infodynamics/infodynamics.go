@@ -141,10 +141,10 @@ func buildCMISpace(xs, ys, zs [][]float64, k int) (*cmiSpace, error) {
 		copy(yz, ys[i])
 		copy(yz[dy:], zs[i])
 	}
-	w.jointTree.Rebuild(w.joint, m, w.dim, knn.Chebyshev, nil)
-	w.zTree.Rebuild(w.zPts, m, dz, knn.Chebyshev, nil)
-	w.xzTree.Rebuild(w.xzPts, m, dx+dz, knn.Chebyshev, nil)
-	w.yzTree.Rebuild(w.yzPts, m, dy+dz, knn.Chebyshev, nil)
+	w.jointTree.Rebuild(w.joint, m, w.dim, knn.Chebyshev, nil, knn.Nearest)
+	w.zTree.Rebuild(w.zPts, m, dz, knn.Chebyshev, nil, knn.Count)
+	w.xzTree.Rebuild(w.xzPts, m, dx+dz, knn.Chebyshev, nil, knn.Count)
+	w.yzTree.Rebuild(w.yzPts, m, dy+dz, knn.Chebyshev, nil, knn.Count)
 	return w, nil
 }
 

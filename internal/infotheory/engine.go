@@ -10,8 +10,9 @@ import (
 
 // Engine evaluates the continuous estimators — the KSG multi-information
 // variants, the Kozachenko–Leonenko differential entropy and the
-// Gaussian-kernel baseline — on the shared tree-accelerated
-// nearest-neighbour core (package knn), with reusable scratch storage.
+// Gaussian-kernel baseline — on the shared exact nearest-neighbour core
+// (package knn: k-d tree nodes or a scan, per index), with reusable
+// scratch storage.
 // After warm-up, estimating same-shaped datasets performs no heap
 // allocation (with Workers ≤ 1), the same recycle pattern as
 // spatial.DenseGrid and align.Aligner. Both KSG tiers run on one set of
@@ -20,7 +21,7 @@ import (
 // subsample.
 //
 // Every estimate is bit-identical to the retained brute-force reference
-// implementations (and therefore to the pre-engine code): the tree
+// implementations (and therefore to the pre-engine code): knn
 // evaluates the same floating-point distance expressions, breaks
 // neighbour ties by sample index exactly as a (distance, index) sort
 // does, and the per-sample digamma/log terms are reduced in the same
@@ -128,9 +129,9 @@ func (e *Engine) KSGVariantEstimator(k int, v KSGVariant) Estimator {
 
 // MultiInfoKSGVariant estimates the multi-information of the dataset in
 // bits (see the package-level MultiInfoKSGVariant for the estimator
-// definitions) using the tree engine: one joint k-d tree under the
-// paper's max-over-variables metric answers the k-nearest-neighbour
-// queries, and one per-variable tree answers the marginal range counts.
+// definitions) using the engine: one joint knn index under the paper's
+// max-over-variables metric answers the k-nearest-neighbour queries, and
+// one per-variable index answers the marginal range counts.
 func (e *Engine) MultiInfoKSGVariant(d *Dataset, k int, variant KSGVariant) float64 {
 	m := d.NumSamples()
 	n := d.NumVars()
@@ -182,7 +183,7 @@ func (e *Engine) buildKSGTrees(d *Dataset) {
 	for v := 0; v < n; v++ {
 		e.blocks = append(e.blocks, knn.Block{Off: d.offsets[v], Len: d.dims[v]})
 	}
-	e.joint.Rebuild(d.data, m, d.rowLen, knn.MaxEuclidean2, e.blocks)
+	e.joint.Rebuild(d.data, m, d.rowLen, knn.MaxEuclidean2, e.blocks, knn.Nearest)
 
 	for len(e.marg) < n {
 		e.marg = append(e.marg, knn.Tree{})
@@ -195,7 +196,7 @@ func (e *Engine) buildKSGTrees(d *Dataset) {
 			copy(pts[s*w:(s+1)*w], d.Var(s, v))
 		}
 		e.margPts[v] = pts
-		e.marg[v].Rebuild(pts, m, w, knn.MaxEuclidean2, nil)
+		e.marg[v].Rebuild(pts, m, w, knn.MaxEuclidean2, nil, knn.Count)
 	}
 }
 
@@ -313,7 +314,7 @@ func (e *Engine) DifferentialEntropyKL(d *Dataset, vars []int, k int) float64 {
 		panic("infotheory: KL entropy needs 1 <= k < m")
 	}
 	pts, D := e.flatten(d, vars)
-	e.flat.Rebuild(pts, m, D, knn.MaxEuclidean2, nil)
+	e.flat.Rebuild(pts, m, D, knn.MaxEuclidean2, nil, knn.Nearest)
 	e.eps = growFloats(e.eps, m)
 	if workers := e.workerCount(m); workers == 1 {
 		e.klChunk(pts, D, k, 0, 0, m)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/knn"
 )
 
 // engineDataset draws a random dataset with occasional duplicated samples
@@ -17,6 +15,12 @@ func engineDataset(r *rand.Rand, m, n, maxDim int) *Dataset {
 	for v := range dims {
 		dims[v] = 1 + r.Intn(maxDim)
 	}
+	return engineDatasetDims(r, m, dims)
+}
+
+// engineDatasetDims is engineDataset with the variable dimensions given.
+func engineDatasetDims(r *rand.Rand, m int, dims []int) *Dataset {
+	n := len(dims)
 	d := NewDataset(m, dims)
 	for s := 0; s < m; s++ {
 		for v := 0; v < n; v++ {
@@ -101,13 +105,14 @@ func TestEngineBitIdenticalToBrute(t *testing.T) {
 	}
 }
 
-// Property: bit-identity holds on the flat-scan fallback too — variables
-// wide enough that the joint space exceeds knn.TreeDimLimit.
+// Property: bit-identity holds for variables wide enough that the joint
+// space exceeds 16 dimensions, past every dimension knn's tree-or-scan
+// rule was measured at.
 func TestEngineBitIdenticalToBruteHighDim(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := 12 + r.Intn(16)
-		d := engineDataset(r, m, 2, knn.TreeDimLimit+2) // joint dim can exceed the tree limit
+		d := engineDataset(r, m, 2, 18) // joint dim can exceed 16
 		k := 1 + r.Intn(3)
 		var e Engine
 		for _, variant := range []KSGVariant{KSGPaper, KSG1, KSG2} {
@@ -154,31 +159,75 @@ func TestEngineEntropiesMatchBrute(t *testing.T) {
 	}
 }
 
-// Steady-state estimation on same-shaped datasets must not allocate: the
-// trees, scratch matrices and digamma stores are all recycled.
-func TestEngineSteadyStateAllocationFree(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	const m, n, k = 96, 6, 4
-	d := engineDataset(r, m, n, 2)
-	e := NewEngine(0)
-	e.MultiInfoKSGVariant(d, k, KSG2) // warm-up
-	e.Entropies(d, k)
-	refill := func() {
-		for s := 0; s < m; s++ {
-			row := d.Row(s)
-			for i := range row {
-				row[i] = r.NormFloat64()
+// treeShapeM is a sample count at which knn's rule builds tree nodes
+// for every index of a dataset of two 1-D variables: the 2-D joint and
+// the 1-D KL indexes answer kNN queries (tree at every size) and the 1-D
+// marginals answer counts (tree from 600 points).
+const treeShapeM = 1000
+
+// Property: bit-identity holds where Rebuild picks tree nodes, not only
+// where it scans — the joint kNN over two blocks, the marginal counts
+// and the KL kNN all run on trees at treeShapeM samples.
+func TestEngineBitIdenticalToBruteOnTrees(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	d := engineDatasetDims(r, treeShapeM, []int{1, 1})
+	var e Engine
+	for _, k := range []int{1, 4} {
+		for _, variant := range []KSGVariant{KSGPaper, KSG1, KSG2} {
+			got := e.MultiInfoKSGVariant(d, k, variant)
+			if !e.joint.TreeBacked() || !e.marg[0].TreeBacked() || !e.marg[1].TreeBacked() {
+				t.Fatal("KSG indexes scan; the shape no longer reaches the tree path")
+			}
+			if want := multiInfoKSGBrute(d, k, variant); got != want {
+				t.Errorf("k=%d KSG %v: engine %v, brute %v", k, variant, got, want)
+			}
+		}
+		for _, vars := range [][]int{{0}, {0, 1}} {
+			got := e.DifferentialEntropyKL(d, vars, k)
+			if !e.flat.TreeBacked() {
+				t.Fatal("KL index scans; the shape no longer reaches the tree path")
+			}
+			if want := differentialEntropyKLBrute(d, vars, k); got != want {
+				t.Errorf("k=%d KL vars %v: engine %v, brute %v", k, vars, got, want)
 			}
 		}
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		refill()
-		e.MultiInfoKSGVariant(d, k, KSG2)
-		e.MultiInfoKSGVariant(d, k, KSGPaper)
+}
+
+// Steady-state estimation on same-shaped datasets must not allocate: the
+// trees, scratch matrices and digamma stores are all recycled. One shape
+// scans its KSG indexes, the other builds trees for all of them.
+func TestEngineSteadyStateAllocationFree(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const k = 4
+	for _, d := range []*Dataset{
+		engineDataset(r, 96, 6, 2),
+		engineDatasetDims(r, treeShapeM, []int{1, 1}),
+	} {
+		m := d.NumSamples()
+		e := NewEngine(0)
+		e.MultiInfoKSGVariant(d, k, KSG2) // warm-up
 		e.Entropies(d, k)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state estimation allocates %v allocs/op, want 0", allocs)
+		if tree := m == treeShapeM; e.joint.TreeBacked() != tree || e.marg[0].TreeBacked() != tree {
+			t.Fatalf("m=%d: joint tree %v, marginal tree %v, want %v", m, e.joint.TreeBacked(), e.marg[0].TreeBacked(), tree)
+		}
+		refill := func() {
+			for s := 0; s < m; s++ {
+				row := d.Row(s)
+				for i := range row {
+					row[i] = r.NormFloat64()
+				}
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			refill()
+			e.MultiInfoKSGVariant(d, k, KSG2)
+			e.MultiInfoKSGVariant(d, k, KSGPaper)
+			e.Entropies(d, k)
+		})
+		if allocs != 0 {
+			t.Errorf("m=%d: steady-state estimation allocates %v allocs/op, want 0", m, allocs)
+		}
 	}
 }
 
@@ -233,8 +282,8 @@ func TestEngineReuseAcrossShapes(t *testing.T) {
 			if got, want := e.MultiInfoKSGVariant(sub, k, KSG2), multiInfoKSGBrute(sub, k, KSG2); got != want {
 				t.Fatalf("trial %d: reused engine on selected view %v, brute %v", trial, got, want)
 			}
-			// Grouped views merge variables into wide joint blocks —
-			// possibly past knn.TreeDimLimit, the flat-scan shape.
+			// Grouped views merge variables into wide joint blocks,
+			// with more than two coordinates each.
 			cut := 1 + r.Intn(d.NumVars()-1)
 			var g1, g2 []int
 			for v := 0; v < d.NumVars(); v++ {

@@ -32,12 +32,16 @@ var scalingSink float64
 
 // BenchmarkKSGScaling is the estimator-engine trajectory benchmark: the
 // default pipeline estimator (KSG-2, k = 4) on one time-step-shaped
-// dataset, brute vs exact tree vs approximate tier, across the ensemble
+// dataset, brute vs exact tier vs approximate tier, across the ensemble
 // sizes of the roadmap (M = 128 quick scale, 500 paper scale,
-// 2000/5000/50000 beyond). Engines are warmed before timing, so the
-// B/op columns demonstrate the steady-state 0 allocs/op contract; the
-// brute rows (capped at m = 5000 — O(m²) is the wall the engine
-// removes) document the baseline. Both approximate-tier rows use the
+// 2000/5000/50000 beyond). The tree/m=… rows are the exact tier, whose
+// indexes take knn's tree-or-scan choice: the 16-D joint scans at every
+// size and the 2-D marginals scan below m = 20000, so these rows build
+// trees only for the m = 50000 marginals. The name stays because the CI
+// guard and the trajectory key on it. Engines are warmed before timing,
+// so the B/op columns demonstrate the steady-state 0 allocs/op
+// contract; the brute rows (capped at m = 5000 — O(m²) is the wall the
+// engine removes) document the baseline. Both approximate-tier rows use the
 // BenchSubsample(m) evaluation budget: the approx rows re-estimate one
 // identical dataset, an input no pipeline produces, while the
 // approx-steps rows (m ≤ 5000) cycle three same-shaped datasets drawn
@@ -122,7 +126,9 @@ const DefaultBenchK = 4
 
 // BenchmarkKLScaling tracks the entropy-profile path (Kozachenko–
 // Leonenko joint entropy) on the same datasets; TrackEntropies pipelines
-// spend most of their estimation budget here.
+// spend most of their estimation budget here. Its 16-D joint index
+// scans at every size, as knn's rule picks for kNN queries above 8
+// dimensions.
 func BenchmarkKLScaling(b *testing.B) {
 	const n, k = 8, DefaultBenchK
 	for _, m := range []int{128, 500, 2000} {

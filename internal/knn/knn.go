@@ -1,9 +1,8 @@
-// Package knn is the shared exact nearest-neighbour engine under every
+// Package knn is the exact nearest-neighbour layer under every
 // continuous estimator in this repository: the KSG multi-information
 // estimator and the Kozachenko–Leonenko entropy estimator (package
 // infotheory) and the Frenzel–Pompe conditional mutual-information
-// estimator (package infodynamics). It replaces four private O(m²)
-// sort-based distance sweeps with one sub-quadratic core.
+// estimator (package infodynamics).
 //
 // A Tree indexes m points stored as contiguous rows of a flat []float64
 // and answers two query shapes exactly:
@@ -23,18 +22,36 @@
 //   - Chebyshev — max over coordinates of |Δ|, the max-norm of the
 //     Frenzel–Pompe estimator.
 //
+// # Tree or scan
+//
+// Each index serves one query kind, which the caller names to Rebuild
+// (Nearest or Count). Rebuild then either builds k-d tree nodes or
+// leaves the index as a scan over its rows, choosing from the point
+// count, the dimension, the metric and the query kind with crossovers
+// measured by BenchmarkCrossover (see useTree). Up to thousands of
+// points the scan answers KSG marginal counts above one dimension and
+// kNN queries above two; the tree keeps 1-D counts, low-dimensional kNN
+// queries, the Frenzel–Pompe subspace counts and the largest indexes.
+// An index holding a non-finite coordinate always scans, as does a
+// query with one.
+//
 // # Equivalence contract
 //
-// Results are bit-identical to a brute-force sweep that evaluates the
-// same floating-point distance expression (a sequential sum of squared
-// coordinate differences per block, maxed across blocks): candidate
-// distances are computed by exactly that expression, and the tree's
-// box/axis bounds are computed with elementwise-dominating terms summed
-// in the same coordinate order, so IEEE rounding monotonicity guarantees
-// a bound never misranks a point it gates. Subtree pruning and
-// bulk-acceptance use strict inequalities wherever an equal-distance
-// point could still matter (index tie-breaks, inclusive counts), so ties
-// resolve exactly as the brute path resolves them.
+// Brute ≡ tree ≡ scan: results are bit-identical to a brute-force sweep
+// that evaluates the same floating-point distance expression (a
+// sequential sum of squared coordinate differences per block, maxed
+// across blocks, where a NaN block sum never raises the max). Both paths
+// evaluate candidate distances with one kernel per metric, which
+// computes each block's full sum in coordinate order — the brute value
+// itself — and tests its bound once per block: the max over blocks can
+// only grow, so a block over the bound proves the point lies beyond it.
+// The tree's box/axis bounds are computed with elementwise-dominating
+// terms summed in the same coordinate order, so IEEE rounding
+// monotonicity guarantees a bound never misranks a point it gates.
+// Subtree pruning and bulk-acceptance use strict inequalities wherever
+// an equal-distance point could still matter (index tie-breaks,
+// inclusive counts), so ties resolve exactly as the brute path resolves
+// them.
 //
 // Trees are rebuildable in place: after warm-up, Rebuild over same-shaped
 // inputs performs no heap allocation (the spatial.DenseGrid /
@@ -59,6 +76,18 @@ const (
 	Chebyshev
 )
 
+// Query names the one query kind an index serves. Rebuild uses it only
+// to choose between tree nodes and a scan; both paths answer both kinds
+// exactly, so it never changes a result.
+type Query int
+
+const (
+	// Nearest indexes points for KNearest.
+	Nearest Query = iota
+	// Count indexes points for CountWithin.
+	Count
+)
+
 // Block is one variable's coordinate range within a row.
 type Block struct{ Off, Len int }
 
@@ -70,13 +99,55 @@ type Neighbor struct {
 	Dist  float64
 }
 
-// TreeDimLimit is the dimension above which Rebuild skips building tree
-// nodes and queries fall back to a flat scan with early-exit partial
-// distances. Past ~16 dimensions a k-d tree on estimator-sized point sets
-// prunes almost nothing and the node traversal overhead makes it slower
-// than the scan; both paths honour the same equivalence contract. Tests
-// override it to force either path.
-var TreeDimLimit = 16
+// useTree reports whether an index of n points of dim coordinates
+// answers its query kind faster on tree nodes than by a scan. Each
+// threshold is the smallest n at which the tree beat the scan in
+// BenchmarkCrossover (µs per query with the build amortised over n
+// queries, tree against scan, medians of 8 runs on a 2-vCPU Intel
+// Xeon VM):
+//
+//   - kNN, dim ≤ 2: the tree wins at every n (n=128: 0.64 against 1.21
+//     at dim 1, 1.07 against 1.49 at dim 2).
+//   - kNN, dim ≤ 8: the scan wins to n=2000 (29.2 against 23.4), the
+//     tree from n=5000 (43.8 against 45.9).
+//   - kNN, dim ≤ 16: the scan wins at every n, to 50000 (894 against
+//     686).
+//   - KSG marginal count (MaxEuclidean2), dim 1: the scan wins at n=128
+//     (0.73 against 0.55), the tree from n=600 (1.18 against 2.53).
+//   - KSG marginal count, dim 2: the scan wins to n=5000 (16.5 against
+//     9.5), the tree from n=20000 (35.4 against 41.8).
+//   - KSG marginal count, dim ≤ 16: the scan wins at every n, to 50000
+//     (766 against 501 at dim 8).
+//   - Frenzel–Pompe subspace count (Chebyshev), dim ≤ 2: the two tie at
+//     n=128 (1.75 against 1.73), the tree wins from n=600 (4.04 against
+//     8.39).
+//   - Frenzel–Pompe subspace count, dim ≤ 4: the scan wins to n=600
+//     (11.6 against 10.1), the tree from n=2000 (17.0 against 27.1).
+//
+// The two count families cross over far apart because of their radii:
+// a KSG-2 marginal radius spans k neighbours of a wide joint and holds
+// about a fifth of the points, which a tree must visit node by node,
+// while a Frenzel–Pompe radius is the k-th neighbour distance of a
+// narrow joint and holds few. Chebyshev kNN queries take the kNN rows.
+// Beyond the measured dimensions the index scans.
+func useTree(n, dim int, metric Metric, query Query) bool {
+	from := math.MaxInt // the scan won at every measured size
+	switch {
+	case query == Nearest && dim <= 2:
+		from = 0
+	case query == Nearest && dim <= 8:
+		from = 5000
+	case query == Count && metric == Chebyshev && dim <= 2:
+		from = 600
+	case query == Count && metric == Chebyshev && dim <= 4:
+		from = 2000
+	case query == Count && metric == MaxEuclidean2 && dim <= 1:
+		from = 600
+	case query == Count && metric == MaxEuclidean2 && dim <= 2:
+		from = 20000
+	}
+	return n >= from
+}
 
 type treeNode struct {
 	index       int32 // point row
@@ -85,8 +156,9 @@ type treeNode struct {
 	axis        int32
 }
 
-// Tree is a rebuildable exact-kNN index over the rows of a flat matrix.
-// The zero value is ready for Rebuild.
+// Tree is a rebuildable exact-kNN index over the rows of a flat matrix:
+// k-d tree nodes or a plain scan, as Rebuild chooses. The zero value is
+// ready for Rebuild.
 type Tree struct {
 	metric Metric
 	dim    int
@@ -94,6 +166,7 @@ type Tree struct {
 	pts    []float64 // referenced, not copied; row j at [j*dim, (j+1)*dim)
 	n      int
 	built  bool // tree nodes present; otherwise queries scan
+	pairs  bool // MaxEuclidean2 blocks all two wide
 
 	nodes     []treeNode
 	boxes     []float64 // per node: dim lows then dim highs
@@ -104,13 +177,21 @@ type Tree struct {
 }
 
 // Rebuild reconstructs the index over a new point set in place, reusing
-// node, box and index storage of previous builds. pts holds n rows of dim
-// coordinates each and is referenced (not copied) for the lifetime of the
-// queries, so it must stay unmodified until the next Rebuild. blocks
-// partitions the row for MaxEuclidean2 (nil means one block spanning the
-// row); it is ignored by Chebyshev. The blocks slice is referenced, not
-// copied.
-func (t *Tree) Rebuild(pts []float64, n, dim int, metric Metric, blocks []Block) {
+// node, box and index storage of previous builds, and chooses tree
+// nodes or a scan for the query kind the index will serve (see
+// useTree). pts holds n rows of dim coordinates each and is referenced
+// (not copied) for the lifetime of the queries, so it must stay
+// unmodified until the next Rebuild. blocks partitions the row for
+// MaxEuclidean2 (nil means one block spanning the row); it is ignored by
+// Chebyshev. The blocks slice is referenced, not copied.
+func (t *Tree) Rebuild(pts []float64, n, dim int, metric Metric, blocks []Block, query Query) {
+	t.rebuild(pts, n, dim, metric, blocks, useTree(n, dim, metric, query))
+}
+
+// rebuild is Rebuild with the path given: tree asks for tree nodes,
+// which an empty index or one holding a non-finite coordinate still
+// does not get. Tests call it to force either path.
+func (t *Tree) rebuild(pts []float64, n, dim int, metric Metric, blocks []Block, tree bool) {
 	if dim <= 0 || n < 0 || len(pts) < n*dim {
 		panic("knn: Rebuild needs n rows of dim coordinates")
 	}
@@ -124,10 +205,14 @@ func (t *Tree) Rebuild(pts []float64, n, dim int, metric Metric, blocks []Block)
 	} else {
 		t.blocks = blocks
 	}
+	t.pairs = metric == MaxEuclidean2
+	for _, b := range t.blocks {
+		t.pairs = t.pairs && b.Len == 2
+	}
 	t.nodes = t.nodes[:0]
 	t.boxes = t.boxes[:0]
 	t.root = -1
-	t.built = dim <= TreeDimLimit && n > 0
+	t.built = tree && n > 0 && finite(pts[:n*dim])
 	if !t.built {
 		return
 	}
@@ -140,6 +225,19 @@ func (t *Tree) Rebuild(pts []float64, n, dim int, metric Metric, blocks []Block)
 	}
 	t.root = t.build(t.idx, 0)
 	t.sorter = axisSorter{}
+}
+
+// finite reports whether every value in xs is finite. Tree bounds need
+// it: a NaN or infinite difference makes the brute block sum NaN, which
+// the max over blocks ignores, while a box bound built from the block's
+// other coordinates would still count them.
+func finite(xs []float64) bool {
+	for _, x := range xs {
+		if x-x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Release drops the tree's references to caller-owned data (points,
@@ -168,9 +266,11 @@ func (t *Tree) RetainedBytes() int {
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.n }
 
-// TreeBacked reports whether queries run on tree nodes (as opposed to the
-// flat-scan fallback).
+// TreeBacked reports whether queries run on tree nodes (as opposed to
+// the scan).
 func (t *Tree) TreeBacked() bool { return t.built }
+
+func (t *Tree) row(j int) []float64 { return t.pts[j*t.dim : (j+1)*t.dim] }
 
 // axisSorter sorts an index slice by one coordinate with a deterministic
 // index tie-break, as a reusable sort.Interface (a sort.Slice closure
@@ -210,8 +310,8 @@ func (t *Tree) build(idx []int32, depth int) int32 {
 	})
 	self := int32(len(t.nodes) - 1)
 	// Reserve the node's box; filled bottom-up after the children exist.
-	t.boxes = append(t.boxes, t.pts[int(idx[mid])*t.dim:(int(idx[mid])+1)*t.dim]...)
-	t.boxes = append(t.boxes, t.pts[int(idx[mid])*t.dim:(int(idx[mid])+1)*t.dim]...)
+	t.boxes = append(t.boxes, t.row(int(idx[mid]))...)
+	t.boxes = append(t.boxes, t.row(int(idx[mid]))...)
 	left := t.build(idx[:mid], depth+1)
 	right := t.build(idx[mid+1:], depth+1)
 	t.nodes[self].left = left
@@ -224,10 +324,9 @@ func (t *Tree) build(idx []int32, depth int) int32 {
 // widestAxis returns the coordinate with the largest spread over the
 // given points — the classic k-d split heuristic. With cycling axes a
 // deep point set splits only its first ~log₂(n) coordinates; spread-based
-// splits keep pruning effective when the dimension approaches
-// TreeDimLimit. The choice only shapes the tree; result exactness never
-// depends on it. Ties resolve to the lowest axis, keeping builds
-// deterministic.
+// splits keep pruning effective as the dimension grows. The choice only
+// shapes the tree; result exactness never depends on it. Ties resolve
+// to the lowest axis, keeping builds deterministic.
 func (t *Tree) widestAxis(idx []int32) int {
 	axis, best := 0, -1.0
 	for a := 0; a < t.dim; a++ {
@@ -265,46 +364,62 @@ func (t *Tree) mergeBox(ni, ci int32) {
 	}
 }
 
-// dist returns the metric distance between q and point row j, evaluated
-// with the exact floating-point expression of the brute-force reference
-// (sequential per-block sums in coordinate order, maxed across blocks).
-// If the running value exceeds bound the evaluation stops and reports
-// ok = false; the partial value is a lower bound on the true distance, so
-// the caller may reject the point but must not use the value otherwise.
-func (t *Tree) dist(q []float64, j int32, bound float64) (d float64, ok bool) {
-	p := t.pts[int(j)*t.dim : (int(j)+1)*t.dim]
-	if t.metric == Chebyshev {
-		var worst float64
-		for i := range q {
-			d := math.Abs(q[i] - p[i])
-			if d > worst {
-				if d > bound {
-					return d, false
-				}
-				worst = d
-			}
-		}
-		return worst, true
+// sqSum is the one-block kernel: the brute reference's squared
+// Euclidean block sum, accumulated in coordinate order. It is NaN when
+// a coordinate difference is (a NaN, or two equal infinities).
+func sqSum(q, p []float64) float64 {
+	p = p[:len(q)]
+	var s float64
+	for i, x := range q {
+		d := x - p[i]
+		s += d * d
 	}
+	return s
+}
+
+// blockDist is the MaxEuclidean2 kernel: each block's full sqSum, maxed
+// across blocks as the brute reference maxes them (a NaN block sum never
+// raises the max). The bound is tested once per block, on the block's
+// complete sum; as the max can only grow, a block over bound proves the
+// point lies beyond it, and the kernel stops with ok = false. The value
+// is then a lower bound only and must not be used.
+func blockDist(q, p []float64, blocks []Block, bound float64) (d float64, ok bool) {
 	var worst float64
-	for _, b := range t.blocks {
-		var s float64
-		for i := b.Off; i < b.Off+b.Len; i++ {
-			diff := q[i] - p[i]
-			s += diff * diff
+	for _, b := range blocks {
+		s := sqSum(q[b.Off:b.Off+b.Len], p[b.Off:b.Off+b.Len])
+		if s > worst {
 			if s > bound {
-				// Partial sums of non-negative terms are
-				// non-decreasing under IEEE rounding, so the full
-				// block sum — and the max over blocks — can only be
-				// larger.
 				return s, false
 			}
-		}
-		if s > worst {
 			worst = s
 		}
 	}
 	return worst, true
+}
+
+// chebDist is the Chebyshev kernel: the max over coordinates of |Δ|,
+// where, as in the brute reference, a NaN never raises the max. It is
+// never NaN, and its caller tests the bound once on the result.
+func chebDist(q, p []float64) float64 {
+	p = p[:len(q)]
+	var worst float64
+	for i, x := range q {
+		if d := math.Abs(x - p[i]); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// dist returns the metric distance between q and point row j through
+// the metric's kernel; ok = false reports a distance over bound, whose
+// value must not be used.
+func (t *Tree) dist(q []float64, j int32, bound float64) (d float64, ok bool) {
+	if t.metric == Chebyshev {
+		d = chebDist(q, t.row(int(j)))
+		return d, d <= bound
+	}
+	return blockDist(q, t.row(int(j)), t.blocks, bound)
 }
 
 // minDistBox returns a lower bound on the distance from q to any point in
@@ -402,8 +517,8 @@ func nbLess(a, b Neighbor) bool {
 	return a.Index < b.Index
 }
 
-// consider offers point j as a kNN candidate, maintaining dst as the k
-// best seen so far, sorted ascending by (Dist, Index).
+// consider offers point j as a kNN candidate from the tree walk, which
+// visits points in no particular order.
 func (st *knnState) consider(t *Tree, j int32) {
 	bound := math.Inf(1)
 	if len(st.dst) == st.k {
@@ -414,10 +529,17 @@ func (st *knnState) consider(t *Tree, j int32) {
 		return
 	}
 	nb := Neighbor{Index: j, Dist: d}
+	if len(st.dst) == st.k && !nbLess(nb, st.dst[st.k-1]) {
+		return
+	}
+	st.insert(nb)
+}
+
+// insert adds nb to dst, which holds the k best seen so far sorted
+// ascending by (Dist, Index), dropping the k-th when full. The caller
+// has checked that nb beats it.
+func (st *knnState) insert(nb Neighbor) {
 	if len(st.dst) == st.k {
-		if !nbLess(nb, st.dst[st.k-1]) {
-			return
-		}
 		st.dst = st.dst[:st.k-1]
 	}
 	i := len(st.dst)
@@ -440,17 +562,34 @@ func (t *Tree) KNearest(q []float64, k int, exclude int32, dst []Neighbor) []Nei
 		return dst
 	}
 	st := knnState{q: q, k: k, exclude: exclude, dst: dst}
-	if t.built {
+	if t.built && finite(q) {
 		t.searchKNN(t.root, &st)
 	} else {
-		for j := 0; j < t.n; j++ {
-			if int32(j) == exclude {
-				continue
-			}
-			st.consider(t, int32(j))
-		}
+		t.scanKNN(&st)
 	}
 	return st.dst
+}
+
+// scanKNN answers a KNearest query by one pass over the rows. Rows
+// arrive in index order, so a candidate that ties the current k-th
+// neighbour loses the index tie-break and only a strictly nearer one
+// enters; nextWithin skips the rows beyond that bound, and only the
+// rare row it stops at has its distance evaluated in full.
+func (t *Tree) scanKNN(st *knnState) {
+	bound := math.Inf(1)
+	for j := t.nextWithin(st.q, 0, bound); j < t.n; j = t.nextWithin(st.q, j+1, bound) {
+		if int32(j) == st.exclude {
+			continue
+		}
+		d, _ := t.dist(st.q, int32(j), bound)
+		if len(st.dst) == st.k && d >= bound {
+			continue
+		}
+		st.insert(Neighbor{Index: int32(j), Dist: d})
+		if len(st.dst) == st.k {
+			bound = st.dst[st.k-1].Dist
+		}
+	}
 }
 
 func (t *Tree) searchKNN(ni int32, st *knnState) {
@@ -497,49 +636,136 @@ func (t *Tree) searchKNN(ni int32, st *knnState) {
 // is set. r is in the metric's comparison space (squared for
 // MaxEuclidean2). If exclude is ≥ 0 it must be the row index holding
 // exactly q's coordinates (the usual self-exclusion of the estimators);
-// its guaranteed zero self-distance is subtracted from bulk-accepted
-// subtrees rather than threaded through the traversal.
+// its guaranteed zero self-distance is subtracted from the count rather
+// than threaded through the traversal or the scan.
 func (t *Tree) CountWithin(q []float64, r float64, inclusive bool, exclude int32) int {
-	var c int
-	if t.built {
-		c = t.countNode(t.root, q, r, inclusive)
-		if exclude >= 0 && (r > 0 || (inclusive && r == 0)) {
-			c--
-		}
-		return c
+	if !inclusive {
+		// A distance is below r exactly when it is at most the largest
+		// float below r, so both predicates become dist ≤ r.
+		r = math.Nextafter(r, math.Inf(-1))
 	}
-	for j := 0; j < t.n; j++ {
-		if int32(j) == exclude {
-			continue
-		}
-		d, ok := t.dist(q, int32(j), r)
-		if !ok {
-			continue
-		}
-		if d < r || (inclusive && d == r) {
+	// Distances are never negative or NaN: such a radius holds nothing.
+	if !(r >= 0) || t.n == 0 {
+		return 0
+	}
+	var c int
+	if t.built && finite(q) {
+		c = t.countNode(t.root, q, r)
+	} else {
+		c = t.scanCount(q, r)
+	}
+	if exclude >= 0 {
+		c--
+	}
+	return c
+}
+
+// scanCount counts the rows within distance r ≥ 0 of q (inclusive) by
+// one pass over the rows. The one-block loops count without a branch; a
+// NaN block sum is distance 0 to the brute reference, so it counts:
+// !(s > r) holds for it as for every s ≤ r.
+func (t *Tree) scanCount(q []float64, r float64) int {
+	c := 0
+	switch {
+	case t.metric == Chebyshev || len(t.blocks) > 1:
+		for j := t.nextWithin(q, 0, r); j < t.n; j = t.nextWithin(q, j+1, r) {
 			c++
+		}
+	case t.dim == 2:
+		// sqSum unrolled for the paper's 2-D observer variables.
+		q0, q1 := q[0], q[1]
+		pts := t.pts[:2*t.n]
+		for j := 1; j < len(pts); j += 2 {
+			d0, d1 := q0-pts[j-1], q1-pts[j]
+			s := d0 * d0
+			s += d1 * d1
+			if !(s > r) {
+				c++
+			}
+		}
+	default:
+		for j := 0; j < t.n; j++ {
+			if !(sqSum(q, t.row(j)) > r) {
+				c++
+			}
 		}
 	}
 	return c
 }
 
-func (t *Tree) countNode(ni int32, q []float64, r float64, inclusive bool) int {
+// nextWithin returns the first row j ≥ from whose distance to q is at
+// most bound, or n if there is none: the scans' screening loop. It
+// tests every block sum against bound, on which a NaN sum never fails,
+// and leaves the max over blocks to dist.
+func (t *Tree) nextWithin(q []float64, from int, bound float64) int {
+	switch {
+	case t.metric == Chebyshev:
+		// Every coordinate is a block of its own.
+		q = q[:t.dim]
+	coords:
+		for j := from; j < t.n; j++ {
+			p := t.row(j)[:len(q)]
+			for i, x := range q {
+				if math.Abs(x-p[i]) > bound {
+					continue coords
+				}
+			}
+			return j
+		}
+	case len(t.blocks) == 1:
+		for j := from; j < t.n; j++ {
+			if !(sqSum(q, t.row(j)) > bound) {
+				return j
+			}
+		}
+	case t.pairs:
+		// sqSum unrolled for rows of 2-D observer variables.
+		q = q[:t.dim]
+	pairs:
+		for j := from; j < t.n; j++ {
+			p := t.row(j)[:len(q)]
+			for i := 1; i < len(q); i += 2 {
+				d0, d1 := q[i-1]-p[i-1], q[i]-p[i]
+				s := d0 * d0
+				s += d1 * d1
+				if s > bound {
+					continue pairs
+				}
+			}
+			return j
+		}
+	default:
+	rows:
+		for j := from; j < t.n; j++ {
+			p := t.row(j)
+			for _, b := range t.blocks {
+				if sqSum(q[b.Off:b.Off+b.Len], p[b.Off:b.Off+b.Len]) > bound {
+					continue rows
+				}
+			}
+			return j
+		}
+	}
+	return t.n
+}
+
+// countNode counts the points of node ni's subtree within distance
+// r ≥ 0 of q (inclusive).
+func (t *Tree) countNode(ni int32, q []float64, r float64) int {
 	if ni < 0 {
 		return 0
 	}
-	minD := t.minDistBox(ni, q)
 	// Reject the subtree only when every point must fail the predicate.
-	if minD > r || (!inclusive && minD == r) {
+	if t.minDistBox(ni, q) > r {
 		return 0
 	}
 	nd := &t.nodes[ni]
-	maxD := t.maxDistBox(ni, q)
-	if maxD < r || (inclusive && maxD == r) {
+	if t.maxDistBox(ni, q) <= r {
 		return int(nd.count)
 	}
 	var c int
-	if d, ok := t.dist(q, nd.index, r); ok && (d < r || (inclusive && d == r)) {
+	if _, ok := t.dist(q, nd.index, r); ok {
 		c = 1
 	}
-	return c + t.countNode(nd.left, q, r, inclusive) + t.countNode(nd.right, q, r, inclusive)
+	return c + t.countNode(nd.left, q, r) + t.countNode(nd.right, q, r)
 }

@@ -75,7 +75,9 @@ func bruteCount(pts []float64, n, dim int, metric Metric, blocks []Block, q int,
 
 // randomInstance draws a point set with deliberate duplicates and
 // coordinate collisions so the (distance, index) tie-breaking paths are
-// exercised, plus a random block structure.
+// exercised, plus a random block structure. One trial in four also
+// plants NaN and ±Inf coordinates, whose brute distances follow the
+// reference's rule that a NaN block sum never raises the max.
 func randomInstance(r *rand.Rand) (pts []float64, n, dim int, blocks []Block) {
 	dim = 1 + r.Intn(6)
 	n = 5 + r.Intn(60)
@@ -92,6 +94,12 @@ func randomInstance(r *rand.Rand) (pts []float64, n, dim int, blocks []Block) {
 		src, dst := r.Intn(n), r.Intn(n)
 		copy(pts[dst*dim:(dst+1)*dim], pts[src*dim:(src+1)*dim])
 	}
+	if r.Intn(4) == 0 {
+		nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		for c := 1 + r.Intn(3); c > 0; c-- {
+			pts[r.Intn(len(pts))] = nonFinite[r.Intn(len(nonFinite))]
+		}
+	}
 	off := 0
 	for off < dim {
 		l := 1 + r.Intn(dim-off)
@@ -101,20 +109,22 @@ func randomInstance(r *rand.Rand) (pts []float64, n, dim int, blocks []Block) {
 	return pts, n, dim, blocks
 }
 
-// forEachMode runs f with the tree path and the flat-scan path forced in
-// turn, restoring the package default afterwards.
-func forEachMode(t *testing.T, f func(t *testing.T, wantTree bool)) {
+// forEachMode runs f with the tree path and the scan forced in turn;
+// f builds its indexes with rebuild(..., tree).
+func forEachMode(t *testing.T, f func(t *testing.T, tree bool)) {
 	t.Helper()
-	defer func(old int) { TreeDimLimit = old }(TreeDimLimit)
-	TreeDimLimit = 64
-	f(t, true)
-	TreeDimLimit = 0
-	f(t, false)
+	for _, tree := range []bool{true, false} {
+		name := "scan"
+		if tree {
+			name = "tree"
+		}
+		t.Run(name, func(t *testing.T) { f(t, tree) })
+	}
 }
 
 func TestKNearestMatchesBruteExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	forEachMode(t, func(t *testing.T, wantTree bool) {
+	forEachMode(t, func(t *testing.T, tree bool) {
 		var tr Tree
 		for trial := 0; trial < 200; trial++ {
 			pts, n, dim, blocks := randomInstance(r)
@@ -123,9 +133,9 @@ func TestKNearestMatchesBruteExactly(t *testing.T) {
 				if metric == Chebyshev {
 					bl = nil
 				}
-				tr.Rebuild(pts, n, dim, metric, bl)
-				if tr.TreeBacked() != (wantTree && n > 0) {
-					t.Fatalf("TreeBacked = %v, want %v", tr.TreeBacked(), wantTree)
+				tr.rebuild(pts, n, dim, metric, bl, tree)
+				if want := tree && finite(pts); tr.TreeBacked() != want {
+					t.Fatalf("TreeBacked = %v, want %v", tr.TreeBacked(), want)
 				}
 				k := 1 + r.Intn(n)
 				var scratch []Neighbor
@@ -150,7 +160,7 @@ func TestKNearestMatchesBruteExactly(t *testing.T) {
 
 func TestCountWithinMatchesBruteExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	forEachMode(t, func(t *testing.T, wantTree bool) {
+	forEachMode(t, func(t *testing.T, tree bool) {
 		var tr Tree
 		for trial := 0; trial < 200; trial++ {
 			pts, n, dim, blocks := randomInstance(r)
@@ -159,11 +169,11 @@ func TestCountWithinMatchesBruteExactly(t *testing.T) {
 				if metric == Chebyshev {
 					bl = nil
 				}
-				tr.Rebuild(pts, n, dim, metric, bl)
+				tr.rebuild(pts, n, dim, metric, bl, tree)
 				for q := 0; q < n; q++ {
 					// Radii that exactly hit point distances probe the
-					// strict/inclusive boundary; add a couple of generic ones.
-					radii := []float64{0, r.Float64() * 10}
+					// strict/inclusive boundary; add a few generic ones.
+					radii := []float64{0, r.Float64() * 10, math.Inf(1), math.NaN()}
 					j := r.Intn(n)
 					radii = append(radii, bruteDist(pts, dim, metric, bl, q, j))
 					for _, rad := range radii {
@@ -184,110 +194,211 @@ func TestCountWithinMatchesBruteExactly(t *testing.T) {
 
 func rowOf(pts []float64, dim, j int) []float64 { return pts[j*dim : (j+1)*dim] }
 
-// Rebuilding over new data must behave exactly like a fresh tree, and in
-// steady state (same-shaped inputs) must not allocate.
+// Rebuilding over new data must behave exactly like a fresh index on
+// either path.
 func TestRebuildReuseMatchesFreshTree(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	var reused Tree
-	for trial := 0; trial < 60; trial++ {
-		pts, n, dim, blocks := randomInstance(r)
-		reused.Rebuild(pts, n, dim, MaxEuclidean2, blocks)
-		var fresh Tree
-		fresh.Rebuild(pts, n, dim, MaxEuclidean2, blocks)
-		k := 1 + r.Intn(4)
-		for q := 0; q < n; q++ {
-			a := reused.KNearest(rowOf(pts, dim, q), k, int32(q), nil)
-			b := fresh.KNearest(rowOf(pts, dim, q), k, int32(q), nil)
-			if len(a) != len(b) {
-				t.Fatalf("trial %d q=%d: reused %d results, fresh %d", trial, q, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("trial %d q=%d: reused tree diverged from fresh tree", trial, q)
+	forEachMode(t, func(t *testing.T, tree bool) {
+		var reused Tree
+		for trial := 0; trial < 60; trial++ {
+			pts, n, dim, blocks := randomInstance(r)
+			reused.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
+			var fresh Tree
+			fresh.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
+			k := 1 + r.Intn(4)
+			for q := 0; q < n; q++ {
+				a := reused.KNearest(rowOf(pts, dim, q), k, int32(q), nil)
+				b := fresh.KNearest(rowOf(pts, dim, q), k, int32(q), nil)
+				if len(a) != len(b) {
+					t.Fatalf("trial %d q=%d: reused %d results, fresh %d", trial, q, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("trial %d q=%d: reused tree diverged from fresh tree", trial, q)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
+// In steady state (same-shaped inputs) rebuilding and both queries
+// allocate nothing on either path: the hot-path proof for KNearest and
+// CountWithin.
 func TestSteadyStateRebuildAndQueryAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	const n, dim, k = 256, 4, 4
 	blocks := []Block{{0, 2}, {2, 2}}
 	pts := make([]float64, n*dim)
-	var tr Tree
-	scratch := make([]Neighbor, 0, k)
 	fill := func() {
 		for i := range pts {
 			pts[i] = r.NormFloat64()
 		}
 	}
-	fill()
-	tr.Rebuild(pts, n, dim, MaxEuclidean2, blocks) // warm-up build
-	allocs := testing.AllocsPerRun(10, func() {
+	forEachMode(t, func(t *testing.T, tree bool) {
+		var tr, marg Tree
+		scratch := make([]Neighbor, 0, k)
 		fill()
-		tr.Rebuild(pts, n, dim, MaxEuclidean2, blocks)
-		for q := 0; q < n; q++ {
-			scratch = tr.KNearest(rowOf(pts, dim, q), k, int32(q), scratch)
-			d := scratch[k-1].Dist
-			if tr.CountWithin(rowOf(pts, dim, q), d, false, int32(q)) < k-1 {
-				t.Fatal("impossible count")
+		tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree) // warm-up build
+		marg.rebuild(pts, n, dim, MaxEuclidean2, nil, tree)
+		allocs := testing.AllocsPerRun(10, func() {
+			fill()
+			tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
+			marg.rebuild(pts, n, dim, MaxEuclidean2, nil, tree)
+			for q := 0; q < n; q++ {
+				scratch = tr.KNearest(rowOf(pts, dim, q), k, int32(q), scratch)
+				d := scratch[k-1].Dist
+				if tr.CountWithin(rowOf(pts, dim, q), d, false, int32(q)) < k-1 ||
+					marg.CountWithin(rowOf(pts, dim, q), d, true, int32(q)) > n-1 {
+					t.Fatal("impossible count")
+				}
 			}
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state rebuild+query allocates %v allocs/op, want 0", allocs)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("steady-state rebuild+query allocates %v allocs/op, want 0", allocs)
-	}
 }
 
 func TestReleaseDropsReferencesKeepsStorage(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
-	pts, n, dim, blocks := randomInstance(r)
-	var tr Tree
-	tr.Rebuild(pts, n, dim, MaxEuclidean2, blocks)
-	retained := tr.RetainedBytes()
-	if retained == 0 {
-		t.Fatal("built tree reports zero retained bytes")
+	pts := make([]float64, 40*3)
+	for i := range pts {
+		pts[i] = r.NormFloat64()
 	}
-	tr.Release()
-	if tr.Len() != 0 || tr.TreeBacked() {
-		t.Fatal("Release left the tree non-empty")
-	}
-	if got := tr.RetainedBytes(); got != retained {
-		t.Fatalf("Release changed retained storage: %d → %d", retained, got)
-	}
-	// A released tree must still be rebuildable without fresh allocation
-	// for same-shaped input.
-	allocs := testing.AllocsPerRun(5, func() {
-		tr.Rebuild(pts, n, dim, MaxEuclidean2, blocks)
+	const n, dim = 40, 3
+	blocks := []Block{{0, 1}, {1, 2}}
+	forEachMode(t, func(t *testing.T, tree bool) {
+		var tr Tree
+		tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
+		retained := tr.RetainedBytes()
+		if tree != (retained > 0) {
+			t.Fatalf("tree=%v index reports %d retained bytes", tree, retained)
+		}
+		tr.Release()
+		if tr.Len() != 0 || tr.TreeBacked() || tr.pts != nil || tr.blocks != nil {
+			t.Fatal("Release left the index non-empty or holding caller data")
+		}
+		if got := tr.RetainedBytes(); got != retained {
+			t.Fatalf("Release changed retained storage: %d → %d", retained, got)
+		}
+		// A released index must still be rebuildable without fresh
+		// allocation for same-shaped input.
+		allocs := testing.AllocsPerRun(5, func() {
+			tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
+		})
+		if allocs != 0 {
+			t.Errorf("rebuild after Release allocates %v, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("rebuild after Release allocates %v, want 0", allocs)
-	}
 }
 
 func TestKNearestEdgeCases(t *testing.T) {
-	var tr Tree
-	pts := []float64{0, 1, 2, 3}
-	tr.Rebuild(pts, 4, 1, MaxEuclidean2, nil)
-	if got := tr.KNearest([]float64{1.1}, 0, -1, nil); len(got) != 0 {
-		t.Errorf("k=0 returned %d neighbours", len(got))
-	}
-	// k larger than the point count returns everything (minus exclusions).
-	got := tr.KNearest([]float64{1.1}, 10, 1, nil)
-	if len(got) != 3 {
-		t.Errorf("k>n returned %d neighbours, want 3", len(got))
-	}
-	for _, nb := range got {
-		if nb.Index == 1 {
-			t.Errorf("excluded index returned")
+	forEachMode(t, func(t *testing.T, tree bool) {
+		var tr Tree
+		pts := []float64{0, 1, 2, 3}
+		tr.rebuild(pts, 4, 1, MaxEuclidean2, nil, tree)
+		if got := tr.KNearest([]float64{1.1}, 0, -1, nil); len(got) != 0 {
+			t.Errorf("k=0 returned %d neighbours", len(got))
 		}
-	}
-	// All-duplicate points: ties must resolve by index.
-	dup := []float64{5, 5, 5, 5}
-	tr.Rebuild(dup, 4, 1, MaxEuclidean2, nil)
-	got = tr.KNearest([]float64{5}, 2, 2, nil)
-	if len(got) != 2 || got[0].Index != 0 || got[1].Index != 1 {
-		t.Errorf("duplicate tie-break: got %v, want indices 0,1", got)
+		// k larger than the point count returns everything (minus exclusions).
+		got := tr.KNearest([]float64{1.1}, 10, 1, nil)
+		if len(got) != 3 {
+			t.Errorf("k>n returned %d neighbours, want 3", len(got))
+		}
+		for _, nb := range got {
+			if nb.Index == 1 {
+				t.Errorf("excluded index returned")
+			}
+		}
+		// All-duplicate points: ties must resolve by index.
+		dup := []float64{5, 5, 5, 5}
+		tr.rebuild(dup, 4, 1, MaxEuclidean2, nil, tree)
+		got = tr.KNearest([]float64{5}, 2, 2, nil)
+		if len(got) != 2 || got[0].Index != 0 || got[1].Index != 1 {
+			t.Errorf("duplicate tie-break: got %v, want indices 0,1", got)
+		}
+	})
+}
+
+// A query that is not an indexed row may hold NaN or ±Inf coordinates
+// even when every indexed row is finite; both paths still match brute
+// force. The query is appended as row n, which the brute sweeps (over
+// rows < n) treat as an outside point.
+func TestNonFiniteQueryMatchesBrute(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	forEachMode(t, func(t *testing.T, tree bool) {
+		var tr Tree
+		for trial := 0; trial < 100; trial++ {
+			pts, n, dim, blocks := randomInstance(r)
+			for !finite(pts) {
+				pts, n, dim, blocks = randomInstance(r)
+			}
+			q := append([]float64(nil), rowOf(pts, dim, r.Intn(n))...)
+			q[r.Intn(dim)] = specials[r.Intn(len(specials))]
+			ext := append(append([]float64(nil), pts...), q...)
+			for _, metric := range []Metric{MaxEuclidean2, Chebyshev} {
+				bl := blocks
+				if metric == Chebyshev {
+					bl = nil
+				}
+				tr.rebuild(pts, n, dim, metric, bl, tree)
+				if tr.TreeBacked() != tree {
+					t.Fatalf("TreeBacked = %v on finite rows, want %v", tr.TreeBacked(), tree)
+				}
+				k := 1 + r.Intn(n)
+				got := tr.KNearest(q, k, -1, nil)
+				want := bruteKNearest(ext, n, dim, metric, bl, n, k)
+				if len(got) != len(want) {
+					t.Fatalf("metric %v q=%v: %d neighbours, want %d", metric, q, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("metric %v q=%v neighbour %d: got %v, want %v", metric, q, i, got[i], want[i])
+					}
+				}
+				rad := bruteDist(ext, dim, metric, bl, n, r.Intn(n))
+				for _, inclusive := range []bool{false, true} {
+					if got, want := tr.CountWithin(q, rad, inclusive, -1), bruteCount(ext, n, dim, metric, bl, n, rad, inclusive); got != want {
+						t.Fatalf("metric %v q=%v r=%v inclusive=%v: count %d, want %d", metric, q, rad, inclusive, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// Rebuild takes the path useTree names for the index's metric and query
+// kind, and scans any index holding a non-finite coordinate.
+func TestRebuildFollowsUseTree(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	var tr Tree
+	for _, n := range []int{0, 1, 128, 600, 5000, 20000} {
+		for _, dim := range []int{1, 2, 3, 8, 16, 17} {
+			pts := make([]float64, n*dim)
+			for i := range pts {
+				pts[i] = r.NormFloat64()
+			}
+			for _, metric := range []Metric{MaxEuclidean2, Chebyshev} {
+				for _, query := range []Query{Nearest, Count} {
+					tr.Rebuild(pts, n, dim, metric, nil, query)
+					if want := n > 0 && useTree(n, dim, metric, query); tr.TreeBacked() != want {
+						t.Errorf("n=%d dim=%d metric=%d query=%d: TreeBacked = %v, want %v", n, dim, metric, query, tr.TreeBacked(), want)
+					}
+					if n == 0 {
+						continue
+					}
+					i := r.Intn(len(pts))
+					old := pts[i]
+					pts[i] = math.NaN()
+					tr.Rebuild(pts, n, dim, metric, nil, query)
+					if tr.TreeBacked() {
+						t.Errorf("n=%d dim=%d metric=%d query=%d: tree built over a NaN coordinate", n, dim, metric, query)
+					}
+					pts[i] = old
+				}
+			}
+		}
 	}
 }

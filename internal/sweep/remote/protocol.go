@@ -180,8 +180,8 @@ func (w *wire) recv() (*frame, error) {
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds cap", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(w.conn, payload); err != nil {
+	payload, err := readPayload(w.conn, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("remote: read frame payload: %w", err)
 	}
 	var f frame
@@ -189,6 +189,28 @@ func (w *wire) recv() (*frame, error) {
 		return nil, fmt.Errorf("remote: decode frame: %w", err)
 	}
 	return &f, nil
+}
+
+// recvChunk is the first read of a frame payload. A frame up to this
+// size is read into one allocation of exactly its length.
+const recvChunk = 64 << 10
+
+// readPayload reads an n-byte frame payload, growing the buffer only as
+// bytes arrive: each step at most doubles what has already been read,
+// so a header that claims the cap and a peer that then dies cost one
+// chunk, not the claimed length.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, recvChunk))
+	read := 0
+	for {
+		if _, err := io.ReadFull(r, buf[read:]); err != nil {
+			return nil, err
+		}
+		if read = len(buf); read == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-read, read))...)
+	}
 }
 
 // Network classifies a coordinator address: path-shaped addresses are

@@ -2,13 +2,16 @@ package remote
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -421,4 +424,30 @@ func TestProcessWorkerSIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "after SIGKILL", want, got)
+}
+
+// A peer that sends a frame header claiming most of the cap and then
+// dies must not make the reader allocate the claimed length: recv fails,
+// having allocated about one read chunk.
+func TestRecvTruncatedFrameAllocatesAsBytesArrive(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	go func() {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], 48<<20)
+		client.Write(hdr[:])
+		client.Write(make([]byte, 10))
+		client.Close()
+	}()
+	w := newWire(server)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := w.recv()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("recv of a truncated frame succeeded")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Errorf("recv of a 10-byte truncated frame allocated %d bytes, want < 1 MiB", grown)
+	}
 }

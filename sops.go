@@ -138,13 +138,13 @@ type (
 	Source = rngx.Source
 	// Estimator evaluates a multi-information estimate on a dataset.
 	Estimator = infotheory.Estimator
-	// EstimatorEngine is the reusable tree-accelerated estimator engine:
-	// one exact k-d tree core (internal/knn) answers the
-	// nearest-neighbour and range-count queries of the KSG, KL-entropy
-	// and kernel estimators with recycled scratch, bit-identical to the
-	// brute-force definitions. Pipeline estimation workers each own one;
-	// its Workers field (Pipeline.SampleWorkers) fans the samples of a
-	// single estimate out across goroutines.
+	// EstimatorEngine is the reusable estimator engine: one exact core
+	// (internal/knn) answers the nearest-neighbour and range-count
+	// queries of the KSG, KL-entropy and kernel estimators with
+	// recycled scratch, bit-identical to the brute-force definitions.
+	// Pipeline estimation workers each own one; its Workers field
+	// (Pipeline.SampleWorkers) fans the samples of a single estimate out
+	// across goroutines.
 	EstimatorEngine = infotheory.Engine
 )
 
