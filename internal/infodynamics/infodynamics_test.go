@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/forces"
+	"repro/internal/knn"
 	"repro/internal/mathx"
 	"repro/internal/sim"
 	"repro/internal/vec"
@@ -281,34 +282,40 @@ func bruteConditionalMutualInfo(xs, ys, zs [][]float64, k int) float64 {
 	return mathx.Log2(mathx.Digamma(float64(k)) + acc.Sum()/float64(m))
 }
 
-// Property: the knn-tree ConditionalMutualInfo reproduces the retained
-// brute-force sweep bit for bit, on data with deliberate ties and
-// duplicated samples (including the degenerate constant-z conditioning of
-// ActiveStorage).
+// drawCMISamples draws m samples of dim coordinates with deliberate
+// ties (a third of the coordinates on {0, 1, 2}) and duplicated samples,
+// or all-zero samples when constant is set.
+func drawCMISamples(r *rand.Rand, m, dim int, constant bool) [][]float64 {
+	out := make([][]float64, m)
+	for i := range out {
+		row := make([]float64, dim)
+		for c := range row {
+			switch {
+			case constant:
+				row[c] = 0
+			case r.IntN(3) == 0:
+				row[c] = float64(r.IntN(3)) // exact ties
+			default:
+				row[c] = r.NormFloat64()
+			}
+		}
+		out[i] = row
+	}
+	// Duplicate a few rows to force zero joint distances.
+	for d := 0; d < m/8; d++ {
+		out[r.IntN(m)] = out[r.IntN(m)]
+	}
+	return out
+}
+
+// Property: ConditionalMutualInfo reproduces the retained brute-force
+// sweep bit for bit, on data with deliberate ties and duplicated samples
+// (including the degenerate constant-z conditioning of ActiveStorage).
+// Which indexes scan here depends on their dimensions; the next test
+// holds all four on the tree.
 func TestConditionalMutualInfoMatchesBruteExactly(t *testing.T) {
 	r := rand.New(rand.NewPCG(21, 0))
-	draw := func(m, dim int, constant bool) [][]float64 {
-		out := make([][]float64, m)
-		for i := range out {
-			row := make([]float64, dim)
-			for c := range row {
-				switch {
-				case constant:
-					row[c] = 0
-				case r.IntN(3) == 0:
-					row[c] = float64(r.IntN(3)) // exact ties
-				default:
-					row[c] = r.NormFloat64()
-				}
-			}
-			out[i] = row
-		}
-		// Duplicate a few rows to force zero joint distances.
-		for d := 0; d < m/8; d++ {
-			out[r.IntN(m)] = out[r.IntN(m)]
-		}
-		return out
-	}
+	draw := func(m, dim int, constant bool) [][]float64 { return drawCMISamples(r, m, dim, constant) }
 	for trial := 0; trial < 60; trial++ {
 		m := 10 + r.IntN(60)
 		k := 1 + r.IntN(4)
@@ -325,6 +332,33 @@ func TestConditionalMutualInfoMatchesBruteExactly(t *testing.T) {
 		want := bruteConditionalMutualInfo(xs, ys, zs, k)
 		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("trial %d (m=%d k=%d): tree CMI %v, brute %v", trial, m, k, got, want)
+		}
+	}
+}
+
+// With 1-D x, y and z at m = 1000 the joint kNN index and the z, xz and
+// yz count indexes are all trees; the estimate still reproduces the
+// brute-force sweep bit for bit.
+func TestConditionalMutualInfoMatchesBruteOnTrees(t *testing.T) {
+	r := rand.New(rand.NewPCG(22, 0))
+	const m = 1000
+	xs, ys, zs := drawCMISamples(r, m, 1, false), drawCMISamples(r, m, 1, false), drawCMISamples(r, m, 1, false)
+	for _, k := range []int{1, 4} {
+		w, err := buildCMISpace(xs, ys, zs, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range []*knn.Tree{&w.jointTree, &w.zTree, &w.xzTree, &w.yzTree} {
+			if !tr.TreeBacked() {
+				t.Fatalf("index %d (joint, z, xz, yz) of %d samples scans; the test needs tree nodes", i, m)
+			}
+		}
+		got, err := ConditionalMutualInfo(xs, ys, zs, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteConditionalMutualInfo(xs, ys, zs, k); got != want {
+			t.Fatalf("k=%d: tree CMI %v, brute %v", k, got, want)
 		}
 	}
 }

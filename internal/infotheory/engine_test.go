@@ -196,12 +196,13 @@ func TestEngineBitIdenticalToBruteOnTrees(t *testing.T) {
 
 // Steady-state estimation on same-shaped datasets must not allocate: the
 // trees, scratch matrices and digamma stores are all recycled. One shape
-// scans its KSG indexes, the other builds trees for all of them.
+// (six 2-D variables, m = 96) scans its KSG indexes, the other builds
+// trees for all of them.
 func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const k = 4
 	for _, d := range []*Dataset{
-		engineDataset(r, 96, 6, 2),
+		engineDatasetDims(r, 96, []int{2, 2, 2, 2, 2, 2}),
 		engineDatasetDims(r, treeShapeM, []int{1, 1}),
 	} {
 		m := d.NumSamples()

@@ -36,7 +36,7 @@ var scalingSink float64
 // sizes of the roadmap (M = 128 quick scale, 500 paper scale,
 // 2000/5000/50000 beyond). The tree/m=… rows are the exact tier, whose
 // indexes take knn's tree-or-scan choice: the 16-D joint scans at every
-// size and the 2-D marginals scan below m = 20000, so these rows build
+// size and the 2-D marginals scan up to m = 5000, so these rows build
 // trees only for the m = 50000 marginals. The name stays because the CI
 // guard and the trajectory key on it. Engines are warmed before timing,
 // so the B/op columns demonstrate the steady-state 0 allocs/op

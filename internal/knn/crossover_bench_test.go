@@ -42,13 +42,23 @@ func pipelineRows(n, nv, w int, seed int64) []float64 {
 	return rows
 }
 
-// columns copies coordinates [off, off+w) of every row.
-func columns(rows []float64, n, rowLen, off, w int) []float64 {
-	out := make([]float64, 0, n*w)
+// columns copies the given coordinates of every row.
+func columns(rows []float64, n, rowLen int, cols ...int) []float64 {
+	out := make([]float64, 0, n*len(cols))
 	for s := 0; s < n; s++ {
-		out = append(out, rows[s*rowLen+off:s*rowLen+off+w]...)
+		for _, c := range cols {
+			out = append(out, rows[s*rowLen+c])
+		}
 	}
 	return out
+}
+
+func span(off, w int) []int {
+	cols := make([]int, w)
+	for i := range cols {
+		cols[i] = off + i
+	}
+	return cols
 }
 
 func uniformBlocks(dim, w int) []Block {
@@ -59,41 +69,77 @@ func uniformBlocks(dim, w int) []Block {
 	return bl
 }
 
-// newCrossoverCase builds the MaxEuclidean2 index shape of one kind,
-// dimension and size on pipeline-shaped rows of 2-D variables (1-D at
-// dim 1), with k = 4 as in the pipelines.
+// cmiPool draws n rows of a Frenzel–Pompe joint as infodynamics builds
+// them from 2-D positions: transfer entropy's [future|source|past]
+// (dim 6), or active storage's [future|past|0], conditioned on a
+// constant scalar (dim 5).
+func cmiPool(n, dim int, seed int64) []float64 {
+	vars := pipelineRows(n, dim/2, 2, seed)
+	if dim == 6 {
+		return vars
+	}
+	rows := make([]float64, 0, n*dim)
+	for s := 0; s < n; s++ {
+		rows = append(rows, vars[s*4:(s+1)*4]...)
+		rows = append(rows, 0)
+	}
+	return rows
+}
+
+func (c *crossoverCase) pickQueries() {
+	for i := 0; i < crossoverQueries && i < c.n; i++ {
+		c.qs = append(c.qs, i*c.n/min(c.n, crossoverQueries))
+	}
+}
+
+// newKNNCase builds a kNN index shape at k = 4, as in the pipelines:
 //
-//   - Nearest: the KSG joint query over the dim-wide row of variables
-//     (one block each), the engine's joint index.
-//   - Count: a KSG marginal count over one dim-wide variable group, the
-//     engine's marginal index, at the KSG-2 radius (the group's largest
-//     distance among the k nearest joint neighbours, counted
-//     inclusively). The joint holds eight groups as in
-//     BenchmarkKSGScaling while they are single variables, and two
-//     groups of wider ones, since the share of points inside, which
-//     decides the count crossover, follows from real radii only.
-func newCrossoverCase(query Query, dim, n int) *crossoverCase {
+//   - "row": one block spanning dim equicorrelated scalars, the KL
+//     entropy's joint index;
+//   - "1", "2": KSG joints of 1-D or 2-D observer variables, one block
+//     each;
+//   - "chebyshev": the Frenzel–Pompe joint of cmiPool (dim 5 or 6).
+func newKNNCase(shape string, dim, n int) *crossoverCase {
+	c := &crossoverCase{query: Nearest, metric: MaxEuclidean2, n: n, dim: dim}
+	seed := int64(n * dim)
+	switch shape {
+	case "row":
+		c.pts = pipelineRows(n, dim, 1, seed)
+	case "1":
+		c.pts = pipelineRows(n, dim, 1, seed)
+		c.blocks = uniformBlocks(dim, 1)
+	case "2":
+		c.pts = pipelineRows(n, dim/2, 2, seed)
+		c.blocks = uniformBlocks(dim, 2)
+	case "chebyshev":
+		c.metric = Chebyshev
+		c.pts = cmiPool(n, dim, seed)
+	}
+	c.pickQueries()
+	return c
+}
+
+// newCountCase builds a KSG marginal count (MaxEuclidean2, one block)
+// over one dim-wide variable group, the engine's marginal index, at the
+// KSG-2 radius: the group's largest distance among the k = 4 nearest
+// joint neighbours, counted inclusively. The joint holds eight groups as
+// in BenchmarkKSGScaling while they are single variables (dim ≤ 2), and
+// two groups of wider ones, since the share of points inside, which
+// decides the count crossover, follows from real radii only.
+func newCountCase(dim, n int) *crossoverCase {
 	const k = 4
 	w := min(dim, 2)
-	c := &crossoverCase{query: query, metric: MaxEuclidean2, n: n, dim: dim}
-	for i := 0; i < crossoverQueries && i < n; i++ {
-		c.qs = append(c.qs, i*n/min(n, crossoverQueries))
-	}
-	if query == Nearest {
-		c.pts = pipelineRows(n, dim/w, w, int64(n*dim))
-		c.blocks = uniformBlocks(dim, w)
-		return c
-	}
 	groups := 8
 	if dim > w {
 		groups = 2
 	}
 	jointLen := groups * dim
 	joint := pipelineRows(n, jointLen/w, w, int64(n*dim))
+	c := &crossoverCase{query: Count, metric: MaxEuclidean2, inclusive: true, n: n, dim: dim}
+	c.pts = columns(joint, n, jointLen, span(0, dim)...)
+	c.pickQueries()
 	var jt Tree
 	jt.rebuild(joint, n, jointLen, MaxEuclidean2, uniformBlocks(jointLen, dim), false)
-	c.pts = columns(joint, n, jointLen, 0, dim)
-	c.inclusive = true
 	var nbs []Neighbor
 	for _, s := range c.qs {
 		nbs = jt.KNearest(joint[s*jointLen:(s+1)*jointLen], k, int32(s), nbs)
@@ -108,28 +154,24 @@ func newCrossoverCase(query Query, dim, n int) *crossoverCase {
 	return c
 }
 
-// newChebyshevCase is a Frenzel–Pompe count of a transfer-entropy
-// pool: three correlated 2-D variables (future, source, past), counted
-// strictly within the Chebyshev distance of the k-th joint neighbour in
-// the 2-D [past] subspace (dim 2) or the 4-D [future|past] one (dim 4).
-func newChebyshevCase(dim, n int) *crossoverCase {
-	const k, jointLen = 4, 6
-	joint := pipelineRows(n, 3, 2, int64(n*dim))
+// newChebyshevCountCase builds a Frenzel–Pompe subspace count, counted
+// strictly within the Chebyshev distance of the k = 4-th joint
+// neighbour, in the subspaces infodynamics counts: active storage's
+// constant [0] (dim 1) and [future|0] (dim 3), transfer entropy's
+// [past] (dim 2) and [future|past] (dim 4).
+func newChebyshevCountCase(dim, n int) *crossoverCase {
+	const k = 4
+	cols := map[int][]int{1: {4}, 2: {4, 5}, 3: {0, 1, 4}, 4: {0, 1, 4, 5}}[dim]
+	jointLen := 6 - dim%2 // odd subspaces come from active storage
+	joint := cmiPool(n, jointLen, int64(n*dim))
+	c := &crossoverCase{query: Count, metric: Chebyshev, n: n, dim: dim}
+	c.pts = columns(joint, n, jointLen, cols...)
+	c.pickQueries()
 	var jt Tree
 	jt.rebuild(joint, n, jointLen, Chebyshev, nil, false)
-	c := &crossoverCase{query: Count, metric: Chebyshev, n: n, dim: dim}
-	for s := 0; s < n; s++ {
-		row := joint[s*jointLen : (s+1)*jointLen]
-		if dim == 4 {
-			c.pts = append(c.pts, row[:2]...)
-		}
-		c.pts = append(c.pts, row[4:]...)
-	}
 	var nbs []Neighbor
-	for i := 0; i < crossoverQueries && i < n; i++ {
-		s := i * n / min(n, crossoverQueries)
+	for _, s := range c.qs {
 		nbs = jt.KNearest(joint[s*jointLen:(s+1)*jointLen], k, int32(s), nbs)
-		c.qs = append(c.qs, s)
 		c.radii = append(c.radii, nbs[k-1].Dist)
 	}
 	return c
@@ -183,32 +225,47 @@ func (c *crossoverCase) bench(b *testing.B, path string) {
 
 var crossoverSink int
 
+// crossoverShapes lists every index family the rule distinguishes, with
+// the dimensions measured for it: each dimension of the family the
+// repository's estimators build, and every dimension in between.
+var crossoverShapes = []struct {
+	query Query
+	shape string // block width, "row" for one block, or "chebyshev"
+	dims  []int
+}{
+	{Nearest, "row", []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}},
+	{Nearest, "1", []int{2, 3, 4, 5, 6}},
+	{Nearest, "2", []int{4, 6, 8, 10, 12, 14, 16}},
+	{Nearest, "chebyshev", []int{5, 6}},
+	{Count, "row", []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}},
+	{Count, "chebyshev", []int{1, 2, 3, 4}},
+}
+
 // BenchmarkCrossover measures the tree-or-scan crossover that useTree's
-// thresholds cite: every (query kind, dimension, size) the estimators
-// build at the paper's scales and beyond, on the forced tree, the forced
-// scan and the rule's choice, plus one Chebyshev count row. Compare the
-// ns/query column across the three rows of a shape; the rule row should
-// match the faster forced path. CI uploads the rows as the
-// knn-crossover-bench artifact.
+// table cites, on the forced tree, the forced scan and the rule's
+// choice, for every shape in crossoverShapes at crossoverSizes, from a
+// quick-scale pipeline to the CI guard's m = 50000. Rows are named
+// kind/shape/dim/n/path, where shape is the block width ("row" for one
+// block spanning the row) or "chebyshev". Compare the ns/query column
+// across the three rows of a shape; the rule row should match the faster
+// forced path. CI uploads the rows as the knn-crossover-bench artifact.
 func BenchmarkCrossover(b *testing.B) {
-	paths := []string{"tree", "scan", "rule"}
-	sizes := []int{128, 600, 2000, 5000, 20000, 50000}
-	for _, query := range []Query{Count, Nearest} {
-		kind := map[Query]string{Count: "count", Nearest: "knn"}[query]
-		for _, dim := range []int{1, 2, 8, 16} {
-			for _, n := range sizes {
-				c := newCrossoverCase(query, dim, n)
-				for _, path := range paths {
-					b.Run(fmt.Sprintf("%s/dim=%d/n=%d/%s", kind, dim, n, path), func(b *testing.B) { c.bench(b, path) })
+	for _, fam := range crossoverShapes {
+		kind := map[Query]string{Count: "count", Nearest: "knn"}[fam.query]
+		for _, dim := range fam.dims {
+			for _, n := range crossoverSizes {
+				var c *crossoverCase
+				switch {
+				case fam.query == Nearest:
+					c = newKNNCase(fam.shape, dim, n)
+				case fam.shape == "chebyshev":
+					c = newChebyshevCountCase(dim, n)
+				default:
+					c = newCountCase(dim, n)
 				}
-			}
-		}
-	}
-	for _, dim := range []int{2, 4} {
-		for _, n := range sizes {
-			c := newChebyshevCase(dim, n)
-			for _, path := range paths {
-				b.Run(fmt.Sprintf("count-chebyshev/dim=%d/n=%d/%s", dim, n, path), func(b *testing.B) { c.bench(b, path) })
+				for _, path := range []string{"tree", "scan", "rule"} {
+					b.Run(fmt.Sprintf("%s/%s/dim=%d/n=%d/%s", kind, fam.shape, dim, n, path), func(b *testing.B) { c.bench(b, path) })
+				}
 			}
 		}
 	}

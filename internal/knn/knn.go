@@ -26,25 +26,29 @@
 //
 // Each index serves one query kind, which the caller names to Rebuild
 // (Nearest or Count). Rebuild then either builds k-d tree nodes or
-// leaves the index as a scan over its rows, choosing from the point
-// count, the dimension, the metric and the query kind with crossovers
-// measured by BenchmarkCrossover (see useTree). Up to thousands of
-// points the scan answers KSG marginal counts above one dimension and
-// kNN queries above two; the tree keeps 1-D counts, low-dimensional kNN
-// queries, the Frenzel–Pompe subspace counts and the largest indexes.
-// An index holding a non-finite coordinate always scans, as does a
-// query with one.
+// leaves the index as a scan over its rows, looking the point count up
+// in a table of crossovers that BenchmarkCrossover measured per query
+// kind, metric, block width and dimension, and taking the path measured
+// at the nearest size (see useTree); a shape the table does not hold
+// keeps the tree up to 16 coordinates. At the paper's ensemble sizes
+// the scan answers the KSG joints of 2-D observer variables and the KSG
+// marginal counts; the tree keeps low-dimensional kNN queries, most
+// Frenzel–Pompe indexes and the largest indexes. An index holding a
+// non-finite coordinate always scans, as does a query with one.
 //
 // # Equivalence contract
 //
 // Brute ≡ tree ≡ scan: results are bit-identical to a brute-force sweep
 // that evaluates the same floating-point distance expression (a
 // sequential sum of squared coordinate differences per block, maxed
-// across blocks, where a NaN block sum never raises the max). Both paths
-// evaluate candidate distances with one kernel per metric, which
-// computes each block's full sum in coordinate order — the brute value
-// itself — and tests its bound once per block: the max over blocks can
-// only grow, so a block over the bound proves the point lies beyond it.
+// across blocks, where a NaN block sum never raises the max). Every
+// distance either path evaluates computes each block's full sum in
+// coordinate order — the brute value itself — and tests its bound once
+// per block: the max over blocks can only grow, so a block over the
+// bound proves the point lies beyond it. Tree candidates and scan
+// results go through one kernel per metric; the scans' screening loops
+// evaluate the same block sum, unrolled for 2-coordinate blocks and for
+// the 2-D count.
 // The tree's box/axis bounds are computed with elementwise-dominating
 // terms summed in the same coordinate order, so IEEE rounding
 // monotonicity guarantees a bound never misranks a point it gates.
@@ -99,54 +103,83 @@ type Neighbor struct {
 	Dist  float64
 }
 
-// useTree reports whether an index of n points of dim coordinates
-// answers its query kind faster on tree nodes than by a scan. Each
-// threshold is the smallest n at which the tree beat the scan in
-// BenchmarkCrossover (µs per query with the build amortised over n
-// queries, tree against scan, medians of 8 runs on a 2-vCPU Intel
-// Xeon VM):
-//
-//   - kNN, dim ≤ 2: the tree wins at every n (n=128: 0.64 against 1.21
-//     at dim 1, 1.07 against 1.49 at dim 2).
-//   - kNN, dim ≤ 8: the scan wins to n=2000 (29.2 against 23.4), the
-//     tree from n=5000 (43.8 against 45.9).
-//   - kNN, dim ≤ 16: the scan wins at every n, to 50000 (894 against
-//     686).
-//   - KSG marginal count (MaxEuclidean2), dim 1: the scan wins at n=128
-//     (0.73 against 0.55), the tree from n=600 (1.18 against 2.53).
-//   - KSG marginal count, dim 2: the scan wins to n=5000 (16.5 against
-//     9.5), the tree from n=20000 (35.4 against 41.8).
-//   - KSG marginal count, dim ≤ 16: the scan wins at every n, to 50000
-//     (766 against 501 at dim 8).
-//   - Frenzel–Pompe subspace count (Chebyshev), dim ≤ 2: the two tie at
-//     n=128 (1.75 against 1.73), the tree wins from n=600 (4.04 against
-//     8.39).
-//   - Frenzel–Pompe subspace count, dim ≤ 4: the scan wins to n=600
-//     (11.6 against 10.1), the tree from n=2000 (17.0 against 27.1).
-//
-// The two count families cross over far apart because of their radii:
-// a KSG-2 marginal radius spans k neighbours of a wide joint and holds
-// about a fifth of the points, which a tree must visit node by node,
-// while a Frenzel–Pompe radius is the k-th neighbour distance of a
-// narrow joint and holds few. Chebyshev kNN queries take the kNN rows.
-// Beyond the measured dimensions the index scans.
-func useTree(n, dim int, metric Metric, query Query) bool {
-	from := math.MaxInt // the scan won at every measured size
-	switch {
-	case query == Nearest && dim <= 2:
-		from = 0
-	case query == Nearest && dim <= 8:
-		from = 5000
-	case query == Count && metric == Chebyshev && dim <= 2:
-		from = 600
-	case query == Count && metric == Chebyshev && dim <= 4:
-		from = 2000
-	case query == Count && metric == MaxEuclidean2 && dim <= 1:
-		from = 600
-	case query == Count && metric == MaxEuclidean2 && dim <= 2:
-		from = 20000
+// crossoverSizes are the index sizes BenchmarkCrossover measures.
+var crossoverSizes = []int{128, 600, 2000, 5000, 20000, 50000}
+
+// never marks a family dimension where the scan won at every size.
+const never = math.MaxInt
+
+// crossovers is useTree's table, one entry per index family: a query
+// kind, a metric and a block width (0 for one block spanning the row,
+// and for Chebyshev). from maps each dimension BenchmarkCrossover
+// measured for the family to the smallest of crossoverSizes from which
+// on the tree's median beat the scan's at every size, read off the
+// benchmark's kind/shape/dim=…/n=… rows (medians of 4 runs on a 2-vCPU
+// Intel Xeon VM, listed in DESIGN.md, "Tree or scan"). A dimension
+// missing from a family was not measured.
+var crossovers = []struct {
+	query  Query
+	metric Metric
+	width  int
+	from   map[int]int
+}{
+	// kNN, one block: the KL joints (knn/row rows).
+	{Nearest, MaxEuclidean2, 0, map[int]int{1: 128, 2: 128, 3: 128, 4: 600, 5: 2000, 6: 2000, 7: 5000, 8: 5000,
+		9: 20000, 10: 20000, 11: 20000, 12: 50000, 13: never, 14: never, 15: never, 16: never}},
+	// kNN, KSG joints of 1-D variables (knn/1 rows).
+	{Nearest, MaxEuclidean2, 1, map[int]int{2: 128, 3: 128, 4: 128, 5: 128, 6: 600}},
+	// kNN, KSG joints of 2-D observer variables (knn/2 rows).
+	{Nearest, MaxEuclidean2, 2, map[int]int{4: 600, 6: 2000, 8: 5000, 10: 20000, 12: 20000, 14: 50000, 16: never}},
+	// kNN, the Frenzel–Pompe joints of active storage and transfer
+	// entropy (knn/chebyshev rows).
+	{Nearest, Chebyshev, 0, map[int]int{5: 128, 6: 600}},
+	// Count, the KSG marginals at KSG-2 radii (count/row rows).
+	{Count, MaxEuclidean2, 0, map[int]int{1: 600, 2: 20000, 3: 5000, 4: 5000, 5: 20000, 6: 20000,
+		7: never, 8: never, 9: never, 10: never, 11: never, 12: never, 13: never, 14: never, 15: never, 16: never}},
+	// Count, the Frenzel–Pompe subspaces (count/chebyshev rows).
+	{Count, Chebyshev, 0, map[int]int{1: 128, 2: 600, 3: 600, 4: 2000}},
+}
+
+// treeDims is the tree's reach for a shape no crossover row measured:
+// up to 16 coordinates, as before the measurement.
+const treeDims = 16
+
+// useTree reports whether an index of n points of dim coordinates, of
+// the metric and blocks given, answers its query kind faster on tree
+// nodes than by a scan, as the crossovers table measured it.
+func useTree(n, dim int, metric Metric, blocks []Block, query Query) bool {
+	width := 0
+	if metric == MaxEuclidean2 && len(blocks) > 1 {
+		width = blocks[0].Len
+		for _, b := range blocks {
+			if b.Len != width {
+				width = -1 // mixed widths: no row measured them
+			}
+		}
 	}
-	return n >= from
+	for _, c := range crossovers {
+		if c.query == query && c.metric == metric && c.width == width {
+			if from, ok := c.from[dim]; ok {
+				// Take the path measured at the size nearest to n in
+				// log n: switch at the geometric midpoint between from
+				// and the measured size below it.
+				return from != never && n*n >= from*sizeBelow(from)
+			}
+		}
+	}
+	return dim <= treeDims
+}
+
+// sizeBelow returns the measured size below size, or 0 for the smallest.
+func sizeBelow(size int) int {
+	below := 0
+	for _, s := range crossoverSizes {
+		if s == size {
+			break
+		}
+		below = s
+	}
+	return below
 }
 
 type treeNode struct {
@@ -185,7 +218,7 @@ type Tree struct {
 // MaxEuclidean2 (nil means one block spanning the row); it is ignored by
 // Chebyshev. The blocks slice is referenced, not copied.
 func (t *Tree) Rebuild(pts []float64, n, dim int, metric Metric, blocks []Block, query Query) {
-	t.rebuild(pts, n, dim, metric, blocks, useTree(n, dim, metric, query))
+	t.rebuild(pts, n, dim, metric, blocks, useTree(n, dim, metric, blocks, query))
 }
 
 // rebuild is Rebuild with the path given: tree asks for tree nodes,

@@ -369,36 +369,21 @@ func TestNonFiniteQueryMatchesBrute(t *testing.T) {
 	})
 }
 
-// Rebuild takes the path useTree names for the index's metric and query
-// kind, and scans any index holding a non-finite coordinate.
-func TestRebuildFollowsUseTree(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
+// Rebuild scans an index holding a non-finite coordinate even where
+// useTree picks the tree.
+func TestRebuildScansNonFiniteRows(t *testing.T) {
+	pts := make([]float64, 128)
+	for i := range pts {
+		pts[i] = float64(i)
+	}
 	var tr Tree
-	for _, n := range []int{0, 1, 128, 600, 5000, 20000} {
-		for _, dim := range []int{1, 2, 3, 8, 16, 17} {
-			pts := make([]float64, n*dim)
-			for i := range pts {
-				pts[i] = r.NormFloat64()
-			}
-			for _, metric := range []Metric{MaxEuclidean2, Chebyshev} {
-				for _, query := range []Query{Nearest, Count} {
-					tr.Rebuild(pts, n, dim, metric, nil, query)
-					if want := n > 0 && useTree(n, dim, metric, query); tr.TreeBacked() != want {
-						t.Errorf("n=%d dim=%d metric=%d query=%d: TreeBacked = %v, want %v", n, dim, metric, query, tr.TreeBacked(), want)
-					}
-					if n == 0 {
-						continue
-					}
-					i := r.Intn(len(pts))
-					old := pts[i]
-					pts[i] = math.NaN()
-					tr.Rebuild(pts, n, dim, metric, nil, query)
-					if tr.TreeBacked() {
-						t.Errorf("n=%d dim=%d metric=%d query=%d: tree built over a NaN coordinate", n, dim, metric, query)
-					}
-					pts[i] = old
-				}
-			}
-		}
+	tr.Rebuild(pts, len(pts), 1, MaxEuclidean2, nil, Nearest)
+	if !tr.TreeBacked() {
+		t.Fatal("precondition: a 1-D kNN index of 128 points should be tree-backed")
+	}
+	pts[7] = math.NaN()
+	tr.Rebuild(pts, len(pts), 1, MaxEuclidean2, nil, Nearest)
+	if tr.TreeBacked() {
+		t.Error("tree built over a NaN coordinate")
 	}
 }
