@@ -401,13 +401,12 @@ func BenchmarkForceEvalF2(b *testing.B) {
 
 // spreadSystem builds a system whose spread keeps the dense-grid strategy
 // selected (extent ≫ 3·rc), the simulator's neighbour-search hot path.
-func spreadSystem(b *testing.B, n, workers int) *sim.System {
+func spreadSystem(b *testing.B, n int) *sim.System {
 	b.Helper()
 	cfg := sim.Config{
-		N:       n,
-		Force:   forces.MustF1(forces.ConstantMatrix(3, 1), forces.ConstantMatrix(3, 2)),
-		Cutoff:  3,
-		Workers: workers,
+		N:      n,
+		Force:  forces.MustF1(forces.ConstantMatrix(3, 1), forces.ConstantMatrix(3, 2)),
+		Cutoff: 3,
 	}
 	rng := rngx.New(17)
 	pos := make([]vec.Vec2, n)
@@ -423,22 +422,19 @@ func spreadSystem(b *testing.B, n, workers int) *sim.System {
 }
 
 // BenchmarkStep measures the steady-state integrator step on the dense-grid
-// path. With ReportAllocs it also asserts the headline property of the
-// persistent grid: after warm-up, a step allocates nothing (serial and
-// Workers=1 modes; Workers>1 pays a small per-step goroutine fan-out).
+// path. With ReportAllocs it also shows the headline property of the
+// persistent grid: after warm-up, a step allocates nothing.
 func BenchmarkStep(b *testing.B) {
 	for _, n := range []int{100, 300, 1000} {
-		for _, workers := range []int{0, 1, 4} {
-			b.Run("n="+itoa(n)+"/workers="+itoa(workers), func(b *testing.B) {
-				sys := spreadSystem(b, n, workers)
-				sys.Run(2) // warm up grid and scratch buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys.Step()
-				}
-			})
-		}
+		b.Run("n="+itoa(n), func(b *testing.B) {
+			sys := spreadSystem(b, n)
+			sys.Run(2) // warm up grid and scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.Step()
+			}
+		})
 	}
 }
 

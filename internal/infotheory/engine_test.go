@@ -195,9 +195,9 @@ func TestEngineBitIdenticalToBruteOnTrees(t *testing.T) {
 }
 
 // Steady-state estimation on same-shaped datasets must not allocate: the
-// trees, scratch matrices and digamma stores are all recycled. One shape
-// (six 2-D variables, m = 96) scans its KSG indexes, the other builds
-// trees for all of them.
+// trees, scratch matrices and digamma stores are all recycled, for the
+// KSG, KL and kernel estimators alike. One shape (six 2-D variables,
+// m = 96) scans its KSG indexes, the other builds trees for all of them.
 func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const k = 4
@@ -209,6 +209,7 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 		e := NewEngine(0)
 		e.MultiInfoKSGVariant(d, k, KSG2) // warm-up
 		e.Entropies(d, k)
+		e.MultiInfoKernel(d)
 		if tree := m == treeShapeM; e.joint.TreeBacked() != tree || e.marg[0].TreeBacked() != tree {
 			t.Fatalf("m=%d: joint tree %v, marginal tree %v, want %v", m, e.joint.TreeBacked(), e.marg[0].TreeBacked(), tree)
 		}
@@ -225,6 +226,7 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 			e.MultiInfoKSGVariant(d, k, KSG2)
 			e.MultiInfoKSGVariant(d, k, KSGPaper)
 			e.Entropies(d, k)
+			e.MultiInfoKernel(d)
 		})
 		if allocs != 0 {
 			t.Errorf("m=%d: steady-state estimation allocates %v allocs/op, want 0", m, allocs)

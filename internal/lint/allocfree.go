@@ -49,7 +49,7 @@ var AllocFree = &analysis.Analyzer{
 }
 
 // hotPaths names the repo's per-step inner loops. Keys are
-// package.(receiver).function with the package's base import path.
+// package.(receiver).function with the package's import path.
 var hotPaths = map[string]bool{
 	"repro/internal/sim.(*System).Step":               true,
 	"repro/internal/knn.(*Tree).KNearest":             true,
@@ -89,12 +89,12 @@ func runAllocFree(pass *analysis.Pass) error {
 }
 
 // funcKey renders fn as a hotPaths key: pkg.(recv).Name for methods,
-// pkg.Name for functions, with the test-variant suffix stripped.
+// pkg.Name for functions.
 func funcKey(fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return fn.Name()
 	}
-	pkg := basePath(fn.Pkg().Path())
+	pkg := fn.Pkg().Path()
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return pkg + "." + fn.Name()

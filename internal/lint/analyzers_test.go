@@ -169,8 +169,4 @@ func TestDefaultChecksScope(t *testing.T) {
 			t.Errorf("%s applies to %s = %v, want %v", c.analyzer, c.path, got, c.want)
 		}
 	}
-	// Test-variant import paths scope like their base package.
-	if got := basePath("repro/internal/sim [repro/internal/sim.test]"); got != "repro/internal/sim" {
-		t.Errorf("basePath stripped to %q", got)
-	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkSuite times the full default suite — fact pass included —
-// over the whole module: the in-process twin of CI's `go vet -vettool`
+// over the whole module: the analysis half of CI's `sopslint -json ./...`
 // run. CI's sopslint-bench step fails when it takes longer than
 // BenchmarkLoad, the loading it is measured against in the same job.
 func BenchmarkSuite(b *testing.B) {

@@ -10,11 +10,9 @@ package lint
 // contract are followed across package boundaries by the same lookup
 // that serves a local call.
 //
-// In-process (meta-test, standalone) the packages of a run share one
-// analysis.FactSet and are visited in dependency order; under
-// `go vet -vettool` the same facts ride the .vetx files of the
-// unitchecker protocol (see internal/lint/load and cmd/sopslint). Both
-// paths run this same fact pass, so they see identical results.
+// The packages of a run share one analysis.FactSet and are visited in
+// dependency order, so a dependency's facts are in the store before any
+// importer is analyzed.
 
 import (
 	"go/ast"
@@ -23,10 +21,10 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Fact is the suite's fact interface: a gob-encodable, object-keyed
-// observation exported by one package's analysis and imported by its
-// dependents (an alias of the analysis-layer interface, re-exported as
-// the suite's vocabulary).
+// Fact is the suite's fact interface: an object-keyed observation
+// exported by one package's analysis and imported by its dependents (an
+// alias of the analysis-layer interface, re-exported as the suite's
+// vocabulary).
 type Fact = analysis.Fact
 
 // TaintFact is a function's taint summary, applied at every call site
@@ -94,15 +92,6 @@ type NoHashFact struct {
 
 func (*NoHashFact) AFact() {}
 
-func init() {
-	analysis.RegisterFact(&TaintFact{})
-	analysis.RegisterFact(&BoundedFact{})
-	analysis.RegisterFact(&RootMintFact{})
-	analysis.RegisterFact(&ErrWrapFact{})
-	analysis.RegisterFact(&AllocFact{})
-	analysis.RegisterFact(&NoHashFact{})
-}
-
 // factPass is the pseudo-analyzer the fact pass runs under (facts have
 // no diagnostics of their own; the name only labels the Pass).
 var factPass = &analysis.Analyzer{
@@ -110,11 +99,11 @@ var factPass = &analysis.Analyzer{
 	Doc:  "export cross-package facts (taint summaries, bounded lifetimes, wrap/alloc/nohash annotations)",
 }
 
-// ExportFacts runs the fact pass over one package: every fact producer
+// exportFacts runs the fact pass over one package: every fact producer
 // publishes into pkg.Facts, regardless of which analyzers are scoped to
 // run on the package — dependents outside a contract's scope still
 // supply facts to packages inside it. Idempotent per package.
-func ExportFacts(pkg *analysis.Package) {
+func exportFacts(pkg *analysis.Package) {
 	pkg.Memo("lint.factsExported", func() any {
 		pass := &analysis.Pass{Analyzer: factPass, Pkg: pkg}
 		exportTaintFacts(pass)

@@ -5,10 +5,9 @@
 // lifecycles, cancellable producer sends, nondeterminism-free
 // result/fingerprint flows, fingerprint coverage of every spec knob,
 // verbatim cancellation errors, and allocation-free hot paths
-// (DESIGN.md, "Mechanized contracts"). The suite runs as
-// `go vet -vettool=$(sopslint)` in CI, standalone via cmd/sopslint, and
-// in-process through the meta-test that keeps this repository at zero
-// diagnostics.
+// (DESIGN.md, "Mechanized contracts"). The suite has one driver:
+// load.Packages feeding Run, called by cmd/sopslint (which CI runs) and
+// by the meta-test that keeps this repository at zero diagnostics.
 //
 // The syntax-shape analyzers work on the AST directly; walltime,
 // dettaint, tokenpair, goroleak and chansend sit on the flow-sensitive
@@ -18,15 +17,13 @@
 // without annotation.
 //
 // Facts are the one summary store. Before any analyzer runs on a
-// package, ExportFacts publishes gob-serializable facts about every
-// function and struct the package declares (taint summaries, bounded
-// goroutine launchers, context-root minting, error-wrapping helpers,
-// allocation summaries, nohash exclusions) to its FactSet, and
-// analyzers look every callee up there, in the same package or across
-// a package boundary. Under `go vet` the facts ride the .vetx files of
-// the unitchecker protocol; in-process, load.Packages returns packages
-// in dependency order sharing one fact set — the two paths see
-// identical diagnostics.
+// package, Run's fact pass publishes facts about every function and
+// struct the package declares (taint summaries, bounded goroutine
+// launchers, context-root minting, error-wrapping helpers, allocation
+// summaries, nohash exclusions) to its FactSet, and analyzers look every
+// callee up there, in the same package or across a package boundary:
+// load.Packages returns packages in dependency order sharing one fact
+// set.
 //
 // There is no suppression directive: a finding is fixed, or the
 // analyzer learns the sanctioned idiom it misread.
@@ -101,9 +98,9 @@ func Run(pkgs []*analysis.Package, checks []Check) ([]analysis.Diagnostic, error
 		// Publish this package's facts before analyzing it, so checks
 		// on it — and, with pkgs in dependency order, on everything
 		// that imports it — see the exports.
-		ExportFacts(pkg)
+		exportFacts(pkg)
 		for _, c := range checks {
-			if c.AppliesTo != nil && !c.AppliesTo(basePath(pkg.Path)) {
+			if c.AppliesTo != nil && !c.AppliesTo(pkg.Path) {
 				continue
 			}
 			ds, err := analysis.Run(c.Analyzer, pkg)
@@ -127,14 +124,4 @@ func Run(pkgs []*analysis.Package, checks []Check) ([]analysis.Diagnostic, error
 		return a.Analyzer < b.Analyzer
 	})
 	return all, nil
-}
-
-// basePath strips the test-variant suffix `go vet` appends to import
-// paths ("repro/internal/sim [repro/internal/sim.test]"), so package
-// scoping holds under vettool invocation too.
-func basePath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
 }

@@ -3,11 +3,11 @@
 //
 // Two loaders cover the suite's two consumers:
 //
-//   - Packages shells out to `go list -export -deps -json`, so every
+//   - Packages, the one driver's loader (cmd/sopslint and the
+//     meta-test), shells out to `go list -export -deps -json`, so every
 //     dependency (standard library included) arrives as compiler export
 //     data, and only the module's own packages are parsed and
-//     typechecked from source — the same division of labour `go vet`
-//     uses, at a fraction of a full source load.
+//     typechecked from source, at a fraction of a full source load.
 //   - Corpus loads analysistest-style GOPATH-shaped trees
 //     (testdata/src/<importpath>/*.go), resolving inter-corpus imports
 //     from source and everything else from export data.
@@ -107,8 +107,7 @@ func newInfo() *types.Info {
 // Packages are returned in dependency order (every package after all of
 // its dependencies) and share one analysis.FactSet, so a driver that
 // visits them in order sees each package's exported facts when analyzing
-// its dependents — the in-process equivalent of the unitchecker's .vetx
-// hand-off.
+// its dependents.
 func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
 	ordered, byPath, err := goList(dir, patterns...)
 	if err != nil {
@@ -240,7 +239,7 @@ func Corpus(root string, paths ...string) ([]*analysis.Package, error) {
 
 	// Return in dependency order, sharing one fact store — mirroring
 	// Packages, so corpus runs exercise the same fact hand-off the
-	// meta-test and the vettool see.
+	// meta-test and sopslint see.
 	facts := analysis.NewFactSet()
 	var out []*analysis.Package
 	for _, path := range order {

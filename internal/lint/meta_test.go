@@ -10,7 +10,7 @@ import (
 // TestRepoIsClean is the enforcement point of the mechanized contracts:
 // the whole module, checked by the full default suite, must produce zero
 // diagnostics. There is no suppression directive, so a new finding
-// anywhere in the repo fails this test (and `go vet -vettool` in CI)
+// anywhere in the repo fails this test (and `sopslint -json` in CI)
 // until it is fixed.
 func TestRepoIsClean(t *testing.T) {
 	pkgs, err := load.Packages("", "repro/...")

@@ -307,7 +307,7 @@ func moduleNamed(pass *analysis.Pass, t types.Type) *types.Named {
 	if _, ok := named.Underlying().(*types.Struct); !ok {
 		return nil
 	}
-	if firstPathSegment(named.Obj().Pkg().Path()) != firstPathSegment(basePath(pass.Pkg.Types.Path())) {
+	if firstPathSegment(named.Obj().Pkg().Path()) != firstPathSegment(pass.Pkg.Types.Path()) {
 		return nil
 	}
 	return named

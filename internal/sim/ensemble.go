@@ -28,14 +28,8 @@ type EnsembleConfig struct {
 	// on scheduling.
 	Seed uint64
 	// Workers bounds the sample-level parallelism (independent runs
-	// executed concurrently); 0 means GOMAXPROCS. It composes with the
-	// per-step force parallelism of Sim.Workers — samples are
-	// embarrassingly parallel, so prefer this axis and leave Sim.Workers
-	// at its default unless cores outnumber samples. Results never depend
-	// on this count, nor on the value of Sim.Workers within a mode; note
-	// however that Sim.Workers 0 (serial pair sweep) and ≥ 1 (sharded)
-	// accumulate forces in different orders, so switching between those
-	// two modes changes trajectories at rounding level.
+	// executed concurrently); 0 means GOMAXPROCS. Results never depend
+	// on this count: every sample runs on its own positional seed.
 	Workers int //sopslint:nohash sample-level parallelism; results are bit-identical for every count
 	// Tokens, when non-nil, is a shared execution budget the sample
 	// workers draw from: each sample's full run holds one token. It lets

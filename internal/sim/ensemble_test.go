@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/forces"
+	"repro/internal/workpool"
 )
 
 func ensembleConfig(m, steps, every, workers int) EnsembleConfig {
@@ -67,6 +68,48 @@ func TestEnsembleIndependentOfWorkerCount(t *testing.T) {
 			for i := range a.Trajs[s].Frames[f] {
 				if a.Trajs[s].Frames[f][i] != b.Trajs[s].Frames[f][i] {
 					t.Fatalf("sample %d frame %d differs across worker counts", s, f)
+				}
+			}
+		}
+	}
+}
+
+// Ensemble runs must be bit-identical whatever the sample-level worker
+// count and however tight the shared token budget those workers draw
+// from: the two levels compose without breaking reproducibility.
+func TestEnsembleDeterministicAcrossWorkerLevels(t *testing.T) {
+	base := EnsembleConfig{
+		Sim: Config{
+			N:      24,
+			Force:  forces.MustF1(forces.ConstantMatrix(3, 1), forces.ConstantMatrix(3, 2)),
+			Cutoff: 5,
+		},
+		M:           6,
+		Steps:       40,
+		RecordEvery: 10,
+		Seed:        2012,
+	}
+	ref, err := RunEnsemble(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ workers, tokens int }{{1, 0}, {4, 0}, {4, 1}, {3, 2}} {
+		ec := base
+		ec.Workers = tc.workers
+		if tc.tokens > 0 {
+			ec.Tokens = workpool.NewTokens(tc.tokens)
+		}
+		got, err := RunEnsemble(ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range ref.Trajs {
+			for f := range ref.Trajs[s].Frames {
+				for i := range ref.Trajs[s].Frames[f] {
+					if ref.Trajs[s].Frames[f][i] != got.Trajs[s].Frames[f][i] {
+						t.Fatalf("Workers=%d tokens=%d: sample %d frame %d particle %d diverged",
+							tc.workers, tc.tokens, s, f, i)
+					}
 				}
 			}
 		}

@@ -69,16 +69,6 @@ type Config struct {
 	// EquilibriumWindow is the number of consecutive sub-threshold steps
 	// required.
 	EquilibriumWindow int
-	// Workers selects the force-accumulation mode. 0 (the default) is the
-	// serial unordered-pair sweep, each interaction evaluated once.
-	// Workers ≥ 1 switches to per-particle sharding: every particle's
-	// force is accumulated independently over its full neighbourhood in
-	// canonical orientation, so the result is bit-identical for every
-	// worker count — Workers=1 runs the shards inline, Workers=k fans
-	// them out over k goroutines. The sharded mode costs two force
-	// evaluations per pair but parallelises with no synchronisation on
-	// the force array.
-	Workers int //sopslint:nohash force-accumulation workers within a mode are bit-identical; mode changes bump the checkpoint version instead
 }
 
 // WithDefaults returns a copy of c with unset (zero) numeric fields replaced
@@ -140,9 +130,6 @@ func (c Config) Validate() error {
 	}
 	if c.NoiseVariance < 0 {
 		return errors.New("sim: NoiseVariance must be non-negative after WithDefaults")
-	}
-	if c.Workers < 0 {
-		return errors.New("sim: Workers must be non-negative")
 	}
 	return nil
 }
@@ -210,8 +197,7 @@ type System struct {
 	// Neighbour-search scratch state, recycled across steps so the
 	// steady-state grid path performs zero heap allocations.
 	grid *spatial.DenseGrid // persistent cell list, rebuilt in place
-	nbr  []int32            // serial-path neighbour buffer
-	wnbr [][]int32          // per-worker neighbour buffers (sharded mode)
+	nbr  []int32            // neighbour buffer of the grid path
 }
 
 // New creates a system with particles placed uniformly at random on the
@@ -329,14 +315,8 @@ func (s *System) computeForces() {
 	for i := range s.force {
 		s.force[i] = vec.Vec2{}
 	}
-	var grid *spatial.DenseGrid // nil selects the O(n²) sweep
 	if s.gridReady() {
-		grid = s.grid
-	}
-	if s.cfg.Workers > 0 {
-		s.forcesSharded(grid)
-	} else if grid != nil {
-		s.forcesScan(grid)
+		s.forcesScan()
 	} else {
 		s.forcesBrute()
 	}
@@ -382,13 +362,13 @@ func (s *System) forcesBrute() {
 	}
 }
 
-// forcesScan is the serial grid path: each unordered pair is evaluated once,
+// forcesScan is the grid path: each unordered pair is evaluated once,
 // discovered from the lower-index particle's neighbour list. The scratch
 // buffer s.nbr is recycled across particles and steps.
-func (s *System) forcesScan(grid *spatial.DenseGrid) {
+func (s *System) forcesScan() {
 	rc := s.cfg.Cutoff
 	for i := range s.pos {
-		s.nbr = grid.AppendNeighbors(s.nbr[:0], i, rc)
+		s.nbr = s.grid.AppendNeighbors(s.nbr[:0], i, rc)
 		for _, j := range s.nbr {
 			if int(j) > i { // each unordered pair once
 				s.pairForce(i, int(j))

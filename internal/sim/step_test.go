@@ -1,0 +1,100 @@
+package sim
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/forces"
+	"repro/internal/rngx"
+	"repro/internal/vec"
+)
+
+// gridConfig is a three-type F1 collective with a cut-off small enough
+// for the grid strategy once the particles are spread out.
+func gridConfig(n int) Config {
+	return Config{
+		N:      n,
+		Force:  forces.MustF1(forces.ConstantMatrix(3, 1), forces.ConstantMatrix(3, 2)),
+		Cutoff: 2,
+	}.WithDefaults()
+}
+
+// newSpreadSystem builds a system whose configuration keeps the grid
+// strategy selected (spread ≫ 3·rc, n ≥ 32).
+func newSpreadSystem(t *testing.T) *System {
+	t.Helper()
+	cfg := gridConfig(128)
+	rng := rngx.New(8)
+	pos := make([]vec.Vec2, cfg.N)
+	for i := range pos {
+		x, y := rng.UniformDisc(40)
+		pos[i] = vec.Vec2{X: x, Y: y}
+	}
+	sys, err := NewFromPositions(cfg, pos, rngx.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.gridReady() {
+		t.Fatal("test setup: expected the grid strategy")
+	}
+	return sys
+}
+
+// newClusteredSystem builds two far-apart clusters: their bounding box
+// spans ~5000×5000 cells, far more than the grid gives one bucket each,
+// so the grid wraps its cells into a bounded bucket table.
+func newClusteredSystem(t *testing.T) *System {
+	t.Helper()
+	cfg := gridConfig(80)
+	rng := rngx.New(10)
+	pos := make([]vec.Vec2, cfg.N)
+	for i := range pos {
+		x, y := rng.UniformDisc(8)
+		off := float64(i%2) * 1e4
+		pos[i] = vec.Vec2{X: x + off, Y: y + off}
+	}
+	sys, err := NewFromPositions(cfg, pos, rngx.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.gridReady() || sys.grid.Cells() >= 5000*5000 {
+		t.Fatal("test setup: expected the wrapped grid")
+	}
+	return sys
+}
+
+// Steady-state Step on the grid path must not allocate: the grid and all
+// scratch buffers are recycled, whether the collective is compact or
+// spread so far that the grid wraps.
+func TestStepSteadyStateAllocationFree(t *testing.T) {
+	for name, build := range map[string]func(*testing.T) *System{
+		"spread":    newSpreadSystem,
+		"clustered": newClusteredSystem,
+	} {
+		sys := build(t)
+		sys.Run(3) // warm up grid and scratch buffers
+		if allocs := testing.AllocsPerRun(30, sys.Step); allocs != 0 {
+			t.Fatalf("%s: steady-state Step allocated %.1f times per run, want 0", name, allocs)
+		}
+	}
+}
+
+// A diverged particle — far out, at infinity or NaN — must never make a
+// step panic: a box too wide for one bucket per cell wraps, and one whose
+// cells cannot be indexed falls back to the O(n²) sweep.
+func TestStepSurvivesExtremeCoordinates(t *testing.T) {
+	for _, far := range []float64{1e18, -1e18, 1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, at := range []int{0, 127} {
+			sys := newSpreadSystem(t)
+			sys.pos[at] = vec.Vec2{X: far, Y: -far}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("particle %d at %g: Step panicked: %v", at, far, r)
+					}
+				}()
+				sys.Run(3)
+			}()
+		}
+	}
+}

@@ -19,8 +19,10 @@ import (
 //
 // ok is false when the force is a custom Scaling with no serialisable
 // spec — such runs are recomputed rather than resumed, since their
-// identity cannot be pinned. Worker counts and budgets are deliberately
-// excluded: results are bit-identical across all of them.
+// identity cannot be pinned. Worker counts and budgets (ensemble,
+// estimator, sweep) are deliberately excluded: results are
+// bit-identical across all of them. The frozen observer text alone
+// still carries Align.Workers, which no spec sets.
 func PipelineFingerprint(id string, p experiment.Pipeline) (fp uint64, ok bool) {
 	if p.Ensemble.Sim.Force == nil {
 		return 0, false
@@ -77,11 +79,6 @@ func (sp Spec) Fingerprint() (uint64, error) {
 	n := sp.Normalized()
 	// Zero the runtime-only knobs so deployments with different worker
 	// settings agree on the identity of identical experiments.
-	if n.Sim != nil {
-		simCopy := *n.Sim
-		simCopy.Workers = 0
-		n.Sim = &simCopy
-	}
 	if n.Ensemble != nil {
 		ensCopy := *n.Ensemble
 		ensCopy.Workers = 0

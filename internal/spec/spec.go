@@ -79,10 +79,6 @@ type Sim struct {
 	InitRadius           float64 `json:"initRadius,omitempty"`
 	EquilibriumThreshold float64 `json:"equilibriumThreshold,omitempty"`
 	EquilibriumWindow    int     `json:"equilibriumWindow,omitempty"`
-	// Workers is the per-step force parallelism (runtime only; excluded
-	// from the fingerprint — see sim.Config.Workers for the serial-vs-
-	// sharded rounding caveat).
-	Workers int `json:"workers,omitempty"`
 }
 
 // Ensemble describes the experiment ensemble. Zero fields inherit the
@@ -504,7 +500,6 @@ func (s *Sim) Config() (sim.Config, error) {
 		InitRadius:           s.InitRadius,
 		EquilibriumThreshold: s.EquilibriumThreshold,
 		EquilibriumWindow:    s.EquilibriumWindow,
-		Workers:              s.Workers,
 	}
 	if len(cfg.Types) == 0 {
 		cfg.Types = nil
@@ -537,7 +532,6 @@ func SimFromConfig(c sim.Config) (*Sim, error) {
 		InitRadius:           c.InitRadius,
 		EquilibriumThreshold: c.EquilibriumThreshold,
 		EquilibriumWindow:    c.EquilibriumWindow,
-		Workers:              c.Workers,
 	}
 	if len(s.Types) == 0 {
 		s.Types = nil

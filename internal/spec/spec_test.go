@@ -462,10 +462,17 @@ func TestCutoffInfinityConvention(t *testing.T) {
 	}
 }
 
-// TestParseRejectsUnknownFields: a typo'd knob fails loudly.
+// TestParseRejectsUnknownFields: a typo'd knob fails loudly, and so
+// does sim.workers: a file that sets the removed force-parallelism knob
+// must fail to load rather than run.
 func TestParseRejectsUnknownFields(t *testing.T) {
-	if _, err := Parse([]byte(`{"version":1,"scenaro":"fig8"}`), "typo"); err == nil {
-		t.Fatal("unknown field accepted")
+	for _, body := range []string{
+		`{"version":1,"scenaro":"fig8"}`,
+		`{"version":1,"sim":{"workers":2}}`,
+	} {
+		if _, err := Parse([]byte(body), "unknown"); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("%s: err = %v, want an unknown-field error", body, err)
+		}
 	}
 	if _, err := Parse([]byte(`{"version":99,"scenario":"fig8"}`), "future"); err == nil {
 		t.Fatal("future version accepted")
