@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -734,13 +735,18 @@ func Load(path string) (Spec, error) {
 }
 
 // Parse decodes and validates spec JSON. Unknown fields are rejected, so
-// a typo'd knob fails loudly instead of silently running the default.
+// a typo'd knob fails loudly instead of silently running the default, and
+// so is anything but whitespace after the spec object, so a concatenated
+// or corrupted file cannot run only its first object.
 func Parse(data []byte, path string) (Spec, error) {
 	var sp Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
 		return Spec{}, fmt.Errorf("spec: parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("spec: parse %s: trailing data after the spec object", path)
 	}
 	if err := sp.Validate(); err != nil {
 		return Spec{}, fmt.Errorf("spec: %s: %w", path, err)

@@ -479,6 +479,25 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseRejectsTrailingData: a valid spec followed by anything but
+// whitespace — a second spec, garbage, a stray bracket — fails to load
+// instead of running only the first object.
+func TestParseRejectsTrailingData(t *testing.T) {
+	const first = `{"version":1,"name":"a","scenario":"fig8","scale":"test"}`
+	if _, err := Parse([]byte(first+"\n \t\n"), "ok"); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{
+		`{"version":1,"name":"b","scenario":"fig9","scale":"test"}`,
+		`garbage`,
+		`]`,
+	} {
+		if _, err := Parse([]byte(first+"\n"+tail), "trailing"); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("spec followed by %s: err = %v, want a trailing-data error", tail, err)
+		}
+	}
+}
+
 // TestParseRejectsBadGrids: every malformed grid sweep fails to load,
 // naming the offending field.
 func TestParseRejectsBadGrids(t *testing.T) {
