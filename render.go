@@ -14,15 +14,8 @@ type (
 	Chart = plot.Chart
 )
 
-var (
-	// SVGScatter renders a typed particle configuration as SVG.
-	SVGScatter = plot.SVGScatter
-	// SVGLines renders named series as an SVG line chart.
-	SVGLines = plot.SVGLines
-	// WriteSeriesCSV / ReadSeriesCSV exchange series data as CSV.
-	WriteSeriesCSV = plot.WriteSeriesCSV
-	ReadSeriesCSV  = plot.ReadSeriesCSV
-)
+// SVGScatter renders a typed particle configuration as SVG.
+var SVGScatter = plot.SVGScatter
 
 // ASCIIScatter renders a typed particle configuration on a w×h character
 // grid, digits being particle types — the terminal counterpart of the

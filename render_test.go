@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	sops "repro"
+	"repro/internal/rngx"
+	"repro/internal/sim"
 )
 
 // gridShape checks the render is exactly h lines of w characters.
@@ -85,7 +87,7 @@ func TestASCIIScatterDivergedSim(t *testing.T) {
 		Dt:         1e30, // vastly beyond sim.MaxStableDt: guaranteed blow-up
 		InitRadius: 0.5,
 	}
-	sys, err := sops.NewSystem(cfg, sops.NewRNG(5))
+	sys, err := sim.New(cfg, rngx.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,14 +29,8 @@ type (
 	SpecObserver  = spec.Observer
 	SpecEstimator = spec.Estimator
 	SpecSweep     = spec.Sweep
-	// SpecError is one typed validation problem (field path + message);
-	// Spec.Validate joins them with errors.Join.
-	SpecError = spec.SpecError
 	// SpecOption configures a Spec under construction (see NewSpec).
 	SpecOption = spec.Option
-	// UnknownEstimatorError reports an estimator kind outside
-	// ValidEstimators.
-	UnknownEstimatorError = experiment.UnknownEstimatorError
 	// ProgressEvent is one unit of observable progress (sample simulated,
 	// step estimated, run checkpointed/done) delivered to Session
 	// subscribers.
@@ -52,16 +46,13 @@ const SpecVersion = spec.Version
 const (
 	ProgressSampleSimulated = experiment.ProgressSampleSimulated
 	ProgressStepEstimated   = experiment.ProgressStepEstimated
-	ProgressRunCheckpointed = experiment.ProgressRunCheckpointed
 	ProgressRunDone         = experiment.ProgressRunDone
 )
 
 // Spec constructors and option funcs.
 var (
-	// NewSpec builds and validates a spec from options; MustSpec panics
-	// on error (for static, known-good specs).
-	NewSpec  = spec.New
-	MustSpec = spec.MustNew
+	// NewSpec builds and validates a spec from options.
+	NewSpec = spec.New
 	// LoadSpec reads and validates a spec JSON file; ParseSpec decodes
 	// bytes.
 	LoadSpec  = spec.Load
@@ -70,22 +61,13 @@ var (
 	// explicit single-run spec.
 	SpecFromPipeline = spec.FromPipeline
 	// Option funcs for NewSpec.
-	WithScenario        = spec.WithScenario
 	WithScale           = spec.WithScale
 	WithSeed            = spec.WithSeed
 	WithSim             = spec.WithSim
 	WithEnsemble        = spec.WithEnsemble
 	WithRetainEnsemble  = spec.WithRetainEnsemble
-	WithObserver        = spec.WithObserver
-	WithEstimator       = spec.WithEstimator
 	WithDecomposition   = spec.WithDecomposition
 	WithEntropyTracking = spec.WithEntropyTracking
-	WithGrid            = spec.WithGrid
-	WithGridForce       = spec.WithGridForce
-	WithGridN           = spec.WithGridN
-	WithRepeats         = spec.WithRepeats
-	// ValidEstimators lists every estimator kind a Spec accepts.
-	ValidEstimators = experiment.ValidEstimators
 )
 
 // Session is the long-lived execution handle of the API: it owns the
@@ -163,7 +145,7 @@ func WithResultCache(maxBytes int) SessionOption {
 // into the session's subscribers as one merged stream, and requeues the
 // runs of any worker that dies. spawn starts worker i — use
 // CommandSpawner with a binary exposing a worker mode (sopsweep
-// -worker), or GoSpawner for an in-process harness. Combine with
+// -worker). Combine with
 // WithCheckpointDir so workers share the durable store; results are
 // bit-identical to the local path either way.
 func WithWorkerProcs(n int, spawn SweepSpawnFunc) SessionOption {
@@ -254,8 +236,8 @@ func (s *Session) pipeline(sp Spec) (experiment.Pipeline, error) {
 
 // Run executes a single-run spec — the full simulate→align→estimate
 // pipeline — under the session's budget and returns its result.
-// Equivalent to MeasureSelfOrganization of the spec's pipeline, with
-// cancellation, budget sharing and progress events added; the numbers are
+// Equivalent to Pipeline.Run of the spec's pipeline, with cancellation,
+// budget sharing and progress events added; the numbers are
 // bit-identical.
 func (s *Session) Run(ctx context.Context, sp Spec) (*Result, error) {
 	p, err := s.pipeline(sp)
@@ -308,11 +290,11 @@ func (s *Session) Ensemble(ctx context.Context, sp Spec) (*Ensemble, error) {
 	// session's contract — all concurrent calls share one budget — must
 	// be wired explicitly.
 	ec.Tokens = s.budget
-	col, err := NewEnsembleCollector(ec)
+	col, err := sim.NewCollector(ec)
 	if err != nil {
 		return nil, err
 	}
-	_, err = sim.StreamEnsembleCtx(ctx, ec, func(f Frame) error {
+	_, err = sim.StreamEnsembleCtx(ctx, ec, func(f sim.Frame) error {
 		if err := col.Visit(f); err != nil {
 			return err
 		}
@@ -346,7 +328,7 @@ func (s *Session) System(sp Spec) (*System, error) {
 }
 
 // runner materialises the session's local sweep executor.
-func (s *Session) runner() *SweepRunner {
+func (s *Session) runner() *sweep.Runner {
 	return &sweep.Runner{
 		Concurrency: s.concurrency,
 		Tokens:      s.budget,
@@ -360,7 +342,7 @@ func (s *Session) runner() *SweepRunner {
 // coordinator when worker processes are configured, the in-process
 // runner otherwise. Either way the results are bit-identical — that is
 // the distribution contract — so drivers never know which they got.
-func (s *Session) sweeper() Sweeper {
+func (s *Session) sweeper() experiment.Sweeper {
 	if s.distProcs > 1 && s.distSpawn != nil {
 		return &remote.Coordinator{
 			Procs:      s.distProcs,

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	sops "repro"
+	"repro/internal/sim"
 )
 
 func sessionSpec(t *testing.T, name string, seed uint64) sops.Spec {
@@ -38,15 +39,15 @@ func sessionSpec(t *testing.T, name string, seed uint64) sops.Spec {
 
 // TestSessionRunMatchesLegacyEntryPoint extends the stream-equivalence
 // contract to the Session path: Session.Run of a spec is bit-identical
-// to MeasureSelfOrganization of the spec's pipeline (the documented
-// legacy wrapper), for the same seed.
+// to the context-less Pipeline.Run of the spec's pipeline, for the same
+// seed.
 func TestSessionRunMatchesLegacyEntryPoint(t *testing.T) {
 	sp := sessionSpec(t, "equiv", 1)
 	p, err := sp.Pipeline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sops.MeasureSelfOrganization(p)
+	want, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestSessionRunMatchesLegacyEntryPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want.Times, got.Times) || !reflect.DeepEqual(want.MI, got.MI) {
-		t.Fatalf("Session.Run diverged from MeasureSelfOrganization:\nwant %v\ngot  %v", want.MI, got.MI)
+		t.Fatalf("Session.Run diverged from Pipeline.Run:\nwant %v\ngot  %v", want.MI, got.MI)
 	}
 	if want.EquilibratedFraction != got.EquilibratedFraction {
 		t.Fatalf("equilibrated fraction %v vs %v", want.EquilibratedFraction, got.EquilibratedFraction)
@@ -268,12 +269,12 @@ func TestSessionSystemAndEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sops.RunEnsemble(p.Ensemble)
+	want, err := sim.RunEnsembleCtx(context.Background(), p.Ensemble)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want.Trajs, ens.Trajs) {
-		t.Fatal("Session.Ensemble diverged from RunEnsemble")
+		t.Fatal("Session.Ensemble diverged from sim.RunEnsembleCtx")
 	}
 
 	// A cancelled context is honoured immediately.

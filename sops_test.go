@@ -1,15 +1,31 @@
 package sops_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	sops "repro"
 )
 
+// measure runs one single-run spec through a fresh session, the
+// documented public-API path.
+func measure(t *testing.T, name string, cfg sops.SimConfig, m, steps, every int, seed uint64) *sops.Result {
+	t.Helper()
+	sp, err := sops.NewSpec(name, sops.WithSim(cfg), sops.WithEnsemble(m, steps, every), sops.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sops.NewSession().Run(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestQuickstartFlow exercises the documented public-API path end to end:
-// build an interaction, run the measurement pipeline, observe a finite MI
-// curve.
+// build an interaction, describe the experiment as a spec, run it through
+// a session, observe a finite MI curve.
 func TestQuickstartFlow(t *testing.T) {
 	r := sops.MustMatrix([][]float64{
 		{1.5, 3.0, 2.5},
@@ -21,13 +37,7 @@ func TestQuickstartFlow(t *testing.T) {
 		Force:  sops.MustF1(sops.ConstantMatrix(3, 1), r),
 		Cutoff: 5,
 	}
-	res, err := sops.MeasureSelfOrganization(sops.Pipeline{
-		Name:     "facade",
-		Ensemble: sops.EnsembleConfig{Sim: cfg, M: 24, Steps: 30, RecordEvery: 15, Seed: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measure(t, "facade", cfg, 24, 30, 15, 1)
 	if len(res.MI) != 3 {
 		t.Fatalf("MI = %v", res.MI)
 	}
@@ -56,13 +66,7 @@ func TestSelfOrganizationDetected(t *testing.T) {
 		Force:  sops.MustF1(sops.ConstantMatrix(2, 1), r),
 		Cutoff: 6,
 	}
-	res, err := sops.MeasureSelfOrganization(sops.Pipeline{
-		Name:     "acceptance",
-		Ensemble: sops.EnsembleConfig{Sim: cfg, M: 96, Steps: 150, RecordEvery: 150, Seed: 11},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measure(t, "acceptance", cfg, 96, 150, 150, 11)
 	if res.DeltaI() < 1 {
 		t.Fatalf("ΔI = %v bits; expected clear self-organization (> 1 bit)", res.DeltaI())
 	}
@@ -83,55 +87,8 @@ func TestCompletelyRandomProcessShowsNoSelfOrganization(t *testing.T) {
 		Cutoff:     1e-6,
 		InitRadius: 50,
 	}
-	res, err := sops.MeasureSelfOrganization(sops.Pipeline{
-		Name:     "control",
-		Ensemble: sops.EnsembleConfig{Sim: cfg, M: 96, Steps: 150, RecordEvery: 150, Seed: 13},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measure(t, "control", cfg, 96, 150, 150, 13)
 	if res.DeltaI() > 1 {
 		t.Fatalf("ΔI = %v bits on a non-interacting collective; expected ≈ 0", res.DeltaI())
 	}
-}
-
-func TestFacadeEstimators(t *testing.T) {
-	// The re-exported estimators must be callable and agree with their
-	// internal definitions on a trivial dataset.
-	xs := make([][]float64, 100)
-	ys := make([][]float64, 100)
-	rng := sops.NewRNG(5)
-	for i := range xs {
-		x := rng.NormFloat64()
-		xs[i] = []float64{x}
-		ys[i] = []float64{x + 0.1*rng.NormFloat64()}
-	}
-	// Strongly dependent pair: MI must be clearly positive.
-	d := dataset(xs, ys)
-	if mi := sops.MultiInfoKSG(d, 4); mi < 0 {
-		t.Errorf("paper-variant KSG on dependent pair = %v", mi)
-	}
-	if mi := sops.MultiInfoKernel(d); mi < 0.5 {
-		t.Errorf("kernel MI = %v, want clearly positive", mi)
-	}
-}
-
-func dataset(xs, ys [][]float64) *sops.Dataset {
-	d := newDataset(len(xs))
-	for s := range xs {
-		d.SetVar(s, 0, xs[s]...)
-		d.SetVar(s, 1, ys[s]...)
-	}
-	return d
-}
-
-func newDataset(m int) *sops.Dataset {
-	return sopsNewDataset(m)
-}
-
-// sopsNewDataset constructs through the infotheory package re-exported via
-// the Dataset alias (aliases share the concrete type, so the internal
-// constructor applies).
-func sopsNewDataset(m int) *sops.Dataset {
-	return sops.NewInfoDataset(m, []int{1, 1})
 }
