@@ -1,7 +1,7 @@
 package sops_test
 
 import (
-	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/align"
@@ -22,7 +22,7 @@ import (
 
 func benchEnsemble(b *testing.B, n, m, steps, every int) *sim.Ensemble {
 	b.Helper()
-	ens, err := sim.RunEnsemble(sim.EnsembleConfig{
+	ens, err := sim.RunEnsembleCtx(context.Background(), sim.EnsembleConfig{
 		Sim: sim.Config{
 			N:      n,
 			Types:  sim.TypesRoundRobin(n, 2),
@@ -68,7 +68,7 @@ func BenchmarkKLEntropy(b *testing.B) {
 	all := []int{0, 1, 2, 3, 4, 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		infotheory.DifferentialEntropyKL(ds, all, 4)
+		infotheory.NewEngine(0).DifferentialEntropyKL(ds, all, 4)
 	}
 }
 
@@ -76,7 +76,7 @@ func BenchmarkEntropyProfile(b *testing.B) {
 	ds := experiment.SampleEquicorrelatedGaussians(300, 6, 0.5, rngx.New(5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		infotheory.Entropies(ds, 4)
+		infotheory.NewEngine(0).Entropies(ds, 4)
 	}
 }
 
@@ -115,32 +115,6 @@ func BenchmarkSymbolicComplexityProfile(b *testing.B) {
 	}
 }
 
-func BenchmarkEnsemblePersistence(b *testing.B) {
-	ens := benchEnsemble(b, 20, 32, 50, 10)
-	b.Run("encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := ens.Encode(&buf); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(buf.Len()))
-		}
-	})
-	var buf bytes.Buffer
-	if err := ens.Encode(&buf); err != nil {
-		b.Fatal(err)
-	}
-	payload := buf.Bytes()
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(payload)))
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.ReadEnsemble(bytes.NewReader(payload)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkEnsembleSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchEnsemble(b, 20, 32, 100, 25)
@@ -162,7 +136,7 @@ func BenchmarkObserverReduction(b *testing.B) {
 	ens := benchEnsemble(b, 40, 32, 40, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := observer.FromEnsemble(ens, observer.Config{KMeansK: 4, Seed: 1}); err != nil {
+		if _, err := observer.FromEnsembleCtx(context.Background(), ens, observer.Config{KMeansK: 4, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

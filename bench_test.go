@@ -57,7 +57,7 @@ func BenchmarkFig03Equilibria(b *testing.B) {
 func BenchmarkFig04MultiInformationTimeSeries(b *testing.B) {
 	var last *experiment.Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig4Pipeline(benchScale(), benchSeed)
+		res, err := experiment.Fig4PipelineOf(benchScale(), benchSeed).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig04MultiInformationTimeSeries(b *testing.B) {
 func BenchmarkFig05SingleTypeRings(b *testing.B) {
 	var last *experiment.Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig5SingleTypeRings(benchScale(), benchSeed)
+		res, err := experiment.Fig5PipelineOf(benchScale(), benchSeed).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkFig06SampleSnapshots(b *testing.B) {
 }
 
 func BenchmarkFig07AlignedOverlay(b *testing.B) {
-	res, err := experiment.Fig5SingleTypeRings(benchScale(), benchSeed)
+	res, err := experiment.Fig5PipelineOf(benchScale(), benchSeed).Run()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func BenchmarkEstimatorComparison(b *testing.B) {
 // step into datasets, then estimate — three M×T×N transcripts live at peak.
 // It is the baseline the streamed pipeline is benchmarked against.
 func legacyBatchPipeline(ec sim.EnsembleConfig) ([]float64, error) {
-	ens, err := sim.RunEnsemble(ec)
+	ens, err := sim.RunEnsembleCtx(context.Background(), ec)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +185,10 @@ func legacyBatchPipeline(ec sim.EnsembleConfig) ([]float64, error) {
 	}
 	mi := make([]float64, len(times))
 	for t := range times {
-		mi[t] = infotheory.MultiInfoKSGVariant(datasets[t], experiment.DefaultKSGK, infotheory.KSG2)
+		// A fresh engine per step, as the seed's one-call estimator had,
+		// keeps this row's B/op comparable across the artifact history.
+		var eng infotheory.Engine
+		mi[t] = eng.MultiInfoKSGVariant(datasets[t], experiment.DefaultKSGK, infotheory.KSG2)
 	}
 	return mi, nil
 }
@@ -296,7 +299,7 @@ func BenchmarkAblationKSGVariants(b *testing.B) {
 		b.Run(variant.String(), func(b *testing.B) {
 			var est float64
 			for i := 0; i < b.N; i++ {
-				est = infotheory.MultiInfoKSGVariant(ds, 4, variant)
+				est = infotheory.NewEngine(0).MultiInfoKSGVariant(ds, 4, variant)
 			}
 			b.ReportMetric(est-truth, "bias-bits")
 		})
@@ -325,7 +328,7 @@ func BenchmarkAblationKMeansReduction(b *testing.B) {
 		var res *experiment.Result
 		var err error
 		for i := 0; i < b.N; i++ {
-			res, err = experiment.Fig4Pipeline(sc, benchSeed)
+			res, err = experiment.Fig4PipelineOf(sc, benchSeed).Run()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -336,7 +339,9 @@ func BenchmarkAblationKMeansReduction(b *testing.B) {
 		var res *experiment.Result
 		var err error
 		for i := 0; i < b.N; i++ {
-			res, err = experiment.Fig4PipelineReduced(sc, benchSeed, 3)
+			p := experiment.Fig4PipelineOf(sc, benchSeed)
+			p.Observer = observer.Config{KMeansK: 3, Seed: benchSeed}
+			res, err = p.Run()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -348,7 +353,7 @@ func BenchmarkAblationKMeansReduction(b *testing.B) {
 // BenchmarkAblationAlignmentReference compares the cheap first-sample
 // anchor against the medoid anchor.
 func BenchmarkAblationAlignmentReference(b *testing.B) {
-	ens, err := sim.RunEnsemble(sim.EnsembleConfig{
+	ens, err := sim.RunEnsembleCtx(context.Background(), sim.EnsembleConfig{
 		Sim:         experiment.Fig5Params(),
 		M:           32,
 		Steps:       40,
@@ -366,7 +371,7 @@ func BenchmarkAblationAlignmentReference(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var obs *observer.Observers
 			for i := 0; i < b.N; i++ {
-				obs, err = observer.FromEnsemble(ens, observer.Config{
+				obs, err = observer.FromEnsembleCtx(context.Background(), ens, observer.Config{
 					Align: align.FrameOptions{Reference: ref},
 				})
 				if err != nil {
@@ -374,7 +379,7 @@ func BenchmarkAblationAlignmentReference(b *testing.B) {
 				}
 			}
 			last := obs.Datasets[len(obs.Datasets)-1]
-			b.ReportMetric(infotheory.MultiInfoKSGVariant(last, 4, infotheory.KSG2), "final-bits")
+			b.ReportMetric(infotheory.NewEngine(0).MultiInfoKSGVariant(last, 4, infotheory.KSG2), "final-bits")
 		})
 	}
 }
@@ -492,7 +497,7 @@ func BenchmarkKSGEstimator(b *testing.B) {
 		ds := experiment.SampleEquicorrelatedGaussians(m, 10, 0.5, rngx.New(7))
 		b.Run("m="+itoa(m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				infotheory.MultiInfoKSGVariant(ds, 4, infotheory.KSG2)
+				infotheory.NewEngine(0).MultiInfoKSGVariant(ds, 4, infotheory.KSG2)
 			}
 		})
 	}
@@ -501,7 +506,7 @@ func BenchmarkKSGEstimator(b *testing.B) {
 func BenchmarkKernelEstimator(b *testing.B) {
 	ds := experiment.SampleEquicorrelatedGaussians(200, 10, 0.5, rngx.New(9))
 	for i := 0; i < b.N; i++ {
-		infotheory.MultiInfoKernel(ds)
+		infotheory.NewEngine(0).MultiInfoKernel(ds)
 	}
 }
 

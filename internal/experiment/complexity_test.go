@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestSymbolicComplexityProfileShapes(t *testing.T) {
-	ens, err := sim.RunEnsemble(sim.EnsembleConfig{
+	ens, err := sim.RunEnsembleCtx(context.Background(), sim.EnsembleConfig{
 		Sim: sim.Config{
 			N:      10,
 			Types:  sim.TypesRoundRobin(10, 2),
@@ -47,7 +48,7 @@ func TestSymbolicComplexityRandomPhaseIsSimple(t *testing.T) {
 	// A non-interacting collective: displacements are isotropic i.i.d.
 	// noise, so each window's symbol process has (near) one causal state
 	// and complexity ≈ 0 — the Sec. 7.1 claim for the random phase.
-	ens, err := sim.RunEnsemble(sim.EnsembleConfig{
+	ens, err := sim.RunEnsembleCtx(context.Background(), sim.EnsembleConfig{
 		Sim: sim.Config{
 			N:          8,
 			Force:      forces.MustF1(forces.ConstantMatrix(1, 1), forces.ConstantMatrix(1, 1)),
@@ -75,7 +76,7 @@ func TestSymbolicComplexityRandomPhaseIsSimple(t *testing.T) {
 }
 
 func TestSymbolicComplexityProfileValidation(t *testing.T) {
-	ens, err := sim.RunEnsemble(sim.EnsembleConfig{
+	ens, err := sim.RunEnsembleCtx(context.Background(), sim.EnsembleConfig{
 		Sim: sim.Config{
 			N:      4,
 			Force:  forces.MustF1(forces.ConstantMatrix(1, 1), forces.ConstantMatrix(1, 2)),

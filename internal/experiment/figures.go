@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/forces"
 	"repro/internal/mathx"
-	"repro/internal/observer"
 	"repro/internal/rngx"
 	"repro/internal/sim"
 	"repro/internal/vec"
@@ -175,9 +174,9 @@ func Fig4Params() sim.Config {
 	}
 }
 
-// Fig4PipelineOf is the Fig. 4 experiment as a pipeline value — the
-// declarative form behind Fig4Pipeline, exported so the spec layer can
-// capture the exact same run.
+// Fig4PipelineOf is the Fig. 4 experiment as a pipeline value; the
+// raw ensemble is not retained (Fig6Pipeline retains it for the per-sample
+// snapshots). The spec layer captures the exact same run from it.
 func Fig4PipelineOf(sc Scale, seed uint64) Pipeline {
 	return Pipeline{
 		Name: "fig4",
@@ -189,13 +188,6 @@ func Fig4PipelineOf(sc Scale, seed uint64) Pipeline {
 			Seed:        seed,
 		},
 	}
-}
-
-// Fig4Pipeline runs the Fig. 4 experiment at the given scale and returns
-// the MI time series. The raw ensemble is not retained; use Fig6Pipeline
-// when the per-sample snapshots are needed too.
-func Fig4Pipeline(sc Scale, seed uint64) (*Result, error) {
-	return Fig4PipelineOf(sc, seed).Run()
 }
 
 // Fig6Pipeline is the Fig. 4 experiment with the raw ensemble retained, the
@@ -244,11 +236,6 @@ func Fig5PipelineOf(sc Scale, seed uint64) Pipeline {
 			Seed:        seed,
 		},
 	}
-}
-
-// Fig5SingleTypeRings runs the Fig. 5 experiment.
-func Fig5SingleTypeRings(sc Scale, seed uint64) (*Result, error) {
-	return Fig5PipelineOf(sc, seed).Run()
 }
 
 // Fig6Snapshots extracts per-sample snapshots from a Fig. 4 result at the
@@ -686,32 +673,4 @@ func Fig12EmergentStructures(seed uint64) ([]TypedConfig, error) {
 	sysLayer.RunUntilEquilibrium(4000)
 	out = append(out, TypedConfig{Label: "layers", Pos: sysLayer.Positions(), Types: sysLayer.Types()})
 	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Convenience: pipelines used by more than one figure.
-
-// WithKMeans returns a copy of the pipeline with the Sec. 5.3.1 k-means
-// reduction enabled at k clusters per type.
-func (p Pipeline) WithKMeans(k int) Pipeline {
-	p.Observer.KMeansK = k
-	return p
-}
-
-// Fig4PipelineReduced is Fig4Pipeline with the k-means reduction the paper
-// prescribes for large collectives, exercised here on the 50-particle
-// system for the reduction-bias ablation.
-func Fig4PipelineReduced(sc Scale, seed uint64, k int) (*Result, error) {
-	p := Pipeline{
-		Name: "fig4-kmeans",
-		Ensemble: sim.EnsembleConfig{
-			Sim:         Fig4Params(),
-			M:           sc.M,
-			Steps:       sc.Steps,
-			RecordEvery: sc.RecordEvery,
-			Seed:        seed,
-		},
-		Observer: observer.Config{KMeansK: k, Seed: seed},
-	}
-	return p.Run()
 }

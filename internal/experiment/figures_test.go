@@ -166,7 +166,7 @@ func TestRingRadialStatsOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline")
 	}
-	res, err := Fig5SingleTypeRings(Scale{M: 64, Steps: 150, RecordEvery: 150}, 5)
+	res, err := Fig5PipelineOf(Scale{M: 64, Steps: 150, RecordEvery: 150}, 5).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestStreamedRetainedEnsembleMatchesRunEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := sim.RunEnsemble(p.Ensemble)
+	ens, err := sim.RunEnsembleCtx(context.Background(), p.Ensemble)
 	if err != nil {
 		t.Fatal(err)
 	}

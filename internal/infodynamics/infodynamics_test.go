@@ -1,6 +1,7 @@
 package infodynamics
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -155,7 +156,7 @@ func TestParticleTrajectoriesAndPairTransfer(t *testing.T) {
 	// information between interacting particles. (With only 2 centred
 	// particles the partner is a deterministic mirror image and TE is
 	// correctly zero, so 3 is the smallest non-degenerate case.)
-	ens, err := sim.RunEnsemble(sim.EnsembleConfig{
+	ens, err := sim.RunEnsembleCtx(context.Background(), sim.EnsembleConfig{
 		Sim: sim.Config{
 			N:      3,
 			Force:  forces.MustF1(forces.ConstantMatrix(1, 2), forces.ConstantMatrix(1, 2)),
@@ -187,7 +188,7 @@ func TestPairTransferZeroForNonInteractingParticles(t *testing.T) {
 	// Particles far outside each other's cut-off radius exchange no
 	// information; TE must be ≈ 0 in both directions. (Uncentred
 	// coordinates — centring would couple them spuriously.)
-	ens, err := sim.RunEnsemble(sim.EnsembleConfig{
+	ens, err := sim.RunEnsembleCtx(context.Background(), sim.EnsembleConfig{
 		Sim: sim.Config{
 			N:          3,
 			Force:      forces.MustF1(forces.ConstantMatrix(1, 2), forces.ConstantMatrix(1, 2)),

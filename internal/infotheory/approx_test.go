@@ -132,7 +132,7 @@ func TestApproxIndependentOfEngineHistory(t *testing.T) {
 
 	// Interleaved exact-tier calls must not perturb the approximate
 	// tier either (both tiers rebuild the same trees per call).
-	_ = e.MultiInfoKSG(otherSame, DefaultBenchK)
+	_ = e.MultiInfoKSGVariant(otherSame, DefaultBenchK, KSGPaper)
 	if got := e.MultiInfoKSGApprox(target, DefaultBenchK, KSGPaper, opts); got != want {
 		t.Errorf("after exact-tier interleaving: %+v, want %+v", got, want)
 	}

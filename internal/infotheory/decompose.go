@@ -1,21 +1,10 @@
 package infotheory
 
 // Estimator evaluates a multi-information estimate in bits on a dataset.
-// The stock choices are closures over MultiInfoKSG, MultiInfoKernel and
-// MultiInfoBinned; Decompose applies the same estimator to every term so
-// the decomposition is internally consistent.
+// The stock choices are Engine.KSGVariantEstimator and closures over
+// Engine.MultiInfoKernel and MultiInfoBinned; Decompose applies the same
+// estimator to every term so the decomposition is internally consistent.
 type Estimator func(*Dataset) float64
-
-// KSGEstimator returns the recommended KSG estimator (algorithm 2, the
-// bias-corrected form of the paper's Eq. 18) with the given k.
-func KSGEstimator(k int) Estimator {
-	return func(d *Dataset) float64 { return MultiInfoKSGVariant(d, k, KSG2) }
-}
-
-// KSGVariantEstimator returns a specific KSG formulation as an Estimator.
-func KSGVariantEstimator(k int, v KSGVariant) Estimator {
-	return func(d *Dataset) float64 { return MultiInfoKSGVariant(d, k, v) }
-}
 
 // Decomposition is the split of total multi-information over a partition of
 // the observer variables into coarse-grained groups (Eq. 5):

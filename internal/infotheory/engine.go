@@ -115,23 +115,25 @@ func (e *Engine) runParallel(workers, m int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// MultiInfoKSG is MultiInfoKSGVariant with the paper's formulation.
-func (e *Engine) MultiInfoKSG(d *Dataset, k int) float64 {
-	return e.MultiInfoKSGVariant(d, k, KSGPaper)
-}
-
 // KSGVariantEstimator returns a specific KSG formulation bound to this
-// engine as an Estimator closure (the engine-recycling counterpart of the
-// package-level KSGVariantEstimator).
+// engine as an Estimator closure.
 func (e *Engine) KSGVariantEstimator(k int, v KSGVariant) Estimator {
 	return func(d *Dataset) float64 { return e.MultiInfoKSGVariant(d, k, v) }
 }
 
-// MultiInfoKSGVariant estimates the multi-information of the dataset in
-// bits (see the package-level MultiInfoKSGVariant for the estimator
-// definitions) using the engine: one joint knn index under the paper's
-// max-over-variables metric answers the k-nearest-neighbour queries, and
-// one per-variable index answers the marginal range counts.
+// MultiInfoKSGVariant estimates the multi-information I(X₁,…,X_n) of the
+// dataset in bits with the given formulation of the KSG estimator (see
+// KSGVariant; KSGPaper is the paper's Eqs. 18–20, KSG2 the bias-corrected
+// default of the pipelines) under the paper's joint metric (Eq. 19): the
+// maximum over variables of the per-variable Euclidean norm. The variants
+// agree asymptotically and differ by small-sample bias (see the ablation
+// benchmark BenchmarkAblationKSGVariants). The paper uses k = 4 or 5 and
+// reports the estimate to be insensitive to k in the 2–10 range.
+//
+// A dataset with fewer than two variables has multi-information 0 by
+// definition. k must satisfy 1 ≤ k < m. One joint knn index under the
+// joint metric answers the k-nearest-neighbour queries, and one
+// per-variable index answers the marginal range counts.
 func (e *Engine) MultiInfoKSGVariant(d *Dataset, k int, variant KSGVariant) float64 {
 	m := d.NumSamples()
 	n := d.NumVars()
@@ -303,11 +305,30 @@ func (e *Engine) identityVars(d *Dataset) []int {
 	return e.allVars
 }
 
-// DifferentialEntropyKL estimates the Kozachenko–Leonenko differential
-// entropy in bits of the joint distribution of the given variables (see
-// the package-level DifferentialEntropyKL for the definition and the
-// duplicate-sample rule), answering the k-th-neighbour queries with one
-// Euclidean tree over the flattened samples.
+// DifferentialEntropyKL estimates the differential entropy h(X) in bits of
+// the joint distribution of the given dataset variables with the
+// Kozachenko–Leonenko k-NN estimator:
+//
+//	ĥ = ψ(m) − ψ(k) + log c_D + (D/m) Σ_s log ε_s
+//
+// where ε_s is the distance from sample s to its k-th nearest neighbour
+// (Euclidean), D the dimension and c_D the volume of the D-dimensional
+// unit ball. It is the entropy-side companion of the KSG estimator (KSG is
+// derived from it) and powers the entropy-evolution diagnostics of
+// Secs. 6/7.1: the paper explains rising multi-information as the joint
+// entropy of the collective falling faster than the marginal observer
+// entropies.
+//
+// Duplicate samples make ε_s = 0 and log ε_s undefined. The rule: a zero
+// ε_s is clamped to the smallest positive k-th-neighbour distance
+// observed in the dataset — the finest resolution the data actually
+// exhibits — so a single duplicated pair shifts the mean by one
+// in-distribution term instead of injecting a ≈ −10³-bit outlier (the
+// old 1e-300 floor). If every sample's ε is zero the distribution is
+// (empirically) purely atomic and the differential entropy is −Inf.
+//
+// One Euclidean knn index over the flattened samples answers the
+// k-th-neighbour queries.
 func (e *Engine) DifferentialEntropyKL(d *Dataset, vars []int, k int) float64 {
 	m := d.NumSamples()
 	if k < 1 || k >= m {
@@ -337,8 +358,11 @@ func (e *Engine) klChunk(pts []float64, D, k, worker, lo, hi int) {
 	}
 }
 
-// Entropies evaluates the joint/marginal-sum entropy profile (see the
-// package-level Entropies) with the engine.
+// Entropies evaluates the joint/marginal-sum entropy profile with the
+// Kozachenko–Leonenko estimator. It makes the paper's Fig. 4 narrative
+// measurable: "in the beginning the sum of the marginal entropies is as
+// large as the overall entropy … over time the marginal entropies
+// decrease, however the overall entropy decreases even faster".
 func (e *Engine) Entropies(d *Dataset, k int) EntropyProfile {
 	var p EntropyProfile
 	p.Joint = e.DifferentialEntropyKL(d, e.identityVars(d), k)
@@ -349,11 +373,22 @@ func (e *Engine) Entropies(d *Dataset, k int) EntropyProfile {
 	return p
 }
 
-// MultiInfoKernel estimates the multi-information with the Gaussian-KDE
-// baseline (see the package-level MultiInfoKernel). The kernel sum is
-// dense — every pair contributes — so no tree applies; the engine's
-// contribution is scratch reuse and the Workers partition of the O(m²·D)
-// evaluation.
+// MultiInfoKernel estimates the multi-information of the dataset in bits
+// with a Gaussian kernel density estimator: Î = Σ_v ĥ(X_v) − ĥ(X), where
+// each differential entropy is the leave-one-out resubstitution estimate
+//
+//	ĥ(X) = −(1/m) Σ_s log₂ p̂₋ₛ(x_s)
+//
+// under a product Gaussian kernel with per-dimension Silverman/Scott
+// bandwidths h_d = σ_d · m^{−1/(D+4)} (D = dimension of the space the
+// density lives in).
+//
+// This is the kernel baseline of Sec. 5.3: the paper reports it to be
+// orders of magnitude slower and higher-variance in high dimension than
+// KSG, which BenchmarkEstimatorComparison reproduces. Cost is O(m²·D) —
+// every pair contributes to the dense kernel sum, so unlike the k-NN
+// estimators no tree applies; the engine recycles the scratch buffers and
+// spreads samples across Workers.
 func (e *Engine) MultiInfoKernel(d *Dataset) float64 {
 	if d.NumVars() < 2 {
 		return 0

@@ -244,9 +244,9 @@ func TestKLEntropyDuplicateClamp(t *testing.T) {
 	for s := 0; s < m; s++ {
 		d.Var(s, 0)[0] = r.NormFloat64()
 	}
-	clean := DifferentialEntropyKL(d, []int{0}, 1)
+	clean := NewEngine(0).DifferentialEntropyKL(d, []int{0}, 1)
 	copy(d.Row(1), d.Row(0)) // one exact duplicate pair
-	dup := DifferentialEntropyKL(d, []int{0}, 1)
+	dup := NewEngine(0).DifferentialEntropyKL(d, []int{0}, 1)
 	if math.IsInf(dup, 0) || math.IsNaN(dup) {
 		t.Fatalf("duplicate pair made the estimate non-finite: %v", dup)
 	}
@@ -261,7 +261,7 @@ func TestKLEntropyDuplicateClamp(t *testing.T) {
 	for s := 0; s < m; s++ {
 		d.Var(s, 0)[0] = 2.5
 	}
-	if got := DifferentialEntropyKL(d, []int{0}, 1); !math.IsInf(got, -1) {
+	if got := NewEngine(0).DifferentialEntropyKL(d, []int{0}, 1); !math.IsInf(got, -1) {
 		t.Errorf("all-identical samples: entropy = %v, want -Inf", got)
 	}
 }

@@ -7,35 +7,6 @@ import (
 	"repro/internal/mathx"
 )
 
-// DifferentialEntropyKL estimates the differential entropy h(X) in bits of
-// the joint distribution of the given dataset variables with the
-// Kozachenko–Leonenko k-NN estimator:
-//
-//	ĥ = ψ(m) − ψ(k) + log c_D + (D/m) Σ_s log ε_s
-//
-// where ε_s is the distance from sample s to its k-th nearest neighbour
-// (Euclidean), D the dimension and c_D the volume of the D-dimensional
-// unit ball. It is the entropy-side companion of the KSG estimator (KSG is
-// derived from it) and powers the entropy-evolution diagnostics of
-// Secs. 6/7.1: the paper explains rising multi-information as the joint
-// entropy of the collective falling faster than the marginal observer
-// entropies.
-//
-// Duplicate samples make ε_s = 0 and log ε_s undefined. The rule: a zero
-// ε_s is clamped to the smallest positive k-th-neighbour distance
-// observed in the dataset — the finest resolution the data actually
-// exhibits — so a single duplicated pair shifts the mean by one
-// in-distribution term instead of injecting a ≈ −10³-bit outlier (the
-// old 1e-300 floor). If every sample's ε is zero the distribution is
-// (empirically) purely atomic and the differential entropy is −Inf.
-//
-// It runs on a fresh tree engine; reuse an Engine to amortise the scratch
-// storage across calls.
-func DifferentialEntropyKL(d *Dataset, vars []int, k int) float64 {
-	var e Engine
-	return e.DifferentialEntropyKL(d, vars, k)
-}
-
 // differentialEntropyKLBrute is the retained brute-force reference
 // (O(m²·D) sweeps with a full sort per sample); the engine must
 // reproduce it bit for bit.
@@ -80,7 +51,7 @@ func differentialEntropyKLBrute(d *Dataset, vars []int, k int) float64 {
 
 // klReduce finishes the Kozachenko–Leonenko estimate from the per-sample
 // k-th-neighbour distances, applying the duplicate rule documented on
-// DifferentialEntropyKL. Both the brute reference and the tree engine end
+// Engine.DifferentialEntropyKL. Both the brute reference and the tree engine end
 // in this exact reduction (fixed summation order), which is what makes
 // their results — and the engine's results for any Workers setting —
 // bit-identical.
@@ -130,13 +101,3 @@ type EntropyProfile struct {
 // MultiInfo returns MarginalSum − Joint, the entropy-difference form of
 // multi-information.
 func (p EntropyProfile) MultiInfo() float64 { return p.MarginalSum - p.Joint }
-
-// Entropies evaluates the profile with the Kozachenko–Leonenko estimator.
-// It makes the paper's Fig. 4 narrative measurable: "in the beginning the
-// sum of the marginal entropies is as large as the overall entropy …
-// over time the marginal entropies decrease, however the overall entropy
-// decreases even faster".
-func Entropies(d *Dataset, k int) EntropyProfile {
-	var e Engine
-	return e.Entropies(d, k)
-}

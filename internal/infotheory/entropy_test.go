@@ -17,7 +17,7 @@ func TestKLEntropyStandardGaussian(t *testing.T) {
 		for s := 0; s < 600; s++ {
 			d.SetVar(s, 0, r.NormFloat64())
 		}
-		sum += DifferentialEntropyKL(d, []int{0}, 4)
+		sum += NewEngine(0).DifferentialEntropyKL(d, []int{0}, 4)
 	}
 	got := sum / float64(reps)
 	if math.Abs(got-want) > 0.1 {
@@ -35,8 +35,8 @@ func TestKLEntropyUniform(t *testing.T) {
 		d1.SetVar(s, 0, u)
 		d4.SetVar(s, 0, 4*u)
 	}
-	h1 := DifferentialEntropyKL(d1, []int{0}, 4)
-	h4 := DifferentialEntropyKL(d4, []int{0}, 4)
+	h1 := NewEngine(0).DifferentialEntropyKL(d1, []int{0}, 4)
+	h4 := NewEngine(0).DifferentialEntropyKL(d4, []int{0}, 4)
 	if math.Abs(h1) > 0.1 {
 		t.Errorf("h(U[0,1]) = %v, want 0", h1)
 	}
@@ -53,7 +53,7 @@ func TestKLEntropyJoint2D(t *testing.T) {
 	for s := 0; s < 800; s++ {
 		d.SetVar(s, 0, r.NormFloat64(), r.NormFloat64())
 	}
-	got := DifferentialEntropyKL(d, []int{0}, 4)
+	got := NewEngine(0).DifferentialEntropyKL(d, []int{0}, 4)
 	if math.Abs(got-want) > 0.15 {
 		t.Fatalf("joint 2-D Gaussian entropy = %v, want %v", got, want)
 	}
@@ -64,7 +64,7 @@ func TestKLEntropyDuplicatesFinite(t *testing.T) {
 	for s := 0; s < 10; s++ {
 		d.SetVar(s, 0, 1.0) // all identical
 	}
-	got := DifferentialEntropyKL(d, []int{0}, 2)
+	got := NewEngine(0).DifferentialEntropyKL(d, []int{0}, 2)
 	if math.IsNaN(got) || math.IsInf(got, 1) {
 		t.Fatalf("degenerate data gave %v", got)
 	}
@@ -77,7 +77,7 @@ func TestKLEntropyBadKPanics(t *testing.T) {
 			t.Error("k >= m should panic")
 		}
 	}()
-	DifferentialEntropyKL(d, []int{0}, 5)
+	NewEngine(0).DifferentialEntropyKL(d, []int{0}, 5)
 }
 
 func TestLogUnitBallVolume(t *testing.T) {
@@ -101,8 +101,8 @@ func TestEntropiesProfileMatchesKSGOnPair(t *testing.T) {
 	// The entropy-difference multi-information must agree with the KSG
 	// estimate within estimator tolerance.
 	d := gaussianPair(500, 0.8, 42)
-	p := Entropies(d, 4)
-	direct := MultiInfoKSGVariant(d, 4, KSG2)
+	p := NewEngine(0).Entropies(d, 4)
+	direct := NewEngine(0).MultiInfoKSGVariant(d, 4, KSG2)
 	if math.Abs(p.MultiInfo()-direct) > 0.3 {
 		t.Fatalf("entropy-difference MI %v vs KSG %v", p.MultiInfo(), direct)
 	}
@@ -117,7 +117,7 @@ func TestEntropiesNarrative(t *testing.T) {
 	// Σ marginal ≈ joint; for correlated variables the joint entropy
 	// drops below the marginal sum.
 	ind := independentDataset(400, 3, 1, 77)
-	pInd := Entropies(ind, 4)
+	pInd := NewEngine(0).Entropies(ind, 4)
 	if math.Abs(pInd.MultiInfo()) > 0.3 {
 		t.Errorf("independent profile MI = %v, want ≈ 0", pInd.MultiInfo())
 	}
@@ -129,7 +129,7 @@ func TestEntropiesNarrative(t *testing.T) {
 			cor.SetVar(s, v, z+0.2*r.NormFloat64())
 		}
 	}
-	pCor := Entropies(cor, 4)
+	pCor := NewEngine(0).Entropies(cor, 4)
 	if pCor.Joint >= pCor.MarginalSum-1 {
 		t.Errorf("correlated joint entropy %v should sit well below marginal sum %v",
 			pCor.Joint, pCor.MarginalSum)

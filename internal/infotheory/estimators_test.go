@@ -10,7 +10,7 @@ import (
 
 func TestKernelIndependentNearZero(t *testing.T) {
 	d := independentDataset(300, 3, 1, 41)
-	got := MultiInfoKernel(d)
+	got := NewEngine(0).MultiInfoKernel(d)
 	if math.Abs(got) > 0.4 {
 		t.Errorf("kernel MI on independent data = %v, want ≈ 0", got)
 	}
@@ -22,7 +22,7 @@ func TestKernelBivariateGaussian(t *testing.T) {
 	var sum float64
 	reps := 3
 	for r := 0; r < reps; r++ {
-		sum += MultiInfoKernel(gaussianPair(400, rho, uint64(300+r)))
+		sum += NewEngine(0).MultiInfoKernel(gaussianPair(400, rho, uint64(300+r)))
 	}
 	got := sum / float64(reps)
 	if math.Abs(got-want) > 0.35 {
@@ -31,15 +31,15 @@ func TestKernelBivariateGaussian(t *testing.T) {
 }
 
 func TestKernelMonotoneInCorrelation(t *testing.T) {
-	lo := MultiInfoKernel(gaussianPair(400, 0.2, 61))
-	hi := MultiInfoKernel(gaussianPair(400, 0.9, 62))
+	lo := NewEngine(0).MultiInfoKernel(gaussianPair(400, 0.2, 61))
+	hi := NewEngine(0).MultiInfoKernel(gaussianPair(400, 0.9, 62))
 	if hi <= lo {
 		t.Errorf("kernel MI not increasing in rho: %v vs %v", lo, hi)
 	}
 }
 
 func TestKernelSingleVariableZero(t *testing.T) {
-	if got := MultiInfoKernel(independentDataset(50, 1, 2, 63)); got != 0 {
+	if got := NewEngine(0).MultiInfoKernel(independentDataset(50, 1, 2, 63)); got != 0 {
 		t.Errorf("single variable = %v", got)
 	}
 }
@@ -53,7 +53,7 @@ func TestKernelConstantDimensionDoesNotExplode(t *testing.T) {
 		d.SetVar(s, 0, 3.0) // constant
 		d.SetVar(s, 1, r.NormFloat64())
 	}
-	got := MultiInfoKernel(d)
+	got := NewEngine(0).MultiInfoKernel(d)
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("kernel MI = %v on constant dimension", got)
 	}
@@ -193,13 +193,13 @@ func TestDecompositionNormalized(t *testing.T) {
 
 func TestDecomposeSingletonGroupsAreZero(t *testing.T) {
 	d := gaussianPair(200, 0.8, 91)
-	dec := Decompose(d, [][]int{{0}, {1}}, KSGEstimator(4))
+	dec := Decompose(d, [][]int{{0}, {1}}, NewEngine(0).KSGVariantEstimator(4, KSG2))
 	if dec.Within[0] != 0 || dec.Within[1] != 0 {
 		t.Fatal("singleton groups must have zero within-group MI")
 	}
 	// Between singleton groups the decomposition degenerates to the
 	// total multi-information.
-	total := MultiInfoKSGVariant(d, 4, KSG2)
+	total := NewEngine(0).MultiInfoKSGVariant(d, 4, KSG2)
 	if math.Abs(dec.Between-total) > 1e-9 {
 		t.Fatalf("between = %v, total = %v", dec.Between, total)
 	}

@@ -6,27 +6,6 @@ import (
 	"repro/internal/mathx"
 )
 
-// MultiInfoKernel estimates the multi-information of the dataset in bits
-// with a Gaussian kernel density estimator: Î = Σ_v ĥ(X_v) − ĥ(X), where
-// each differential entropy is the leave-one-out resubstitution estimate
-//
-//	ĥ(X) = −(1/m) Σ_s log₂ p̂₋ₛ(x_s)
-//
-// under a product Gaussian kernel with per-dimension Silverman/Scott
-// bandwidths h_d = σ_d · m^{−1/(D+4)} (D = dimension of the space the
-// density lives in).
-//
-// This is the kernel baseline of Sec. 5.3: the paper reports it to be
-// orders of magnitude slower and higher-variance in high dimension than
-// KSG, which BenchmarkEstimatorComparison reproduces. Cost is O(m²·D) —
-// every pair contributes to the dense kernel sum, so unlike the k-NN
-// estimators no tree applies; the Engine version recycles the scratch
-// buffers and spreads samples across workers.
-func MultiInfoKernel(d *Dataset) float64 {
-	var e Engine
-	return e.MultiInfoKernel(d)
-}
-
 // kernelEntropyBrute is the retained reference implementation of the
 // leave-one-out KDE differential entropy (bits) of the joint distribution
 // of the given variables; the engine must reproduce it bit for bit.

@@ -10,7 +10,7 @@ import (
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 
 // KSGVariant selects which formulation of the Kraskov–Stögbauer–Grassberger
-// estimator MultiInfoKSGVariant evaluates.
+// estimator Engine.MultiInfoKSGVariant evaluates.
 type KSGVariant int
 
 const (
@@ -54,28 +54,6 @@ func (v KSGVariant) String() string {
 	default:
 		return "ksg-unknown"
 	}
-}
-
-// MultiInfoKSG estimates the multi-information I(X₁,…,X_n) of the dataset
-// in bits using the paper's formulation of the KSG estimator (Eqs. 18–20)
-// with the paper's joint metric (Eq. 19): the maximum over variables of the
-// per-variable Euclidean norm. The paper uses k = 4 or 5 and reports the
-// estimate to be insensitive to k in the 2–10 range.
-//
-// A dataset with fewer than two variables has multi-information 0 by
-// definition. k must satisfy 1 ≤ k < m.
-func MultiInfoKSG(d *Dataset, k int) float64 {
-	return MultiInfoKSGVariant(d, k, KSGPaper)
-}
-
-// MultiInfoKSGVariant is MultiInfoKSG with an explicit variant selection;
-// the variants agree asymptotically and differ by small-sample bias (see
-// the ablation benchmark BenchmarkAblationKSGVariants). It runs on a
-// fresh tree engine; reuse an Engine to amortise the scratch storage
-// across calls.
-func MultiInfoKSGVariant(d *Dataset, k int, variant KSGVariant) float64 {
-	var e Engine
-	return e.MultiInfoKSGVariant(d, k, variant)
 }
 
 // multiInfoKSGBrute is the retained brute-force reference: O(m²·n)
@@ -179,24 +157,4 @@ func multiInfoKSGBrute(d *Dataset, k int, variant KSGVariant) float64 {
 	}
 	nats := base - psiSum.Sum()/float64(m)
 	return mathx.Log2(nats)
-}
-
-// MutualInfoKSG estimates the bivariate mutual information I(X;Y) in bits
-// from paired samples xs[i] ↔ ys[i] (each sample a vector), using the
-// recommended KSG-2 formulation. It is a convenience wrapper over a
-// two-variable dataset.
-func MutualInfoKSG(xs, ys [][]float64, k int) float64 {
-	if len(xs) != len(ys) {
-		panic("infotheory: MutualInfoKSG needs paired samples")
-	}
-	m := len(xs)
-	if m == 0 {
-		panic("infotheory: MutualInfoKSG needs samples")
-	}
-	d := NewDataset(m, []int{len(xs[0]), len(ys[0])})
-	for s := 0; s < m; s++ {
-		d.SetVar(s, 0, xs[s]...)
-		d.SetVar(s, 1, ys[s]...)
-	}
-	return MultiInfoKSGVariant(d, k, KSG2)
 }

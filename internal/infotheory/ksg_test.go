@@ -46,7 +46,7 @@ func independentDataset(m, n, dim int, seed uint64) *Dataset {
 func TestKSGIndependentIsNearZero(t *testing.T) {
 	for _, variant := range []KSGVariant{KSG1, KSG2} {
 		d := independentDataset(400, 4, 1, 11)
-		got := MultiInfoKSGVariant(d, 4, variant)
+		got := NewEngine(0).MultiInfoKSGVariant(d, 4, variant)
 		if math.Abs(got) > 0.25 {
 			t.Errorf("%v on independent data = %v, want ≈ 0", variant, got)
 		}
@@ -62,7 +62,7 @@ func TestKSGBivariateGaussianMatchesClosedForm(t *testing.T) {
 			reps := 5
 			for r := 0; r < reps; r++ {
 				d := gaussianPair(500, rho, uint64(100+r))
-				sum += MultiInfoKSGVariant(d, 4, variant)
+				sum += NewEngine(0).MultiInfoKSGVariant(d, 4, variant)
 			}
 			got := sum / float64(reps)
 			if math.Abs(got-want) > 0.15 {
@@ -76,7 +76,7 @@ func TestKSGMoreCorrelationMoreInformation(t *testing.T) {
 	prev := -math.Inf(1)
 	for _, rho := range []float64{0.0, 0.4, 0.8, 0.95} {
 		d := gaussianPair(600, rho, 21)
-		got := MultiInfoKSGVariant(d, 4, KSG2)
+		got := NewEngine(0).MultiInfoKSGVariant(d, 4, KSG2)
 		if got <= prev {
 			t.Fatalf("MI not increasing in rho: %v after %v", got, prev)
 		}
@@ -90,8 +90,8 @@ func TestKSGPaperVariantPositiveBias(t *testing.T) {
 	// (n−1)/k nats — the documented reason it is not the default.
 	d := independentDataset(300, 6, 1, 33)
 	k := 4
-	paper := MultiInfoKSGVariant(d, k, KSGPaper)
-	ksg2 := MultiInfoKSGVariant(d, k, KSG2)
+	paper := NewEngine(0).MultiInfoKSGVariant(d, k, KSGPaper)
+	ksg2 := NewEngine(0).MultiInfoKSGVariant(d, k, KSG2)
 	gapBits := (float64(6-1) / float64(k)) / math.Ln2
 	if paper-ksg2 < gapBits*0.5 {
 		t.Errorf("paper variant bias %v bits, expected at least %v", paper-ksg2, gapBits*0.5)
@@ -101,9 +101,9 @@ func TestKSGPaperVariantPositiveBias(t *testing.T) {
 func TestKSGInsensitiveToK(t *testing.T) {
 	// The paper reports similar results for k in 2..10.
 	d := gaussianPair(600, 0.7, 55)
-	ref := MultiInfoKSGVariant(d, 4, KSG2)
+	ref := NewEngine(0).MultiInfoKSGVariant(d, 4, KSG2)
 	for _, k := range []int{2, 8} {
-		got := MultiInfoKSGVariant(d, k, KSG2)
+		got := NewEngine(0).MultiInfoKSGVariant(d, k, KSG2)
 		if math.Abs(got-ref) > 0.2 {
 			t.Errorf("k=%d estimate %v deviates from k=4 estimate %v", k, got, ref)
 		}
@@ -121,7 +121,7 @@ func TestKSGInvariantUnderPerVariableRigidMotion(t *testing.T) {
 		v0 := d.Var(s, 0)
 		d.SetVar(s, 1, v0[0]+0.1*d.Var(s, 1)[0], v0[1]+0.1*d.Var(s, 1)[1])
 	}
-	before := MultiInfoKSGVariant(d, 4, KSG2)
+	before := NewEngine(0).MultiInfoKSGVariant(d, 4, KSG2)
 	// Rotate variable 1 by 1.3 rad and translate it.
 	c, si := math.Cos(1.3), math.Sin(1.3)
 	for s := 0; s < d.NumSamples(); s++ {
@@ -129,7 +129,7 @@ func TestKSGInvariantUnderPerVariableRigidMotion(t *testing.T) {
 		x, y := v[0], v[1]
 		d.SetVar(s, 1, c*x-si*y+5, si*x+c*y-3)
 	}
-	after := MultiInfoKSGVariant(d, 4, KSG2)
+	after := NewEngine(0).MultiInfoKSGVariant(d, 4, KSG2)
 	if math.Abs(before-after) > 1e-9 {
 		t.Fatalf("estimate changed under rigid motion of one variable: %v -> %v", before, after)
 	}
@@ -137,7 +137,7 @@ func TestKSGInvariantUnderPerVariableRigidMotion(t *testing.T) {
 
 func TestKSGSingleVariableIsZero(t *testing.T) {
 	d := independentDataset(50, 1, 2, 88)
-	if got := MultiInfoKSG(d, 4); got != 0 {
+	if got := NewEngine(0).MultiInfoKSGVariant(d, 4, KSGPaper); got != 0 {
 		t.Fatalf("single-variable multi-info = %v", got)
 	}
 }
@@ -151,50 +151,17 @@ func TestKSGBadKPanics(t *testing.T) {
 					t.Errorf("k=%d should panic for m=10", k)
 				}
 			}()
-			MultiInfoKSG(d, k)
+			NewEngine(0).MultiInfoKSGVariant(d, k, KSGPaper)
 		}()
 	}
 }
 
 func TestKSGDeterministic(t *testing.T) {
 	d := gaussianPair(200, 0.5, 123)
-	a := MultiInfoKSGVariant(d, 4, KSG2)
-	b := MultiInfoKSGVariant(d, 4, KSG2)
+	a := NewEngine(0).MultiInfoKSGVariant(d, 4, KSG2)
+	b := NewEngine(0).MultiInfoKSGVariant(d, 4, KSG2)
 	if a != b {
 		t.Fatal("estimator not deterministic")
-	}
-}
-
-func TestMutualInfoKSGWrapper(t *testing.T) {
-	r := rand.New(rand.NewPCG(7, 9))
-	m := 400
-	xs := make([][]float64, m)
-	ys := make([][]float64, m)
-	for s := 0; s < m; s++ {
-		x := r.NormFloat64()
-		xs[s] = []float64{x}
-		ys[s] = []float64{0.8*x + 0.6*r.NormFloat64()}
-	}
-	got := MutualInfoKSG(xs, ys, 4)
-	want := gaussianPairTrueMI(0.8)
-	if math.Abs(got-want) > 0.25 {
-		t.Fatalf("wrapper MI = %v, want near %v", got, want)
-	}
-}
-
-func TestMutualInfoKSGWrapperValidation(t *testing.T) {
-	for _, fn := range []func(){
-		func() { MutualInfoKSG(make([][]float64, 2), make([][]float64, 3), 1) },
-		func() { MutualInfoKSG(nil, nil, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }
 
@@ -222,7 +189,7 @@ func TestKSGGroupedIndependentBlocks(t *testing.T) {
 		d.SetVar(s, 2, b)
 		d.SetVar(s, 3, b+0.3*r.NormFloat64())
 	}
-	dec := Decompose(d, [][]int{{0, 1}, {2, 3}}, KSGEstimator(4))
+	dec := Decompose(d, [][]int{{0, 1}, {2, 3}}, NewEngine(0).KSGVariantEstimator(4, KSG2))
 	if math.Abs(dec.Between) > 0.3 {
 		t.Errorf("between independent blocks = %v, want ≈ 0", dec.Between)
 	}
@@ -231,7 +198,7 @@ func TestKSGGroupedIndependentBlocks(t *testing.T) {
 			t.Errorf("within group %d = %v, want clearly positive", g, w)
 		}
 	}
-	total := MultiInfoKSGVariant(d, 4, KSG2)
+	total := NewEngine(0).MultiInfoKSGVariant(d, 4, KSG2)
 	if math.Abs(dec.Total()-total) > 0.6 {
 		t.Errorf("decomposition total %v vs direct %v", dec.Total(), total)
 	}

@@ -10,7 +10,7 @@ func TestPoolPutDropsDatasetReferences(t *testing.T) {
 	ep := NewEnginePool()
 	e := ep.Get(1)
 	d := scalingDataset(200, 4, 1)
-	_ = e.MultiInfoKSG(d, DefaultBenchK)
+	_ = e.MultiInfoKSGVariant(d, DefaultBenchK, KSGPaper)
 	_ = e.Entropies(d, DefaultBenchK)
 	if e.joint.Len() == 0 || e.flat.Len() == 0 {
 		t.Fatal("precondition: trees should reference the dataset after estimating")
@@ -28,7 +28,7 @@ func TestPoolPutNilPoolStillReleases(t *testing.T) {
 	var ep *EnginePool
 	e := NewEngine(1)
 	d := scalingDataset(100, 4, 2)
-	_ = e.MultiInfoKSG(d, DefaultBenchK)
+	_ = e.MultiInfoKSGVariant(d, DefaultBenchK, KSGPaper)
 	ep.Put(e)
 	if e.joint.Len() != 0 {
 		t.Fatal("nil-pool Put left the joint tree referencing the dataset")
@@ -44,7 +44,7 @@ func TestPoolWatermarkDropsOversizedScratch(t *testing.T) {
 	d := scalingDataset(500, 6, 3)
 
 	over := NewEngine(1)
-	_ = over.MultiInfoKSG(d, DefaultBenchK)
+	_ = over.MultiInfoKSGVariant(d, DefaultBenchK, KSGPaper)
 	grown := over.retainedBytes()
 	if grown == 0 {
 		t.Fatal("precondition: estimating should grow scratch")
@@ -62,7 +62,7 @@ func TestPoolWatermarkDropsOversizedScratch(t *testing.T) {
 
 	// Over the watermark: Put resets the engine to its zero state.
 	under := NewEngine(3)
-	_ = under.MultiInfoKSG(d, DefaultBenchK)
+	_ = under.MultiInfoKSGVariant(d, DefaultBenchK, KSGPaper)
 	_ = under.MultiInfoKSGApprox(d, DefaultBenchK, KSGPaper, ApproxOptions{Subsample: 50, Seed: 7})
 	poolWatermarkBytes = under.retainedBytes() - 1
 	ep.Put(under)
@@ -81,10 +81,10 @@ func TestPoolRecycledEngineStillExact(t *testing.T) {
 	poolWatermarkBytes = 1 // force the reset path on every Put
 	ep := NewEnginePool()
 	d := scalingDataset(150, 4, 4)
-	want := MultiInfoKSG(d, DefaultBenchK)
+	want := NewEngine(0).MultiInfoKSGVariant(d, DefaultBenchK, KSGPaper)
 	for i := 0; i < 3; i++ {
 		e := ep.Get(1)
-		if got := e.MultiInfoKSG(d, DefaultBenchK); got != want {
+		if got := e.MultiInfoKSGVariant(d, DefaultBenchK, KSGPaper); got != want {
 			t.Fatalf("cycle %d: pooled engine returned %v, want %v", i, got, want)
 		}
 		ep.Put(e)

@@ -35,8 +35,8 @@ func TestQuickKSGVariablePermutationInvariance(t *testing.T) {
 		perm := r.Perm(n)
 		shuffled := d.Select(perm)
 		for _, variant := range []KSGVariant{KSGPaper, KSG1, KSG2} {
-			a := MultiInfoKSGVariant(d, 3, variant)
-			b := MultiInfoKSGVariant(shuffled, 3, variant)
+			a := NewEngine(0).MultiInfoKSGVariant(d, 3, variant)
+			b := NewEngine(0).MultiInfoKSGVariant(shuffled, 3, variant)
 			if math.Abs(a-b) > 1e-9 {
 				return false
 			}
@@ -69,7 +69,7 @@ func TestQuickSelectIdentity(t *testing.T) {
 				}
 			}
 		}
-		return MultiInfoKSGVariant(d, 3, KSG2) == MultiInfoKSGVariant(sel, 3, KSG2)
+		return NewEngine(0).MultiInfoKSGVariant(d, 3, KSG2) == NewEngine(0).MultiInfoKSGVariant(sel, 3, KSG2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -87,7 +87,7 @@ func TestQuickSingletonGroupingIdentity(t *testing.T) {
 			groups[v] = []int{v}
 		}
 		g := d.Grouped(groups)
-		return MultiInfoKSGVariant(d, 3, KSG2) == MultiInfoKSGVariant(g, 3, KSG2)
+		return NewEngine(0).MultiInfoKSGVariant(d, 3, KSG2) == NewEngine(0).MultiInfoKSGVariant(g, 3, KSG2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -172,7 +172,7 @@ func TestQuickKSGTranslationInvariance(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(seed))
 		d := quickDataset(r, 25, 3)
-		before := MultiInfoKSGVariant(d, 3, KSG2)
+		before := NewEngine(0).MultiInfoKSGVariant(d, 3, KSG2)
 		for s := 0; s < d.NumSamples(); s++ {
 			for v := 0; v < d.NumVars(); v++ {
 				vals := d.Var(s, v)
@@ -181,7 +181,7 @@ func TestQuickKSGTranslationInvariance(t *testing.T) {
 				}
 			}
 		}
-		after := MultiInfoKSGVariant(d, 3, KSG2)
+		after := NewEngine(0).MultiInfoKSGVariant(d, 3, KSG2)
 		return math.Abs(before-after) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

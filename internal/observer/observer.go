@@ -60,30 +60,24 @@ type Config struct {
 // streaming Accumulator: either alignment is skipped, or the reference is
 // RefFirst (the default). The medoid reference needs every sample of a
 // frame simultaneously and requires the batch path. This is the single
-// dispatch predicate shared by FromEnsemble, NewAccumulator and
+// dispatch predicate shared by FromEnsembleCtx, NewAccumulator and
 // experiment.Pipeline.Run.
 func (c Config) Streamable() bool {
 	return c.SkipAlign || c.Align.Reference == align.RefFirst
 }
 
-// FromEnsemble aligns every recorded frame of the ensemble and packages the
-// result as observer datasets. The anchor frame for the k-means reduction is
-// the aligned final frame of the first sample (organised configurations
-// give spatially meaningful clusters).
+// FromEnsembleCtx aligns every recorded frame of the ensemble and packages
+// the result as observer datasets. The anchor frame for the k-means
+// reduction is the aligned final frame of the first sample (organised
+// configurations give spatially meaningful clusters).
 //
 // With the default RefFirst reference (or SkipAlign) the work runs through
 // the streaming Accumulator: frames are aligned in parallel across
 // (sample, step) work items and written directly into the per-step
 // datasets, with no aligned intermediate copy of the ensemble. The medoid
 // reference needs all samples of a frame at once and takes the batch path.
-func FromEnsemble(ens *sim.Ensemble, cfg Config) (*Observers, error) {
-	return FromEnsembleCtx(context.Background(), ens, cfg)
-}
-
-// FromEnsembleCtx is FromEnsemble under a context: cancellation stops the
-// per-(sample, step) alignment pool within one work item and returns the
-// context's error. Results are bit-identical to FromEnsemble whenever the
-// context is never cancelled.
+// Cancellation stops the per-(sample, step) alignment pool within one work
+// item and returns the context's error.
 func FromEnsembleCtx(ctx context.Context, ens *sim.Ensemble, cfg Config) (*Observers, error) {
 	times := ens.Times()
 	if len(times) == 0 {

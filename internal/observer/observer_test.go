@@ -1,6 +1,7 @@
 package observer
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func smallEnsemble(t *testing.T, n, l, m, steps, every int) *sim.Ensemble {
 	t.Helper()
-	ens, err := sim.RunEnsemble(sim.EnsembleConfig{
+	ens, err := sim.RunEnsembleCtx(context.Background(), sim.EnsembleConfig{
 		Sim: sim.Config{
 			N:      n,
 			Types:  sim.TypesRoundRobin(n, l),
@@ -32,7 +33,7 @@ func smallEnsemble(t *testing.T, n, l, m, steps, every int) *sim.Ensemble {
 
 func TestFromEnsembleShapes(t *testing.T) {
 	ens := smallEnsemble(t, 12, 3, 8, 20, 10)
-	obs, err := FromEnsemble(ens, Config{})
+	obs, err := FromEnsembleCtx(context.Background(), ens, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestFromEnsembleShapes(t *testing.T) {
 
 func TestFromEnsembleGroups(t *testing.T) {
 	ens := smallEnsemble(t, 9, 3, 4, 10, 10)
-	obs, err := FromEnsemble(ens, Config{})
+	obs, err := FromEnsembleCtx(context.Background(), ens, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestFromEnsembleGroups(t *testing.T) {
 
 func TestFromEnsembleAlignedDatasetsAreCentred(t *testing.T) {
 	ens := smallEnsemble(t, 10, 2, 6, 10, 10)
-	obs, err := FromEnsemble(ens, Config{})
+	obs, err := FromEnsembleCtx(context.Background(), ens, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestFromEnsembleAlignedDatasetsAreCentred(t *testing.T) {
 
 func TestFromEnsembleSkipAlign(t *testing.T) {
 	ens := smallEnsemble(t, 8, 2, 5, 10, 10)
-	obs, err := FromEnsemble(ens, Config{SkipAlign: true})
+	obs, err := FromEnsembleCtx(context.Background(), ens, Config{SkipAlign: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestFromEnsembleSkipAlign(t *testing.T) {
 
 func TestFromEnsembleKMeansReduction(t *testing.T) {
 	ens := smallEnsemble(t, 20, 2, 6, 10, 10)
-	obs, err := FromEnsemble(ens, Config{KMeansK: 3, Seed: 9})
+	obs, err := FromEnsembleCtx(context.Background(), ens, Config{KMeansK: 3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,11 @@ func TestFromEnsembleKMeansReduction(t *testing.T) {
 
 func TestFromEnsembleKMeansDeterministic(t *testing.T) {
 	ens := smallEnsemble(t, 16, 2, 5, 10, 10)
-	a, err := FromEnsemble(ens, Config{KMeansK: 2, Seed: 33})
+	a, err := FromEnsembleCtx(context.Background(), ens, Config{KMeansK: 2, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromEnsemble(ens, Config{KMeansK: 2, Seed: 33})
+	b, err := FromEnsembleCtx(context.Background(), ens, Config{KMeansK: 2, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestKMeansReductionLowersDimensionButKeepsSignal(t *testing.T) {
 	// system: final MI above initial MI under reduction, as in the full
 	// representation (Sec. 5.3.1: the reduction underestimates but
 	// preserves the trend).
-	ens, err := sim.RunEnsemble(sim.EnsembleConfig{
+	ens, err := sim.RunEnsembleCtx(context.Background(), sim.EnsembleConfig{
 		Sim: sim.Config{
 			N:     24,
 			Types: sim.TypesRoundRobin(24, 2),
@@ -202,12 +203,12 @@ func TestKMeansReductionLowersDimensionButKeepsSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := FromEnsemble(ens, Config{KMeansK: 3, Seed: 3})
+	obs, err := FromEnsembleCtx(context.Background(), ens, Config{KMeansK: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := infotheory.MultiInfoKSGVariant(obs.Datasets[0], 4, infotheory.KSG2)
-	last := infotheory.MultiInfoKSGVariant(obs.Datasets[len(obs.Datasets)-1], 4, infotheory.KSG2)
+	first := infotheory.NewEngine(0).MultiInfoKSGVariant(obs.Datasets[0], 4, infotheory.KSG2)
+	last := infotheory.NewEngine(0).MultiInfoKSGVariant(obs.Datasets[len(obs.Datasets)-1], 4, infotheory.KSG2)
 	if last <= first {
 		t.Fatalf("reduced MI did not increase: %v -> %v", first, last)
 	}

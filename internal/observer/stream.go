@@ -32,7 +32,7 @@ import (
 //
 // Streaming alignment supports the RefFirst reference only: the medoid
 // reference needs every sample of a frame simultaneously and therefore
-// remains a batch-path feature (see FromEnsemble).
+// remains a batch-path feature (see FromEnsembleCtx).
 type Accumulator struct {
 	cfg   Config
 	m     int

@@ -42,7 +42,7 @@ func observersEqual(t *testing.T, a, b *Observers) {
 }
 
 // TestStreamingMatchesBatch asserts the headline equivalence: the streaming
-// accumulator path of FromEnsemble is byte-identical to the fully-batched
+// accumulator path of FromEnsembleCtx is byte-identical to the fully-batched
 // path (materialise, AlignFrame per step, package) that the seed
 // implementation used, for per-particle, k-means-reduced and
 // alignment-skipping configurations.
@@ -55,7 +55,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			streamed, err := FromEnsemble(ens, cfg)
+			streamed, err := FromEnsembleCtx(context.Background(), ens, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestStreamingMatchesBatchAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3, 8, 32} {
 		cfg := Config{Align: align.FrameOptions{Workers: workers}}
-		streamed, err := FromEnsemble(ens, cfg)
+		streamed, err := FromEnsembleCtx(context.Background(), ens, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

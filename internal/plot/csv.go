@@ -34,40 +34,6 @@ func WriteSeriesCSV(w io.Writer, names []string, xs, ys [][]float64) error {
 	return cw.Error()
 }
 
-// ReadSeriesCSV parses the long-format CSV written by WriteSeriesCSV.
-func ReadSeriesCSV(r io.Reader) (names []string, xs, ys [][]float64, err error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if len(records) == 0 {
-		return nil, nil, nil, fmt.Errorf("plot: empty CSV")
-	}
-	index := map[string]int{}
-	for _, rec := range records[1:] {
-		if len(rec) != 3 {
-			return nil, nil, nil, fmt.Errorf("plot: bad record %v", rec)
-		}
-		x, errX := strconv.ParseFloat(rec[1], 64)
-		y, errY := strconv.ParseFloat(rec[2], 64)
-		if errX != nil || errY != nil {
-			return nil, nil, nil, fmt.Errorf("plot: bad numbers in %v", rec)
-		}
-		si, ok := index[rec[0]]
-		if !ok {
-			si = len(names)
-			index[rec[0]] = si
-			names = append(names, rec[0])
-			xs = append(xs, nil)
-			ys = append(ys, nil)
-		}
-		xs[si] = append(xs[si], x)
-		ys[si] = append(ys[si], y)
-	}
-	return names, xs, ys, nil
-}
-
 func formatFloat(x float64) string {
 	if math.IsInf(x, 1) {
 		return "inf"

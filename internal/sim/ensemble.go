@@ -77,19 +77,14 @@ func (e *Ensemble) FramesAt(t int) [][]vec.Vec2 {
 	return out
 }
 
-// RunEnsemble executes the ensemble on a worker pool and retains every
+// RunEnsembleCtx executes the ensemble on a worker pool and retains every
 // trajectory. Sample i is seeded with rngx.Split(Seed, i) regardless of
 // which worker runs it, so the result is bit-identical for any worker
-// count. It is the full-retention composition of StreamEnsemble with a
+// count. It is the full-retention composition of StreamEnsembleCtx with a
 // Collector; pipelines that only need each frame once should stream
-// instead and keep peak memory independent of M×Steps.
-func RunEnsemble(ec EnsembleConfig) (*Ensemble, error) {
-	return RunEnsembleCtx(context.Background(), ec)
-}
-
-// RunEnsembleCtx is RunEnsemble under a context: cancellation stops the
-// sample pool within one token-grant and returns the context's error; no
-// partial ensemble is returned.
+// instead and keep peak memory independent of M×Steps. Cancellation stops
+// the sample pool within one token-grant and returns the context's error;
+// no partial ensemble is returned.
 func RunEnsembleCtx(ctx context.Context, ec EnsembleConfig) (*Ensemble, error) {
 	col, err := NewCollector(ec)
 	if err != nil {

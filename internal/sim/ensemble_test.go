@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/forces"
@@ -23,7 +24,7 @@ func ensembleConfig(m, steps, every, workers int) EnsembleConfig {
 }
 
 func TestEnsembleRecordingSchedule(t *testing.T) {
-	ens, err := RunEnsemble(ensembleConfig(3, 50, 20, 0))
+	ens, err := RunEnsembleCtx(context.Background(), ensembleConfig(3, 50, 20, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestEnsembleRecordingSchedule(t *testing.T) {
 
 func TestEnsembleFinalStepRecordedOnce(t *testing.T) {
 	// Steps divisible by RecordEvery must not duplicate the final frame.
-	ens, err := RunEnsemble(ensembleConfig(2, 40, 20, 0))
+	ens, err := RunEnsembleCtx(context.Background(), ensembleConfig(2, 40, 20, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestEnsembleFinalStepRecordedOnce(t *testing.T) {
 func TestEnsembleIndependentOfWorkerCount(t *testing.T) {
 	// Bit-identical results for 1 worker and 8 workers: sample seeds are
 	// positional, not scheduling-dependent.
-	a, err := RunEnsemble(ensembleConfig(6, 30, 10, 1))
+	a, err := RunEnsembleCtx(context.Background(), ensembleConfig(6, 30, 10, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEnsemble(ensembleConfig(6, 30, 10, 8))
+	b, err := RunEnsembleCtx(context.Background(), ensembleConfig(6, 30, 10, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestEnsembleDeterministicAcrossWorkerLevels(t *testing.T) {
 		RecordEvery: 10,
 		Seed:        2012,
 	}
-	ref, err := RunEnsemble(base)
+	ref, err := RunEnsembleCtx(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestEnsembleDeterministicAcrossWorkerLevels(t *testing.T) {
 		if tc.tokens > 0 {
 			ec.Tokens = workpool.NewTokens(tc.tokens)
 		}
-		got, err := RunEnsemble(ec)
+		got, err := RunEnsembleCtx(context.Background(), ec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestEnsembleDeterministicAcrossWorkerLevels(t *testing.T) {
 }
 
 func TestEnsembleSamplesDiffer(t *testing.T) {
-	ens, err := RunEnsemble(ensembleConfig(2, 10, 10, 0))
+	ens, err := RunEnsembleCtx(context.Background(), ensembleConfig(2, 10, 10, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestEnsembleSamplesDiffer(t *testing.T) {
 }
 
 func TestEnsembleFramesAt(t *testing.T) {
-	ens, err := RunEnsemble(ensembleConfig(4, 20, 10, 0))
+	ens, err := RunEnsembleCtx(context.Background(), ensembleConfig(4, 20, 10, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,23 +157,23 @@ func TestEnsembleFramesAt(t *testing.T) {
 
 func TestEnsembleValidation(t *testing.T) {
 	bad := ensembleConfig(0, 10, 1, 0)
-	if _, err := RunEnsemble(bad); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), bad); err == nil {
 		t.Error("M=0 accepted")
 	}
 	bad = ensembleConfig(2, 0, 1, 0)
-	if _, err := RunEnsemble(bad); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), bad); err == nil {
 		t.Error("Steps=0 accepted")
 	}
 	bad = ensembleConfig(2, 10, 1, 0)
 	bad.Sim.N = 0
-	if _, err := RunEnsemble(bad); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), bad); err == nil {
 		t.Error("invalid sim config accepted")
 	}
 }
 
 func TestEnsembleTypesShared(t *testing.T) {
 	ec := ensembleConfig(2, 10, 5, 0)
-	ens, err := RunEnsemble(ec)
+	ens, err := RunEnsembleCtx(context.Background(), ec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -402,3 +402,30 @@ func TestDynamicsPermutationEquivariant(t *testing.T) {
 		}
 	}
 }
+
+func TestForceSpecRoundTrip(t *testing.T) {
+	f1 := forces.MustF1(forces.ConstantMatrix(3, 2), forces.MustMatrix([][]float64{
+		{1, 2, 3}, {2, 4, 5}, {3, 5, 6},
+	}))
+	spec, err := forces.ToSpec(f1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < 3; a++ {
+		for b := 0; b < 3; b++ {
+			if f1.Eval(a, b, 1.7) != back.Eval(a, b, 1.7) {
+				t.Fatal("spec round trip changed F1")
+			}
+		}
+	}
+	if _, err := (forces.Spec{Family: "F9"}).Build(); err == nil {
+		t.Error("unknown family accepted")
+	}
+	if _, err := (forces.Spec{Family: "F1", K: [][]float64{{1, 2}, {3, 4}}}).Build(); err == nil {
+		t.Error("asymmetric spec accepted")
+	}
+}

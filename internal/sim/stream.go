@@ -90,21 +90,16 @@ func (ec EnsembleConfig) Normalized() (EnsembleConfig, error) {
 	return ec, nil
 }
 
-// StreamEnsemble runs all M samples of the ensemble on a worker pool and
-// emits every recorded frame to visit as it is produced, without retaining
-// trajectories — the bounded-memory alternative to RunEnsemble. Sample i is
-// seeded with rngx.Split(Seed, i), so what each sample computes is
-// bit-identical for any worker count; only the interleaving of visit calls
-// across samples depends on scheduling. Full-trajectory retention is an
-// opt-in consumer: see Collector.
-func StreamEnsemble(ec EnsembleConfig, visit FrameVisitor) (*StreamResult, error) {
-	return StreamEnsembleCtx(context.Background(), ec, visit)
-}
-
-// StreamEnsembleCtx is StreamEnsemble under a context: cancellation stops
-// the sample pool within one token-grant (samples already running finish
-// and their frames are delivered; no further sample starts) and the
-// context's error is returned.
+// StreamEnsembleCtx runs all M samples of the ensemble on a worker pool
+// and emits every recorded frame to visit as it is produced, without
+// retaining trajectories — the bounded-memory alternative to
+// RunEnsembleCtx. Sample i is seeded with rngx.Split(Seed, i), so what
+// each sample computes is bit-identical for any worker count; only the
+// interleaving of visit calls across samples depends on scheduling.
+// Full-trajectory retention is an opt-in consumer: see Collector.
+// Cancellation stops the sample pool within one token-grant (samples
+// already running finish and their frames are delivered; no further
+// sample starts) and the context's error is returned.
 func StreamEnsembleCtx(ctx context.Context, ec EnsembleConfig, visit FrameVisitor) (*StreamResult, error) {
 	ec, err := ec.Normalized()
 	if err != nil {
@@ -113,9 +108,10 @@ func StreamEnsembleCtx(ctx context.Context, ec EnsembleConfig, visit FrameVisito
 	return streamRange(ctx, ec, 0, ec.M, visit)
 }
 
-// StreamSamples is StreamEnsemble restricted to samples lo ≤ s < hi of the
-// ensemble. Sample seeding is by absolute index, so streaming an ensemble
-// in several ranges produces exactly the frames StreamEnsemble would. An
+// StreamSamples is StreamEnsembleCtx restricted to samples lo ≤ s < hi of
+// the ensemble, without a context. Sample seeding is by absolute index, so
+// streaming an ensemble in several ranges produces exactly the frames
+// StreamEnsembleCtx would. An
 // empty range is a no-op. The staged measurement pipeline uses this to run
 // the alignment-reference sample to completion before fanning out the rest.
 func StreamSamples(ec EnsembleConfig, lo, hi int, visit FrameVisitor) (*StreamResult, error) {
@@ -194,9 +190,9 @@ func streamSample(ec EnsembleConfig, s int, visit FrameVisitor) error {
 	return nil
 }
 
-// Collector is the opt-in full-trajectory consumer for StreamEnsemble: it
+// Collector is the opt-in full-trajectory consumer for StreamEnsembleCtx: it
 // copies every streamed frame into an Ensemble, reproducing exactly what
-// RunEnsemble returns. Visit is safe for concurrent use (distinct samples
+// RunEnsembleCtx returns. Visit is safe for concurrent use (distinct samples
 // write distinct trajectories).
 type Collector struct {
 	ens *Ensemble

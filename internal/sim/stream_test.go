@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -59,7 +60,7 @@ func collectFrames(t *testing.T, ec EnsembleConfig) ([][][]vec.Vec2, *StreamResu
 		frames[s] = make([][]vec.Vec2, len(times))
 	}
 	var mu sync.Mutex
-	res, err := StreamEnsemble(ec, func(f Frame) error {
+	res, err := StreamEnsembleCtx(context.Background(), ec, func(f Frame) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if frames[f.Sample][f.Index] != nil {
@@ -76,7 +77,7 @@ func collectFrames(t *testing.T, ec EnsembleConfig) ([][][]vec.Vec2, *StreamResu
 
 func TestStreamEnsembleMatchesRunEnsemble(t *testing.T) {
 	ec := streamTestConfig(6, 20, 7, 2)
-	ens, err := RunEnsemble(ec)
+	ens, err := RunEnsembleCtx(context.Background(), ec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestStreamFrameMetadata(t *testing.T) {
 	wantSteps := []int{0, 4, 8, 10}
 	var gotSteps []int
 	finals := 0
-	_, err := StreamEnsemble(ec, func(f Frame) error {
+	_, err := StreamEnsembleCtx(context.Background(), ec, func(f Frame) error {
 		if f.Sample != 0 {
 			t.Errorf("sample %d in single-sample stream", f.Sample)
 		}
@@ -181,7 +182,7 @@ func TestStreamEnsembleVisitorErrorNoDeadlock(t *testing.T) {
 	ec := streamTestConfig(64, 3, 3, 2)
 	donec := make(chan error, 1)
 	go func() {
-		_, err := StreamEnsemble(ec, func(f Frame) error {
+		_, err := StreamEnsembleCtx(context.Background(), ec, func(f Frame) error {
 			if f.Sample == 1 {
 				return boom
 			}
@@ -206,7 +207,7 @@ func TestStreamEnsembleAllWorkersFailNoDeadlock(t *testing.T) {
 	ec := streamTestConfig(64, 3, 3, 4)
 	donec := make(chan error, 1)
 	go func() {
-		_, err := StreamEnsemble(ec, func(Frame) error { return errors.New("fail all") })
+		_, err := StreamEnsembleCtx(context.Background(), ec, func(Frame) error { return errors.New("fail all") })
 		donec <- err
 	}()
 	select {
@@ -221,7 +222,7 @@ func TestStreamEnsembleAllWorkersFailNoDeadlock(t *testing.T) {
 
 func TestCollectorReproducesRunEnsemble(t *testing.T) {
 	ec := streamTestConfig(4, 9, 2, 3)
-	ens, err := RunEnsemble(ec)
+	ens, err := RunEnsembleCtx(context.Background(), ec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestCollectorReproducesRunEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StreamEnsemble(ec, col.Visit); err != nil {
+	if _, err := StreamEnsembleCtx(context.Background(), ec, col.Visit); err != nil {
 		t.Fatal(err)
 	}
 	got := col.Ensemble()

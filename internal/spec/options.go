@@ -1,10 +1,6 @@
 package spec
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Option configures a Spec under construction.
 type Option func(*Spec) error
@@ -22,20 +18,6 @@ func New(name string, opts ...Option) (Spec, error) {
 		return Spec{}, err
 	}
 	return sp, nil
-}
-
-// MustNew is New for static, known-good specs; it panics on error.
-func MustNew(name string, opts ...Option) Spec {
-	sp, err := New(name, opts...)
-	if err != nil {
-		panic(fmt.Sprintf("spec: %v", err))
-	}
-	return sp
-}
-
-// WithScenario selects a named sweep family from the registry.
-func WithScenario(name string) Option {
-	return func(sp *Spec) error { sp.Scenario = name; return nil }
 }
 
 // WithScale applies an ensemble-size preset ("quick", "paper", "test").
@@ -76,32 +58,6 @@ func WithRetainEnsemble() Option {
 	return func(sp *Spec) error { sp.ensureEnsemble().Retain = true; return nil }
 }
 
-// WithObserver sets the observer block.
-func WithObserver(o Observer) Option {
-	return func(sp *Spec) error { sp.Observer = &o; return nil }
-}
-
-// WithEstimator selects the estimator kind and its k-NN parameter
-// (0 = the paper's default).
-func WithEstimator(kind string, k int) Option {
-	return func(sp *Spec) error {
-		e := sp.ensureEstimator()
-		e.Kind, e.K = kind, k
-		return nil
-	}
-}
-
-// WithEstimatorTier selects the estimator tier ("exact" or "approx")
-// and, for the approximate tier, the per-step evaluation budget
-// (1 ≤ subsample < m).
-func WithEstimatorTier(tier string, subsample int) Option {
-	return func(sp *Spec) error {
-		e := sp.ensureEstimator()
-		e.Tier, e.Subsample = tier, subsample
-		return nil
-	}
-}
-
 // WithDecomposition additionally records the per-type Eq. (5)
 // decomposition at every recorded step.
 func WithDecomposition() Option {
@@ -111,41 +67,6 @@ func WithDecomposition() Option {
 // WithEntropyTracking additionally records the per-step entropy profile.
 func WithEntropyTracking() Option {
 	return func(sp *Spec) error { sp.ensureEstimator().TrackEntropies = true; return nil }
-}
-
-// WithGrid declares a custom sweep grid over type counts × cut-off radii
-// (entries ≤ 0 mean rc = ∞) with random draws from the given force
-// family ("f1" or "f2").
-func WithGrid(typeCounts []int, cutoffs []float64, family string) Option {
-	return func(sp *Spec) error {
-		sp.ensureSweep().TypeCounts = append([]int(nil), typeCounts...)
-		sp.Sweep.Cutoffs = append([]float64(nil), cutoffs...)
-		sp.Sweep.Force = &GridForce{Family: family}
-		return nil
-	}
-}
-
-// WithGridForce replaces the sweep grid's force family description
-// wholesale (for non-default draw ranges).
-func WithGridForce(f GridForce) Option {
-	return func(sp *Spec) error { sp.ensureSweep().Force = &f; return nil }
-}
-
-// WithRepeats sets the per-cell repeat draws of a sweep (overriding the
-// scale preset).
-func WithRepeats(n int) Option {
-	return func(sp *Spec) error { sp.ensureSweep().Repeats = n; return nil }
-}
-
-// WithGridN sets the particle count of every grid cell.
-func WithGridN(n int) Option {
-	return func(sp *Spec) error {
-		if sp.Sim == nil {
-			sp.Sim = &Sim{}
-		}
-		sp.Sim.N = n
-		return nil
-	}
 }
 
 func (sp *Spec) ensureEnsemble() *Ensemble {
@@ -160,11 +81,4 @@ func (sp *Spec) ensureEstimator() *Estimator {
 		sp.Estimator = &Estimator{}
 	}
 	return sp.Estimator
-}
-
-func (sp *Spec) ensureSweep() *Sweep {
-	if sp.Sweep == nil {
-		sp.Sweep = &Sweep{}
-	}
-	return sp.Sweep
 }

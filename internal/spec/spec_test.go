@@ -34,11 +34,14 @@ func runSpec(t *testing.T) Spec {
 		WithSim(fig4ish()),
 		WithEnsemble(64, 120, 20),
 		WithSeed(2012),
-		WithEstimator("ksg2", 4),
 		WithDecomposition(),
-		WithObserver(Observer{KMeansK: 3, Seed: 9}),
 	)
 	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Estimator.Kind, sp.Estimator.K = "ksg2", 4
+	sp.Observer = &Observer{KMeansK: 3, Seed: 9}
+	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return sp
@@ -48,20 +51,11 @@ func runSpec(t *testing.T) Spec {
 // fixed point, and the decoded value must equal the original, for each
 // spec kind.
 func TestJSONRoundTripLossless(t *testing.T) {
-	grid, err := New("golden-grid",
-		WithGrid([]int{20, 5}, []float64{2.5, 7.5, -1}, "f1"),
-		WithGridN(20),
-		WithRepeats(3),
-		WithScale("test"),
-		WithSeed(7),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenario, err := New("fig8", WithScenario("fig8"), WithScale("quick"), WithSeed(2012))
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := Spec{Version: Version, Name: "golden-grid", Scale: "test", Seed: 7,
+		Sim: &Sim{N: 20},
+		Sweep: &Sweep{TypeCounts: []int{20, 5}, Cutoffs: []float64{2.5, 7.5, -1},
+			Force: &GridForce{Family: "f1"}, Repeats: 3}}
+	scenario := Spec{Version: Version, Name: "fig8", Scenario: "fig8", Scale: "quick", Seed: 2012}
 	for _, sp := range []Spec{runSpec(t), grid, scenario} {
 		b1, err := json.Marshal(sp.Normalized())
 		if err != nil {
@@ -259,11 +253,11 @@ func TestEstimatorKindsRoundTripThroughSpec(t *testing.T) {
 		sp, err := New(string(kind),
 			WithSim(fig4ish()),
 			WithEnsemble(32, 10, 5),
-			WithEstimator(string(kind), 2),
 		)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
+		sp.Estimator = &Estimator{Kind: string(kind), K: 2}
 		b, err := json.Marshal(sp.Normalized())
 		if err != nil {
 			t.Fatal(err)

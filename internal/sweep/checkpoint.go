@@ -12,10 +12,10 @@ import (
 	"repro/internal/spec"
 )
 
-// runFile is the on-disk representation of one completed sweep run,
-// modeled on sim's ensembleFile: explicit exported fields, a version
-// guard for format evolution, and an identity (ID + spec fingerprint)
-// that must match before a checkpoint is trusted. Only the curve-level
+// runFile is the on-disk representation of one completed sweep run:
+// explicit exported fields, a version guard for format evolution, and an
+// identity (ID + spec fingerprint) that must match before a checkpoint is
+// trusted. Only the curve-level
 // payload is persisted — aggregation needs nothing else, and it keeps a
 // paper-scale sweep's checkpoint directory at kilobytes per run.
 type runFile struct {

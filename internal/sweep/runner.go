@@ -15,7 +15,7 @@
 //
 // With a ResultStore attached (Store, or the Dir shorthand), every
 // completed run is persisted — one versioned gob file per run under
-// DirStore, modeled on sim/persist.go — and a later Sweep over the same
+// DirStore — and a later Sweep over the same
 // specs resumes from the store: an interrupted figure regeneration at
 // paper scale loses at most the runs in flight. The store is also the
 // seam the remote package distributes over: workers in other processes

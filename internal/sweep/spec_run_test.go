@@ -84,11 +84,14 @@ func TestRunSpecDispatch(t *testing.T) {
 	sameFigure(t, "grid", wantG, gotG)
 
 	// Single-run spec: the figure is the run's MI curve.
-	runSpec := spec.MustNew("single",
+	runSpec, err := spec.New("single",
 		spec.WithSim(experiment.Fig5Params()),
 		spec.WithScale("test"),
 		spec.WithSeed(11),
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fd, err := RunSpec(ctx, nil, runSpec)
 	if err != nil {
 		t.Fatal(err)
