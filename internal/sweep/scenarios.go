@@ -14,7 +14,8 @@ import (
 // from a Scale and a master seed and reduces the results to one figure.
 // The registry covers the paper's sweep figures plus the example-derived
 // workloads, so `sopsweep -scenario <name>` regenerates any of them with
-// concurrency and checkpointing; custom grids come in through GridSpec.
+// concurrency and checkpointing; custom grids come in as grid specs
+// (RunSpec). Run accepts a nil sweeper and then runs serially.
 type Scenario struct {
 	Name string
 	Desc string
@@ -143,18 +144,22 @@ var registry = []Scenario{
 
 // longRangeScenario is the examples/longrange study as a sweep: the
 // Fig. 10 comparison at the example's radii (l ∈ {20, 5} × rc ∈
-// {2.5, 7.5, ∞}), expressed as the GridSpec it is — one grid-sweep
+// {2.5, 7.5, ∞}), expressed as the grid spec it is — one grid-sweep
 // implementation serves both the JSON path and this registry entry. The
 // grid's f1 family is exactly RandomTypedF1Config (k = 1, r ∈ [2, 8]).
 func longRangeScenario(ctx context.Context, sw experiment.Sweeper, sc experiment.Scale, seed uint64) (*experiment.FigureData, error) {
-	g := &GridSpec{
-		Name:       "long-range",
-		N:          20,
-		TypeCounts: []int{20, 5},
-		Cutoffs:    []float64{2.5, 7.5, -1}, // -1 → rc = ∞
-		Force:      GridForce{Family: "f1"},
+	grid := spec.Spec{
+		Version: spec.Version,
+		Name:    "long-range",
+		Seed:    seed,
+		Sim:     &spec.Sim{N: 20},
+		Sweep: &spec.Sweep{
+			TypeCounts: []int{20, 5},
+			Cutoffs:    []float64{2.5, 7.5, -1}, // -1 → rc = ∞
+			Force:      &spec.GridForce{Family: "f1"},
+		},
 	}
-	fd, err := g.Figure(ctx, sw, sc, seed)
+	fd, err := runGrid(ctx, sw, grid, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -67,8 +67,8 @@ func TestScenariosRunAtTinyScale(t *testing.T) {
 }
 
 // TestGridSpecLoadAndValidate: a grid file loads through the one spec
-// reader and materialises as its executable GridSpec; malformed grids are
-// rejected by spec.Parse (see its tests) and by GridFromSpec.
+// reader and runs as its grid; malformed grids are rejected by spec.Parse
+// (see its tests) and by RunSpec.
 func TestGridSpecLoadAndValidate(t *testing.T) {
 	good := filepath.Join(t.TempDir(), "good.json")
 	if err := os.WriteFile(good, []byte(`{
@@ -84,18 +84,15 @@ func TestGridSpecLoadAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := GridFromSpec(sp)
+	fd, err := RunSpec(context.Background(), nil, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Name != "demo" || g.N != 10 || len(g.TypeCounts) != 2 || len(g.Cutoffs) != 2 || g.Force.Family != "f1" {
-		t.Fatalf("materialised grid = %+v", g)
+	if fd.ID != "demo" || len(fd.Series) != 4 || fd.Series[1].Name != "l=1,rc=inf" {
+		t.Fatalf("grid figure = %q with series %+v", fd.ID, fd.Series)
 	}
-	if _, err := GridFromSpec(spec.Spec{Version: spec.Version, Scenario: "fig8"}); err == nil {
-		t.Fatal("scenario spec materialised as a grid")
-	}
-	if _, err := GridFromSpec(spec.Spec{Sweep: &spec.Sweep{TypeCounts: []int{0}}}); err == nil {
-		t.Fatal("invalid grid materialised")
+	if _, err := RunSpec(context.Background(), nil, spec.Spec{Sweep: &spec.Sweep{TypeCounts: []int{0}}}); err == nil {
+		t.Fatal("invalid grid ran")
 	}
 }
 
@@ -103,16 +100,21 @@ func TestGridSpecLoadAndValidate(t *testing.T) {
 // concurrently with checkpointing: same curves, one series per (l, rc)
 // cell, infinite-cutoff encoding honoured.
 func TestGridFigureEquivalenceAndShape(t *testing.T) {
-	g := &GridSpec{
-		Name:       "demo",
-		N:          10,
-		TypeCounts: []int{1, 2},
-		Cutoffs:    []float64{5, -1}, // -1 → rc = ∞
-		Force:      GridForce{Family: "f2"},
-		M:          10, Steps: 8, RecordEvery: 4, Repeats: 2,
+	g := spec.Spec{
+		Version:  spec.Version,
+		Name:     "demo",
+		Scale:    "test",
+		Seed:     9,
+		Sim:      &spec.Sim{N: 10},
+		Ensemble: &spec.Ensemble{M: 10, Steps: 8, RecordEvery: 4},
+		Sweep: &spec.Sweep{
+			TypeCounts: []int{1, 2},
+			Cutoffs:    []float64{5, -1}, // -1 → rc = ∞
+			Force:      &spec.GridForce{Family: "f2"},
+			Repeats:    2,
+		},
 	}
-	sc := experiment.TestScale()
-	want, err := g.Figure(context.Background(), nil, sc, 9)
+	want, err := RunSpec(context.Background(), nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +130,15 @@ func TestGridFigureEquivalenceAndShape(t *testing.T) {
 	if !foundInf {
 		t.Fatalf("rc=inf cell missing: %+v", want.Series)
 	}
-	got, err := g.Figure(context.Background(), &Runner{Concurrency: 4, Dir: t.TempDir()}, sc, 9)
+	got, err := RunSpec(context.Background(), &Runner{Concurrency: 4, Dir: t.TempDir()}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameFigure(t, "grid", want, got)
 
-	bad := &GridSpec{Force: GridForce{Family: "f1"}, Repeats: -1}
-	empty := experiment.Scale{}
-	if _, err := bad.Figure(context.Background(), nil, empty, 1); err == nil {
+	// No scale preset and no repeats: the grid has nothing to average.
+	bad := spec.Spec{Version: spec.Version, Sweep: &spec.Sweep{Force: &spec.GridForce{Family: "f1"}}}
+	if _, err := RunSpec(context.Background(), nil, bad); err == nil {
 		t.Fatal("repeats<1 grid accepted")
 	}
 }

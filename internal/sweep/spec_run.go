@@ -37,11 +37,7 @@ func RunSpec(ctx context.Context, sw experiment.Sweeper, sp spec.Spec) (*experim
 		}
 		return s.Run(ctx, sw, sc, sp.Seed)
 	case spec.KindGrid:
-		g, err := GridFromSpec(sp)
-		if err != nil {
-			return nil, err
-		}
-		return g.Figure(ctx, sw, sc, sp.Seed)
+		return runGrid(ctx, sw, sp, sc)
 	default:
 		p, err := sp.Pipeline()
 		if err != nil {

@@ -51,9 +51,8 @@ func TestScenarioSpecsRoundTripLossless(t *testing.T) {
 	}
 }
 
-// TestRunSpecDispatch: the one dispatcher reproduces each kind of
-// experiment — scenario, grid, single run — and grid specs converted
-// from the legacy GridSpec form produce bit-identical figures.
+// TestRunSpecDispatch: the one dispatcher reproduces scenario and
+// single-run experiments (TestGridFigureGoldenBits pins the grid kind).
 func TestRunSpecDispatch(t *testing.T) {
 	ctx := context.Background()
 	sc := experiment.TestScale()
@@ -69,19 +68,6 @@ func TestRunSpecDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameFigure(t, "scenario", want, got)
-
-	// Grid spec (via the declarative form) ≡ legacy GridSpec.Figure.
-	g := &GridSpec{Name: "g", N: 8, TypeCounts: []int{2}, Cutoffs: []float64{5},
-		Force: GridForce{Family: "f1"}, Repeats: 2}
-	wantG, err := g.Figure(ctx, nil, sc, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotG, err := RunSpec(ctx, nil, g.Spec("test", 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameFigure(t, "grid", wantG, gotG)
 
 	// Single-run spec: the figure is the run's MI curve.
 	runSpec, err := spec.New("single",

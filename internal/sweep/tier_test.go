@@ -9,18 +9,26 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/spec"
 )
 
-// approxGrid is a tiny grid sweep on the approximate estimator tier.
-func approxGrid() *GridSpec {
-	return &GridSpec{
-		Name:       "approx-grid",
-		N:          10,
-		TypeCounts: []int{2},
-		Cutoffs:    []float64{5},
-		Force:      GridForce{Family: "f1"},
-		Tier:       "approx",
-		Subsample:  6,
+// approxGrid is a tiny grid sweep on the approximate estimator tier at
+// tinyScale.
+func approxGrid(seed uint64) spec.Spec {
+	sc := tinyScale()
+	return spec.Spec{
+		Version:   spec.Version,
+		Name:      "approx-grid",
+		Seed:      seed,
+		Sim:       &spec.Sim{N: 10},
+		Ensemble:  &spec.Ensemble{M: sc.M, Steps: sc.Steps, RecordEvery: sc.RecordEvery},
+		Estimator: &spec.Estimator{Tier: "approx", Subsample: 6},
+		Sweep: &spec.Sweep{
+			TypeCounts: []int{2},
+			Cutoffs:    []float64{5},
+			Force:      &spec.GridForce{Family: "f1"},
+			Repeats:    sc.Repeats,
+		},
 	}
 }
 
@@ -31,17 +39,15 @@ func approxGrid() *GridSpec {
 // and the per-step error bars must survive the checkpoint round trip
 // bit-identically.
 func TestApproxTierResumeBitIdentical(t *testing.T) {
-	g := approxGrid()
-	sc := tinyScale()
-	const seed = 77
-	reference, err := g.Figure(context.Background(), experiment.SerialSweeper{}, sc, seed)
+	g := approxGrid(77)
+	reference, err := RunSpec(context.Background(), experiment.SerialSweeper{}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
 	r := &Runner{Concurrency: 2, Dir: dir}
-	first, err := g.Figure(context.Background(), r, sc, seed)
+	first, err := RunSpec(context.Background(), r, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestApproxTierResumeBitIdentical(t *testing.T) {
 			t.Errorf("run %q: %d error bars for %d MI points", res.Name, len(res.MIStdErr), len(res.MI))
 		}
 	}}
-	resumed, err := g.Figure(context.Background(), resume, sc, seed)
+	resumed, err := RunSpec(context.Background(), resume, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +90,12 @@ func TestApproxTierResumeBitIdentical(t *testing.T) {
 // of the same grid must never share a checkpoint file — the tier is part
 // of the fingerprint when (and only when) it changes the numbers.
 func TestApproxTierKeysOwnCheckpoints(t *testing.T) {
-	sc := tinyScale()
-	const seed = 78
 	dir := t.TempDir()
 
-	exact := approxGrid()
-	exact.Tier, exact.Subsample = "", 0
+	exact := approxGrid(78)
+	exact.Estimator = nil
 	r := &Runner{Concurrency: 1, Dir: dir}
-	exactFig, err := exact.Figure(context.Background(), r, sc, seed)
+	exactFig, err := RunSpec(context.Background(), r, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestApproxTierKeysOwnCheckpoints(t *testing.T) {
 			restored++
 		}
 	}}
-	approxFig, err := approxGrid().Figure(context.Background(), r2, sc, seed)
+	approxFig, err := RunSpec(context.Background(), r2, approxGrid(78))
 	if err != nil {
 		t.Fatal(err)
 	}
