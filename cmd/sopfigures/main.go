@@ -324,14 +324,10 @@ func (r runner) run(fig string) error {
 }
 
 func resultFigure(id, title string, times []int, mi []float64) *experiment.FigureData {
-	xs := make([]float64, len(times))
-	for i, t := range times {
-		xs[i] = float64(t)
-	}
 	return &experiment.FigureData{
 		ID:     id,
 		Title:  title,
-		Series: []experiment.Series{{Name: "I(W1..Wn)", X: xs, Y: mi}},
+		Series: []experiment.Series{{Name: "I(W1..Wn)", X: experiment.FloatTimes(times), Y: mi}},
 	}
 }
 

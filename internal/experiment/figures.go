@@ -35,10 +35,12 @@ type TypedConfig struct {
 	Types []int
 }
 
-func intsToFloats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
+// FloatTimes converts recorded step indices to float64 x-values for
+// charts and figure series.
+func FloatTimes(times []int) []float64 {
+	out := make([]float64, len(times))
+	for i, t := range times {
+		out[i] = float64(t)
 	}
 	return out
 }
@@ -495,7 +497,7 @@ func Fig9CutoffSweep(ctx context.Context, sw Sweeper, sc Scale, seed uint64) (*F
 		if math.IsInf(rc, 1) {
 			name = "rc=inf"
 		}
-		fd.Series = append(fd.Series, Series{Name: name, X: intsToFloats(times), Y: mi})
+		fd.Series = append(fd.Series, Series{Name: name, X: FloatTimes(times), Y: mi})
 	}
 	return fd, nil
 }
@@ -541,7 +543,7 @@ func Fig10TypesVsCutoff(ctx context.Context, sw Sweeper, sc Scale, seed uint64) 
 		if math.IsInf(c.rc, 1) {
 			name = fmt.Sprintf("l=%d,rc=inf", c.l)
 		}
-		fd.Series = append(fd.Series, Series{Name: name, X: intsToFloats(times), Y: mi})
+		fd.Series = append(fd.Series, Series{Name: name, X: FloatTimes(times), Y: mi})
 	}
 	return fd, nil
 }
@@ -589,7 +591,7 @@ func Fig11Decomposition(sc Scale, seed uint64) (*FigureData, error) {
 // the same figure data as the figure command that dumped it.
 func DecompositionFigure(res *Result, id, title string) *FigureData {
 	fd := &FigureData{ID: id, Title: title}
-	xs := intsToFloats(res.Times)
+	xs := FloatTimes(res.Times)
 	between := make([]float64, len(res.Times))
 	within := make([][]float64, len(res.Decomp[0].Within))
 	for g := range within {

@@ -132,15 +132,11 @@ func runGrid(ctx context.Context, sw experiment.Sweeper, sp spec.Spec, sc experi
 		if err != nil {
 			return nil, err
 		}
-		xs := make([]float64, len(times))
-		for i, t := range times {
-			xs[i] = float64(t)
-		}
 		sname := fmt.Sprintf("l=%d,rc=%g", c.l, c.rc)
 		if math.IsInf(c.rc, 1) {
 			sname = fmt.Sprintf("l=%d,rc=inf", c.l)
 		}
-		fd.Series = append(fd.Series, experiment.Series{Name: sname, X: xs, Y: mi})
+		fd.Series = append(fd.Series, experiment.Series{Name: sname, X: experiment.FloatTimes(times), Y: mi})
 	}
 	return fd, nil
 }

@@ -54,14 +54,10 @@ func meanCurveFigure(ctx context.Context, id, title, notes string, sw experiment
 	if err != nil {
 		return nil, err
 	}
-	xs := make([]float64, len(times))
-	for i, t := range times {
-		xs[i] = float64(t)
-	}
 	return &experiment.FigureData{
 		ID:     id,
 		Title:  title,
-		Series: []experiment.Series{{Name: "I(W1..Wn)", X: xs, Y: mi}},
+		Series: []experiment.Series{{Name: "I(W1..Wn)", X: experiment.FloatTimes(times), Y: mi}},
 		Notes:  notes,
 	}, nil
 }

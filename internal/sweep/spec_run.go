@@ -58,14 +58,10 @@ func RunSpec(ctx context.Context, sw experiment.Sweeper, sp spec.Spec) (*experim
 			return experiment.DecompositionFigure(res, id,
 				fmt.Sprintf("Normalized decomposition of multi-information (%s)", id)), nil
 		}
-		xs := make([]float64, len(res.Times))
-		for i, t := range res.Times {
-			xs[i] = float64(t)
-		}
 		return &experiment.FigureData{
 			ID:     id,
 			Title:  fmt.Sprintf("Multi-information vs time (%s)", id),
-			Series: []experiment.Series{{Name: "I(W1..Wn)", X: xs, Y: res.MI}},
+			Series: []experiment.Series{{Name: "I(W1..Wn)", X: experiment.FloatTimes(res.Times), Y: res.MI}},
 		}, nil
 	}
 }

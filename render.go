@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/experiment"
 	"repro/internal/plot"
 )
 
@@ -14,8 +15,13 @@ type (
 	Chart = plot.Chart
 )
 
-// SVGScatter renders a typed particle configuration as SVG.
-var SVGScatter = plot.SVGScatter
+var (
+	// SVGScatter renders a typed particle configuration as SVG.
+	SVGScatter = plot.SVGScatter
+	// FloatTimes converts recorded step indices to float64 x-values for
+	// charts.
+	FloatTimes = experiment.FloatTimes
+)
 
 // ASCIIScatter renders a typed particle configuration on a w×h character
 // grid, digits being particle types — the terminal counterpart of the
@@ -94,13 +100,4 @@ func renderGrid(grid [][]byte) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// FloatTimes converts recorded step indices to float64 x-values for charts.
-func FloatTimes(times []int) []float64 {
-	out := make([]float64, len(times))
-	for i, t := range times {
-		out[i] = float64(t)
-	}
-	return out
 }
