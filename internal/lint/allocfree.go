@@ -64,7 +64,7 @@ var hotPaths = map[string]bool{
 const hotpathPrefix = "//sopslint:hotpath"
 
 func runAllocFree(pass *analysis.Pass) error {
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

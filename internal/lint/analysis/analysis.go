@@ -8,10 +8,12 @@
 // packages itself from compiler export data (see the sibling load
 // package) and keeps the analyzer surface to exactly what the sopslint
 // analyzers need: typed ASTs, position-addressed diagnostics, object
-// facts, a CFG and dataflow solver, and per-file traversal that skips
-// _test.go files (the determinism, cancellation and budget contracts
-// bind production code; tests are free to use wall clocks, raw rand and
-// context.Background()).
+// facts, and a CFG and dataflow solver. Analyzers traverse every file of
+// Package.Files; the loaders provide the test-file exemption (the
+// determinism, cancellation and budget contracts bind production code;
+// tests are free to use wall clocks, raw rand and context.Background()):
+// load.Packages returns `go list`'s GoFiles, which exclude _test.go
+// files, and the corpora load.Corpus reads hold none.
 package analysis
 
 import (
@@ -19,7 +21,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // An Analyzer is one named, documented invariant check. Run inspects a
@@ -113,21 +114,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 // passes and for downstream packages.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	p.Pkg.Facts.ExportObjectFact(obj, fact)
-}
-
-// SourceFiles returns the package's non-test files: every sopslint
-// contract applies to production code only, so analyzers iterate this
-// instead of Pkg.Files.
-func (p *Pass) SourceFiles() []*ast.File {
-	var out []*ast.File
-	for _, f := range p.Pkg.Files {
-		name := p.Pkg.Fset.Position(f.Package).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
 }
 
 // Run applies one analyzer to one package and returns its diagnostics.

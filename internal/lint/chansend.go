@@ -26,7 +26,7 @@ var Chansend = &analysis.Analyzer{
 }
 
 func runChansend(pass *analysis.Pass) error {
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		for _, u := range analysis.Units(f) {
 			u := u
 			walkShallow(u.Body(), func(n ast.Node) {

@@ -34,7 +34,7 @@ var CtxFlow = &analysis.Analyzer{
 }
 
 func runCtxFlow(pass *analysis.Pass) error {
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		sanctioned := wrapperRoots(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok && !sanctioned[call] {
@@ -162,7 +162,7 @@ func checkCtxVariants(pass *analysis.Pass, fd *ast.FuncDecl) {
 // declaration without a context parameter that mints a fresh root
 // outside the sanctioned Run→RunCtx wrapper shape.
 func exportRootMintFacts(pass *analysis.Pass) {
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		sanctioned := wrapperRoots(pass, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

@@ -38,7 +38,7 @@ var Dettaint = &analysis.Analyzer{
 
 func runDettaint(pass *analysis.Pass) error {
 	eng := taintEngineFor(pass)
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		for _, u := range analysis.Units(f) {
 			for _, ev := range eng.analyze(u) {
 				switch ev.kind {

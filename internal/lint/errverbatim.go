@@ -40,7 +40,7 @@ var ErrVerbatim = &analysis.Analyzer{
 }
 
 func runErrVerbatim(pass *analysis.Pass) error {
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -40,7 +40,7 @@ var Goroleak = &analysis.Analyzer{
 
 func runGoroleak(pass *analysis.Pass) error {
 	cfgs := analysis.NewCFGs(terminalForCFG)
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		for _, u := range analysis.Units(f) {
 			u := u
 			walkShallow(u.Body(), func(n ast.Node) {

@@ -21,7 +21,7 @@ var RNGSource = &analysis.Analyzer{
 }
 
 func runRNGSource(pass *analysis.Pass) error {
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
 			switch path {

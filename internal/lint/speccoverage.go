@@ -48,7 +48,7 @@ func runSpecCoverage(pass *analysis.Pass) error {
 	for _, d := range nohashFieldsFor(pass).malformed {
 		pass.Reportf(d, "//sopslint:nohash needs a reason — write //sopslint:nohash <why this field cannot affect results>")
 	}
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !strings.HasSuffix(fd.Name.Name, "Fingerprint") {

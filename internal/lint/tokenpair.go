@@ -36,7 +36,7 @@ var TokenPair = &analysis.Analyzer{
 
 func runTokenPair(pass *analysis.Pass) error {
 	cfgs := analysis.NewCFGs(terminalForCFG)
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		for _, u := range analysis.Units(f) {
 			walkShallow(u.Body(), func(n ast.Node) {
 				call, ok := n.(*ast.CallExpr)

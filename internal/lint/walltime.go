@@ -38,7 +38,7 @@ var walltimeCalls = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 func runWalltime(pass *analysis.Pass) error {
 	eng := taintEngineFor(pass)
-	for _, f := range pass.SourceFiles() {
+	for _, f := range pass.Pkg.Files {
 		for _, u := range analysis.Units(f) {
 			for _, ev := range eng.analyze(u) {
 				if ev.kind != evClockEscape {
