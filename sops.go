@@ -2,13 +2,14 @@
 // this reproduction of Harder & Polani, "Self-organizing particle systems",
 // Advances in Complex Systems 16, 1250089 (2012).
 //
-// It re-exports the building blocks a user needs to (1) simulate typed
-// particle collectives with differential-adhesion interactions (Eq. 6 of
-// the paper), (2) factor the shape symmetries out of simulation ensembles
-// (Sec. 5.2), and (3) quantify self-organization as the increase of the
-// multi-information of the aligned observer variables (Secs. 3.1, 5.3),
-// plus the experiment drivers that regenerate every figure of the paper's
-// evaluation.
+// It re-exports what the CLIs, the examples and the benchmark use to
+// (1) simulate typed particle collectives with differential-adhesion
+// interactions (Eq. 6 of the paper), (2) factor the shape symmetries out
+// of simulation ensembles (Sec. 5.2), and (3) quantify self-organization
+// as the increase of the multi-information of the aligned observer
+// variables (Secs. 3.1, 5.3), plus the Session that runs any experiment
+// Spec — a single measurement, a custom sweep grid, or a named scenario
+// that regenerates a figure of the paper's evaluation.
 //
 // # Quickstart
 //
