@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -65,4 +66,38 @@ func BenchmarkDistributedResume(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWire is the frame round-trip row: one send plus one recv over
+// an in-memory connection, after the connection's first frame has
+// carried the schema. wire-B/frame is what one frame puts on the wire,
+// length prefix included.
+func BenchmarkWire(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		f    *frame
+	}{{"progress", progressFrame()}, {"result", resultFrame()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var conn bytes.Buffer
+			tx, rx := newWire(&conn), newWire(&conn)
+			roundTrip := func() int {
+				if err := tx.send(bc.f); err != nil {
+					b.Fatal(err)
+				}
+				n := conn.Len()
+				if _, err := rx.recv(); err != nil {
+					b.Fatal(err)
+				}
+				return n
+			}
+			roundTrip()
+			b.ReportAllocs()
+			b.ResetTimer()
+			wireBytes := 0
+			for i := 0; i < b.N; i++ {
+				wireBytes += roundTrip()
+			}
+			b.ReportMetric(float64(wireBytes)/float64(b.N), "wire-B/frame")
+		})
+	}
 }

@@ -338,7 +338,8 @@ func (c *Coordinator) handle(conn net.Conn, st *sweepState, specs []experiment.S
 }
 
 // runRemote drives one run on one worker. It returns false when the
-// connection broke — the caller requeues — and true when the exchange
+// connection broke or the worker broke the protocol — the caller
+// requeues and drops the connection — and true when the exchange
 // finished, successfully or not (a worker-side run failure aborts the
 // whole sweep, matching Runner.Sweep's first-error contract).
 func (c *Coordinator) runRemote(w *wire, idx int, st *sweepState, specs []experiment.SweepSpec, wireSpecs [][]byte, results []*experiment.Result) bool {
@@ -356,6 +357,9 @@ func (c *Coordinator) runRemote(w *wire, idx int, st *sweepState, specs []experi
 				c.emit(*f.Event)
 			}
 		case msgResult:
+			if f.Result == nil {
+				return false // a result with no payload: a protocol violation
+			}
 			results[idx] = fromWire(f.Result)
 			c.emit(experiment.ProgressEvent{Kind: experiment.ProgressRunDone, Run: specs[idx].ID, Index: idx, FromCheckpoint: f.FromCheckpoint})
 			st.complete()

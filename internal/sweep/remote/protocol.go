@@ -14,15 +14,19 @@
 // budget across live workers GOMAXPROCS-style, so N children never
 // oversubscribe the box the way N independent sweeps would.
 //
-// The wire format is length-prefixed frames: a 4-byte big-endian length
-// followed by one self-contained gob-encoded frame. Each frame is
-// encoded with a fresh encoder (stateless framing), so a reader can cap,
-// skip or resync on frame boundaries without tracking stream state, and
-// a single oversized frame fails loudly instead of running away. Specs
-// cross the wire as their canonical JSON (sops.Spec is versioned and
-// JSON-round-trippable by contract), which keeps the hot fingerprint
-// path — worker rebuilds the pipeline, fingerprints it, hits the shared
-// store — byte-identical to the coordinator's view.
+// The wire format is one gob stream per connection, cut into
+// length-prefixed frames: a 4-byte big-endian length followed by the gob
+// output of exactly one frame. The stream is stateful, so the type
+// descriptors cross a connection once, in its first frame, and a
+// progress frame after that is a few dozen bytes. The prefix caps every
+// frame, so a single oversized frame fails loudly instead of running
+// away, and it detects torn frames: a peer that dies mid-frame reads as
+// an error, never as a clean close. A recv error ends the connection,
+// since the stream cannot be resumed past it. Specs cross the wire as
+// their canonical JSON (sops.Spec is versioned and JSON-round-trippable
+// by contract), which keeps the hot fingerprint path — worker rebuilds
+// the pipeline, fingerprints it, hits the shared store — byte-identical
+// to the coordinator's view.
 package remote
 
 import (
@@ -119,26 +123,37 @@ func fromWire(w *wireResult) *experiment.Result {
 	}
 }
 
-// wire frames gob messages over one connection. Sends are serialised by
-// a mutex (progress events race the result message on the worker side)
-// and a send error is sticky: once the peer is gone every later send
-// fails fast with the same error.
+// wire frames one gob stream over one connection: a persistent encoder
+// writes each frame into buf behind its length prefix, and a persistent
+// decoder reads each payload through rd. Sends are serialised by a
+// mutex (progress events race the result message on the worker side)
+// and a send error is sticky: a failed or oversized Encode leaves the
+// encoder's type table ahead of the peer, and once the peer is gone
+// every later send fails fast with the same error. A recv error is
+// terminal too; both callers drop the connection on one.
 type wire struct {
-	conn net.Conn
+	conn io.ReadWriter
 
 	mu      sync.Mutex
 	sendErr error
 	buf     bytes.Buffer
+	enc     *gob.Encoder
 
 	rmu sync.Mutex
+	rd  bytes.Reader
+	dec *gob.Decoder
 }
 
-func newWire(conn net.Conn) *wire {
-	return &wire{conn: conn}
+func newWire(conn io.ReadWriter) *wire {
+	w := &wire{conn: conn}
+	w.enc = gob.NewEncoder(&w.buf)
+	w.dec = gob.NewDecoder(&w.rd)
+	return w
 }
 
-// send writes one frame: gob-encode to a scratch buffer, then length
-// prefix + payload in a single Write so frames are never interleaved.
+// send writes one frame: gob-encode behind a length prefix placeholder,
+// then prefix + payload in a single Write so frames are never
+// interleaved.
 func (w *wire) send(f *frame) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -147,7 +162,7 @@ func (w *wire) send(f *frame) error {
 	}
 	w.buf.Reset()
 	w.buf.Write([]byte{0, 0, 0, 0}) // length prefix placeholder
-	if err := gob.NewEncoder(&w.buf).Encode(f); err != nil {
+	if err := w.enc.Encode(f); err != nil {
 		w.sendErr = fmt.Errorf("remote: encode frame: %w", err)
 		return w.sendErr
 	}
@@ -165,7 +180,10 @@ func (w *wire) send(f *frame) error {
 	return nil
 }
 
-// recv reads one frame. io.EOF on a clean close between frames.
+// recv reads one frame. It returns io.EOF only on a clean close before a
+// frame's first byte; once a header is in, running out of bytes is
+// io.ErrUnexpectedEOF. Each frame decodes into a fresh value: gob omits
+// zero fields, so a reused frame would keep a stale Index or Kind.
 func (w *wire) recv() (*frame, error) {
 	w.rmu.Lock()
 	defer w.rmu.Unlock()
@@ -182,13 +200,26 @@ func (w *wire) recv() (*frame, error) {
 	}
 	payload, err := readPayload(w.conn, int(n))
 	if err != nil {
-		return nil, fmt.Errorf("remote: read frame payload: %w", err)
+		return nil, fmt.Errorf("remote: read frame payload: %w", torn(err))
 	}
-	var f frame
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
-		return nil, fmt.Errorf("remote: decode frame: %w", err)
+	w.rd.Reset(payload)
+	f := new(frame)
+	if err := w.dec.Decode(f); err != nil {
+		return nil, fmt.Errorf("remote: decode frame: %w", torn(err))
 	}
-	return &f, nil
+	if w.rd.Len() != 0 {
+		return nil, fmt.Errorf("remote: %d bytes left after the frame", w.rd.Len())
+	}
+	return f, nil
+}
+
+// torn reports an EOF inside a frame as io.ErrUnexpectedEOF, so that no
+// caller mistakes a peer dying mid-frame for a clean close.
+func torn(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // recvChunk is the first read of a frame payload. A frame up to this

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net"
 	"os"
@@ -307,6 +308,124 @@ func TestWorkerRunErrorSurfaces(t *testing.T) {
 	_, err := co.Sweep(context.Background(), specs)
 	if err == nil || !strings.Contains(err.Error(), "bad-run") {
 		t.Fatalf("err = %v, want the failing run's ID surfaced", err)
+	}
+}
+
+// TestResultWithoutPayloadIsDropped: a worker that answers a spec with a
+// result frame carrying no result broke the protocol. The coordinator
+// requeues the run and drops the connection, as for an unknown frame
+// type, instead of dereferencing the missing payload; with no worker
+// left, the sweep fails.
+func TestResultWithoutPayloadIsDropped(t *testing.T) {
+	specs := experiment.Fig8Specs(tinyScale(), 1, 13)
+	co := &Coordinator{
+		Procs: 1,
+		Spawn: func(ctx context.Context, i int, addr string, budget int) (func() error, error) {
+			conn, err := Dial(ctx, addr)
+			if err != nil {
+				return nil, err
+			}
+			done := make(chan error, 1)
+			go func() {
+				defer conn.Close()
+				w := newWire(conn)
+				if _, err := w.recv(); err != nil {
+					done <- err
+					return
+				}
+				if err := w.send(&frame{Type: msgResult}); err != nil {
+					done <- err
+					return
+				}
+				_, err := w.recv() // returns once the coordinator drops us
+				done <- err
+			}()
+			return func() error { return <-done }, nil
+		},
+	}
+	_, err := co.Sweep(context.Background(), specs)
+	if err == nil || !strings.Contains(err.Error(), "all workers exited") {
+		t.Fatalf("err = %v, want all-workers-exited failure", err)
+	}
+}
+
+// TestServeTornFrameIsAnError: a coordinator that dies after a frame
+// header has torn the frame; the worker must report it, not take it for
+// the clean close that ends a sweep.
+func TestServeTornFrameIsAnError(t *testing.T) {
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "coord.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn.Write([]byte{0, 0, 0, 200})
+		conn.Close()
+	}()
+	if err := Serve(context.Background(), ln.Addr().String(), WorkerOptions{}); err == nil {
+		t.Fatal("Serve returned nil after a torn frame")
+	}
+}
+
+// progressKey is what the merged progress stream must preserve of an
+// event.
+type progressKey struct {
+	Kind           experiment.ProgressKind
+	Run            string
+	Index          int
+	FromCheckpoint bool
+}
+
+// countProgress returns a concurrency-safe OnProgress that counts each
+// event into counts.
+func countProgress(counts map[progressKey]int) func(experiment.ProgressEvent) {
+	var mu sync.Mutex
+	return func(ev experiment.ProgressEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		counts[progressKey{ev.Kind, ev.Run, ev.Index, ev.FromCheckpoint}]++
+	}
+}
+
+// TestMergedProgressMatchesRunner: the coordinator's merged progress
+// stream carries the same multiset of events as an in-process Runner's
+// for the same sweep, with exactly one ProgressRunDone per run. Only the
+// order may differ.
+func TestMergedProgressMatchesRunner(t *testing.T) {
+	specs := experiment.Fig8Specs(tinyScale(), 2, 2718)
+	want, got := map[progressKey]int{}, map[progressKey]int{}
+	r := &sweep.Runner{Store: sweep.DirStore{Dir: t.TempDir()}, OnProgress: countProgress(want)}
+	if _, err := r.Sweep(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	co := &Coordinator{
+		Procs:      2,
+		Budget:     4,
+		Spawn:      GoSpawner(WorkerOptions{Dir: dir}),
+		Store:      sweep.DirStore{Dir: dir},
+		OnProgress: countProgress(got),
+	}
+	if _, err := co.Sweep(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("merged progress stream differs from the Runner's:\n got %v\nwant %v", got, want)
+	}
+	done := map[string]int{}
+	for k, n := range got {
+		if k.Kind == experiment.ProgressRunDone {
+			done[k.Run] += n
+		}
+	}
+	for _, ss := range specs {
+		if done[ss.ID] != 1 {
+			t.Errorf("run %s: %d ProgressRunDone events, want 1", ss.ID, done[ss.ID])
+		}
 	}
 }
 

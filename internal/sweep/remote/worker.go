@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/experiment"
+	"repro/internal/infotheory"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/workpool"
@@ -43,9 +44,12 @@ var errWorkerDied = errors.New("remote: worker died (test hook)")
 // be cleaned by whichever process next opens the dir), dial the
 // coordinator, then loop — receive a spec frame, run it through a local
 // sweep.Runner against the shared store, stream progress back, answer
-// with the trimmed result. A clean connection close (the coordinator is
-// done) returns nil; cancelling the context severs the connection and
-// returns the context's error.
+// with the trimmed result. Every run shares one estimator-engine pool, as
+// a Session's runs do, so engine scratch grows once per worker rather
+// than once per run. A clean connection close (the coordinator is done)
+// returns nil; a frame torn by the coordinator's death is an error;
+// cancelling the context severs the connection and returns the
+// context's error.
 func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 	if opts.Dir != "" {
 		if _, err := sweep.RemoveStaleTemps(opts.Dir); err != nil {
@@ -71,6 +75,7 @@ func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 	}
 	w := newWire(conn)
 	tokens := workpool.NewTokens(opts.Budget)
+	engines := infotheory.NewEnginePool()
 	served := 0
 	for {
 		f, err := w.recv()
@@ -86,7 +91,7 @@ func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 		if f.Type != msgSpec {
 			return fmt.Errorf("remote: worker got unexpected frame type %d", f.Type)
 		}
-		res, fromCkpt, runErr := runOne(ctx, f, st, tokens, w)
+		res, fromCkpt, runErr := runOne(ctx, f, st, tokens, engines, w)
 		if runErr != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -115,7 +120,7 @@ func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 // byte-identically to the coordinator's original — the property the
 // shared store keys on), then run it as a one-spec sweep so the full
 // checkpoint/trim/progress discipline of the Runner applies unchanged.
-func runOne(ctx context.Context, f *frame, st sweep.ResultStore, tokens *workpool.Tokens, w *wire) (*experiment.Result, bool, error) {
+func runOne(ctx context.Context, f *frame, st sweep.ResultStore, tokens *workpool.Tokens, engines *infotheory.EnginePool, w *wire) (*experiment.Result, bool, error) {
 	sp, err := spec.Parse(f.SpecJSON, fmt.Sprintf("remote spec %q", f.ID))
 	if err != nil {
 		return nil, false, err
@@ -129,6 +134,7 @@ func runOne(ctx context.Context, f *frame, st sweep.ResultStore, tokens *workpoo
 		Concurrency: 1,
 		Tokens:      tokens,
 		Store:       st,
+		Engines:     engines,
 		OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fc bool) {
 			fromCkpt = fc
 		},
