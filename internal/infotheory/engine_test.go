@@ -196,8 +196,9 @@ func TestEngineBitIdenticalToBruteOnTrees(t *testing.T) {
 
 // Steady-state estimation on same-shaped datasets must not allocate: the
 // trees, scratch matrices and digamma stores are all recycled, for the
-// KSG, KL and kernel estimators alike. One shape (six 2-D variables,
-// m = 96) scans its KSG indexes, the other builds trees for all of them.
+// three KSG variants, the KL and the kernel estimators alike. One shape
+// (six 2-D variables, m = 96) scans its KSG indexes, the other builds
+// trees for all of them.
 func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const k = 4
@@ -223,6 +224,7 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(10, func() {
 			refill()
+			e.MultiInfoKSGVariant(d, k, KSG1)
 			e.MultiInfoKSGVariant(d, k, KSG2)
 			e.MultiInfoKSGVariant(d, k, KSGPaper)
 			e.Entropies(d, k)

@@ -223,12 +223,21 @@ func TestRebuildReuseMatchesFreshTree(t *testing.T) {
 }
 
 // In steady state (same-shaped inputs) rebuilding and both queries
-// allocate nothing on either path: the hot-path proof for KNearest and
-// CountWithin.
+// allocate nothing on either path, for every index shape the estimators
+// build: one block, 2-wide and 1-wide blocks, and Chebyshev. This is the
+// allocation-free proof for KNearest and CountWithin.
 func TestSteadyStateRebuildAndQueryAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	const n, dim, k = 256, 4, 4
-	blocks := []Block{{0, 2}, {2, 2}}
+	shapes := []struct {
+		metric Metric
+		blocks []Block
+	}{
+		{MaxEuclidean2, nil},
+		{MaxEuclidean2, []Block{{0, 2}, {2, 2}}},
+		{MaxEuclidean2, []Block{{0, 1}, {1, 1}, {2, 1}, {3, 1}}},
+		{Chebyshev, nil},
+	}
 	pts := make([]float64, n*dim)
 	fill := func() {
 		for i := range pts {
@@ -236,21 +245,27 @@ func TestSteadyStateRebuildAndQueryAllocationFree(t *testing.T) {
 		}
 	}
 	forEachMode(t, func(t *testing.T, tree bool) {
-		var tr, marg Tree
+		trees := make([]Tree, len(shapes))
 		scratch := make([]Neighbor, 0, k)
+		rebuildAll := func() {
+			for i, sh := range shapes {
+				trees[i].rebuild(pts, n, dim, sh.metric, sh.blocks, tree)
+			}
+		}
 		fill()
-		tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree) // warm-up build
-		marg.rebuild(pts, n, dim, MaxEuclidean2, nil, tree)
+		rebuildAll() // warm-up build
 		allocs := testing.AllocsPerRun(10, func() {
 			fill()
-			tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
-			marg.rebuild(pts, n, dim, MaxEuclidean2, nil, tree)
-			for q := 0; q < n; q++ {
-				scratch = tr.KNearest(rowOf(pts, dim, q), k, int32(q), scratch)
-				d := scratch[k-1].Dist
-				if tr.CountWithin(rowOf(pts, dim, q), d, false, int32(q)) < k-1 ||
-					marg.CountWithin(rowOf(pts, dim, q), d, true, int32(q)) > n-1 {
-					t.Fatal("impossible count")
+			rebuildAll()
+			for i := range trees {
+				tr := &trees[i]
+				for q := 0; q < n; q++ {
+					scratch = tr.KNearest(rowOf(pts, dim, q), k, int32(q), scratch)
+					d := scratch[k-1].Dist
+					if tr.CountWithin(rowOf(pts, dim, q), d, false, int32(q)) > k-1 ||
+						tr.CountWithin(rowOf(pts, dim, q), d, true, int32(q)) < k {
+						t.Fatal("impossible count")
+					}
 				}
 			}
 		})

@@ -63,13 +63,40 @@ func newClusteredSystem(t *testing.T) *System {
 	return sys
 }
 
-// Steady-state Step on the grid path must not allocate: the grid and all
-// scratch buffers are recycled, whether the collective is compact or
-// spread so far that the grid wraps.
+// newSweepSystem builds a system that takes the O(n²) pair sweep: n
+// below the grid's 32-particle floor, or an infinite cut-off. Dt is the
+// stable step for every particle coupled to every other.
+func newSweepSystem(t *testing.T, n int, cutoff float64) *System {
+	t.Helper()
+	cfg := gridConfig(n)
+	cfg.Cutoff = cutoff
+	cfg.Dt = MaxStableDt(1, n-1)
+	rng := rngx.New(12)
+	pos := make([]vec.Vec2, n)
+	for i := range pos {
+		x, y := rng.UniformDisc(4)
+		pos[i] = vec.Vec2{X: x, Y: y}
+	}
+	sys, err := NewFromPositions(cfg, pos, rngx.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.gridReady() {
+		t.Fatal("test setup: expected the O(n²) sweep")
+	}
+	return sys
+}
+
+// Steady-state Step must not allocate on either neighbour search: on the
+// grid path the grid and all scratch buffers are recycled, whether the
+// collective is compact or spread so far that the grid wraps; the O(n²)
+// sweep (Fig. 8's and Fig. 11's N = 20, or rc = ∞) uses no scratch.
 func TestStepSteadyStateAllocationFree(t *testing.T) {
 	for name, build := range map[string]func(*testing.T) *System{
 		"spread":    newSpreadSystem,
 		"clustered": newClusteredSystem,
+		"sweep-n20": func(t *testing.T) *System { return newSweepSystem(t, 20, 2) },
+		"sweep-inf": func(t *testing.T) *System { return newSweepSystem(t, 64, math.Inf(1)) },
 	} {
 		sys := build(t)
 		sys.Run(3) // warm up grid and scratch buffers
