@@ -1,7 +1,7 @@
-// Command sopslint runs this repository's ten contract analyzers
+// Command sopslint runs this repository's nine contract analyzers
 // (rngsource, walltime, ctxflow, tokenpair, goroleak, chansend,
-// dettaint, speccoverage, errverbatim, allocfree — see internal/lint and
-// DESIGN.md "Mechanized contracts") over package patterns:
+// dettaint, speccoverage, errverbatim — see internal/lint and DESIGN.md
+// "Mechanized contracts") over package patterns:
 //
 //	sopslint ./...          # diagnostics on stderr
 //	sopslint -json ./...    # diagnostics as a JSON array on stdout

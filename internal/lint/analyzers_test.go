@@ -59,31 +59,6 @@ func TestErrVerbatimRepeatable(t *testing.T) {
 	}
 }
 
-func TestAllocFreeCorpus(t *testing.T) {
-	runCorpus(t, soloCheck(AllocFree), "allocfree", "allocfree/helper")
-}
-
-// TestHotPathsResolve pins allocfree's hot-path list to the code: every
-// key must name a function declared in the module, so renaming a hot
-// function fails here instead of silently dropping it from the check.
-func TestHotPathsResolve(t *testing.T) {
-	pkgs, err := load.Packages("", "repro/...")
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
-	declared := map[string]bool{}
-	for _, p := range pkgs {
-		for fn := range analysis.LocalDecls(p) {
-			declared[funcKey(fn)] = true
-		}
-	}
-	for key := range hotPaths {
-		if !declared[key] {
-			t.Errorf("hot path %s names no function in the module", key)
-		}
-	}
-}
-
 // TestFactFlowCorpus is the cross-package fact proof: the taint facts
 // exported while checking factflow/a are what let walltime and dettaint
 // report inside factflow/b (see TestFactFlowRequiresFacts for the
@@ -150,15 +125,12 @@ func TestDefaultChecksScope(t *testing.T) {
 		{"dettaint", "repro/internal/spec", true},
 		{"dettaint", "repro/internal/vec", false},
 		{"dettaint", "repro/cmd/sops", false},
-		// speccoverage, errverbatim and allocfree bind library code:
-		// root + internal/..., not CLIs and not the lint suite.
+		// speccoverage and errverbatim bind library code: root +
+		// internal/..., not CLIs and not the lint suite.
 		{"speccoverage", "repro/internal/spec", true},
 		{"speccoverage", "repro/cmd/sops", false},
 		{"errverbatim", "repro/internal/sweep/remote", true},
 		{"errverbatim", "repro/internal/lint", false},
-		{"allocfree", "repro/internal/infotheory", true},
-		{"allocfree", "repro/cmd/sops", false},
-		{"allocfree", "repro/internal/lint/analysis", false},
 	}
 	for _, c := range cases {
 		chk, ok := byName[c.analyzer]

@@ -73,15 +73,6 @@ type ErrWrapFact struct {
 
 func (*ErrWrapFact) AFact() {}
 
-// AllocFact records whether a function was observed to allocate on its
-// own path (composite literals, unguarded make/append, closures,
-// boxing) — hot-path callers flag calls to allocating functions.
-type AllocFact struct {
-	Allocates bool
-}
-
-func (*AllocFact) AFact() {}
-
 // NoHashFact lists the fields of a struct type annotated
 // //sopslint:nohash — runtime-only knobs deliberately excluded from the
 // fingerprint — so speccoverage honors annotations on structs it
@@ -96,7 +87,7 @@ func (*NoHashFact) AFact() {}
 // no diagnostics of their own; the name only labels the Pass).
 var factPass = &analysis.Analyzer{
 	Name: "facts",
-	Doc:  "export cross-package facts (taint summaries, bounded lifetimes, wrap/alloc/nohash annotations)",
+	Doc:  "export cross-package facts (taint summaries, bounded lifetimes, wrap/nohash annotations)",
 }
 
 // exportFacts runs the fact pass over one package: every fact producer
@@ -110,7 +101,6 @@ func exportFacts(pkg *analysis.Package) {
 		exportBoundedFacts(pass)
 		exportRootMintFacts(pass)
 		exportErrWrapFacts(pass)
-		exportAllocFacts(pass)
 		exportNoHashFacts(pass)
 		return true
 	})

@@ -36,7 +36,6 @@ func TestFactIdentityIsPositional(t *testing.T) {
 	facts.ExportObjectFact(fn, &BoundedFact{})
 	facts.ExportObjectFact(fn, &RootMintFact{})
 	facts.ExportObjectFact(fn, &ErrWrapFact{Params: 3})
-	facts.ExportObjectFact(fn, &AllocFact{Allocates: true})
 	facts.ExportObjectFact(tn, &NoHashFact{Fields: []string{"Tokens", "Workers"}})
 
 	fn2, tn2 := fakeFactObjects()
@@ -61,13 +60,6 @@ func TestFactIdentityIsPositional(t *testing.T) {
 	}
 	if wrap.Params != 3 {
 		t.Errorf("ErrWrapFact.Params = %d, want 3", wrap.Params)
-	}
-	var alloc AllocFact
-	if !facts.ImportObjectFact(fn2, &alloc) {
-		t.Fatal("AllocFact not found through a fresh object")
-	}
-	if !alloc.Allocates {
-		t.Error("AllocFact.Allocates = false, want true")
 	}
 	var nohash NoHashFact
 	if !facts.ImportObjectFact(tn2, &nohash) {

@@ -1,11 +1,10 @@
-// Package lint is sopslint: ten custom static analyzers that mechanize
+// Package lint is sopslint: nine custom static analyzers that mechanize
 // this repository's written contracts — bit-identical determinism,
 // rngx-derived randomness, wall-clock-free fingerprints, context-aware
 // cancellation, balanced worker-token accounting, joined goroutine
 // lifecycles, cancellable producer sends, nondeterminism-free
-// result/fingerprint flows, fingerprint coverage of every spec knob,
-// verbatim cancellation errors, and allocation-free hot paths
-// (DESIGN.md, "Mechanized contracts"). The suite has one driver:
+// result/fingerprint flows, fingerprint coverage of every spec knob and
+// verbatim cancellation errors (DESIGN.md, "Mechanized contracts"). The suite has one driver:
 // load.Packages feeding Run, called by cmd/sopslint (which CI runs) and
 // by the meta-test that keeps this repository at zero diagnostics.
 //
@@ -19,8 +18,8 @@
 // Facts are the one summary store. Before any analyzer runs on a
 // package, Run's fact pass publishes facts about every function and
 // struct the package declares (taint summaries, bounded goroutine
-// launchers, context-root minting, error-wrapping helpers, allocation
-// summaries, nohash exclusions) to its FactSet, and analyzers look every
+// launchers, context-root minting, error-wrapping helpers, nohash
+// exclusions) to its FactSet, and analyzers look every
 // callee up there, in the same package or across a package boundary:
 // load.Packages returns packages in dependency order sharing one fact
 // set.
@@ -86,7 +85,6 @@ func DefaultChecks() []Check {
 		{Dettaint, func(p string) bool { return resultProducing[p] || p == "repro/internal/spec" }},
 		{SpecCoverage, contractScope},
 		{ErrVerbatim, contractScope},
-		{AllocFree, contractScope},
 	}
 }
 
