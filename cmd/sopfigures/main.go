@@ -86,11 +86,11 @@ func main() {
 	if *repeatsOv > 0 {
 		sc.Repeats = *repeatsOv
 	}
-	r := runner{sc: sc, seed: *seed, out: *outDir, ctx: ctx, sw: &sweep.Runner{
-		Concurrency: *runs,
-		Tokens:      workpool.NewTokens(*budget),
-		Dir:         *ckpt,
-	}}
+	sw := &sweep.Runner{Concurrency: *runs, Tokens: workpool.NewTokens(*budget)}
+	if *ckpt != "" {
+		sw.Store = sweep.DirStore{Dir: *ckpt}
+	}
+	r := runner{sc: sc, seed: *seed, out: *outDir, ctx: ctx, sw: sw}
 
 	if *specFile != "" {
 		if flag.NArg() != 0 {

@@ -44,7 +44,7 @@ func BenchmarkSweepRunner(b *testing.B) {
 func BenchmarkSweepCheckpointResume(b *testing.B) {
 	sc := experiment.TestScale()
 	specs := experiment.Fig8Specs(sc, 4, 2012)
-	r := &Runner{Dir: b.TempDir()}
+	r := &Runner{Store: DirStore{Dir: b.TempDir()}}
 	if _, err := r.Sweep(context.Background(), specs); err != nil {
 		b.Fatal(err)
 	}

@@ -13,11 +13,10 @@
 // Runner output is bit-identical to the serial loops for every
 // concurrency setting (enforced by the equivalence suite).
 //
-// With a ResultStore attached (Store, or the Dir shorthand), every
-// completed run is persisted — one versioned gob file per run under
-// DirStore — and a later Sweep over the same
-// specs resumes from the store: an interrupted figure regeneration at
-// paper scale loses at most the runs in flight. The store is also the
+// With a ResultStore attached (Store), every completed run is persisted
+// — one versioned gob file per run under DirStore — and a later Sweep
+// over the same specs resumes from the store: an interrupted figure
+// regeneration at paper scale loses at most the runs in flight. The store is also the
 // seam the remote package distributes over: workers in other processes
 // write through the same directory, so re-handing a run after a crash is
 // idempotent.
@@ -50,11 +49,8 @@ type Runner struct {
 	Tokens *workpool.Tokens
 	// Store enables checkpointing: runs are resolved against the store
 	// (keyed by spec ID + fingerprint) before being computed, and
-	// persisted through it after. Takes precedence over Dir.
+	// persisted through it after. Nil disables checkpointing.
 	Store ResultStore
-	// Dir is shorthand for Store = DirStore{Dir}: one versioned gob file
-	// per completed run. Empty (with a nil Store) disables checkpointing.
-	Dir string
 	// OnRunDone, when non-nil, is invoked after each run completes (or
 	// is restored from its checkpoint), serialised by an internal mutex.
 	OnRunDone func(i int, spec experiment.SweepSpec, res *experiment.Result, fromCheckpoint bool)
@@ -87,19 +83,6 @@ func (r *Runner) concurrency() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// store resolves the checkpoint store for one call: an explicit Store
-// wins, Dir is shorthand for the directory store, nil disables
-// checkpointing.
-func (r *Runner) store() ResultStore {
-	if r.Store != nil {
-		return r.Store
-	}
-	if r.Dir != "" {
-		return DirStore{Dir: r.Dir}
-	}
-	return nil
-}
-
 // Sweep executes every spec and returns the results in spec order,
 // implementing experiment.Sweeper. Failed sweeps keep the checkpoints of
 // the runs that did complete, so re-running the same Sweep resumes
@@ -120,7 +103,7 @@ func (r *Runner) store() ResultStore {
 // never part of a sweep result in that mode, keeping fresh and resumed
 // sweeps structurally identical.
 func (r *Runner) Sweep(ctx context.Context, specs []experiment.SweepSpec) ([]*experiment.Result, error) {
-	st := r.store()
+	st := r.Store
 	if st != nil {
 		if err := CheckUniqueIDs(specs); err != nil {
 			return nil, err

@@ -130,7 +130,7 @@ func TestGridFigureEquivalenceAndShape(t *testing.T) {
 	if !foundInf {
 		t.Fatalf("rc=inf cell missing: %+v", want.Series)
 	}
-	got, err := RunSpec(context.Background(), &Runner{Concurrency: 4, Dir: t.TempDir()}, g)
+	got, err := RunSpec(context.Background(), &Runner{Concurrency: 4, Store: DirStore{Dir: t.TempDir()}}, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func TestSweepCancellation(t *testing.T) {
 	var done atomic.Int32
 	interrupted := &Runner{
 		Concurrency: 2,
-		Dir:         dir,
+		Store:       DirStore{Dir: dir},
 		OnRunDone: func(int, experiment.SweepSpec, *experiment.Result, bool) {
 			if done.Add(1) == 3 {
 				cancel() // cancel mid-sweep, after a few checkpoints exist
@@ -142,7 +142,7 @@ func TestSweepCancellation(t *testing.T) {
 	// restored (not recomputed), and the figure must match the
 	// uninterrupted reference exactly.
 	restored := 0
-	resume := &Runner{Dir: dir, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCkpt bool) {
+	resume := &Runner{Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCkpt bool) {
 		if fromCkpt {
 			restored++
 		}

@@ -29,10 +29,8 @@ type ResultStore interface {
 // DirStore is the directory-backed store: one versioned gob file per run
 // (see checkpoint.go for the file format), written with the
 // temp-file+rename discipline so a kill mid-write leaves no
-// half-checkpoint a resume could trust. It is the historical Runner.Dir
-// layout extracted behind the interface — file names and bytes are
-// unchanged, so checkpoint directories written by earlier releases stay
-// valid.
+// half-checkpoint a resume could trust. File names and bytes are those
+// earlier releases wrote, so their checkpoint directories stay valid.
 type DirStore struct {
 	// Dir is the checkpoint directory; Save creates it on demand.
 	Dir string

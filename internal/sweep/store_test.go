@@ -89,38 +89,6 @@ func fakeResult(miLen int) *experiment.Result {
 	return &experiment.Result{MI: mi}
 }
 
-// TestDirStoreCompatibleWithLegacyDir pins that Runner.Dir (the
-// pre-store checkpoint layout) and an explicit DirStore address the same
-// files in both directions: existing checkpoint directories remain
-// valid, and new DirStore writes resume old-style runs.
-func TestDirStoreCompatibleWithLegacyDir(t *testing.T) {
-	specs := experiment.Fig8Specs(tinyScale(), 1, 31)
-	dir := t.TempDir()
-	legacy := &Runner{Concurrency: 1, Dir: dir}
-	want, err := legacy.Sweep(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := 0
-	viaStore := &Runner{
-		Concurrency: 1,
-		Store:       DirStore{Dir: dir},
-		OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCheckpoint bool) {
-			if fromCheckpoint {
-				resumed++
-			}
-		},
-	}
-	got, err := viaStore.Sweep(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != len(specs) {
-		t.Fatalf("DirStore resumed %d of %d legacy Dir checkpoints", resumed, len(specs))
-	}
-	sameResults(t, "legacy-dir via DirStore", want, got)
-}
-
 // TestCacheStoreLRUEvictionOrder: the least-recently-USED entry goes
 // first — a Load refreshes recency, so insertion order alone must not
 // decide eviction.
@@ -251,7 +219,7 @@ func TestCacheStoreLoadsArePrivateCopies(t *testing.T) {
 // and cold resume all bit-identical to the bare store.
 func TestCacheFrontedSweepBitIdentical(t *testing.T) {
 	specs := experiment.Fig8Specs(tinyScale(), 2, 17)
-	bare := &Runner{Concurrency: 2, Tokens: workpool.NewTokens(2), Dir: t.TempDir()}
+	bare := &Runner{Concurrency: 2, Tokens: workpool.NewTokens(2), Store: DirStore{Dir: t.TempDir()}}
 	want, err := bare.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +287,7 @@ func TestRunErrorSurvivesConcurrentCancel(t *testing.T) {
 func BenchmarkSweepCacheStoreResume(b *testing.B) {
 	specs := experiment.Fig8Specs(tinyScale(), 2, 1234)
 	dir := b.TempDir()
-	seed := &Runner{Dir: dir}
+	seed := &Runner{Store: DirStore{Dir: dir}}
 	if _, err := seed.Sweep(context.Background(), specs); err != nil {
 		b.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func TestCheckpointResumeMidSweep(t *testing.T) {
 		t.Fatal("need at least 2 specs")
 	}
 	// "Kill" after the first half: only those checkpoints exist.
-	partial := &Runner{Concurrency: 2, Dir: dir}
+	partial := &Runner{Concurrency: 2, Store: DirStore{Dir: dir}}
 	if _, err := partial.Sweep(context.Background(), specs[:half]); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCheckpointResumeMidSweep(t *testing.T) {
 
 	// Resume: the full sweep must restore the first half from disk.
 	var restored, computed int
-	resume := &Runner{Concurrency: 2, Dir: dir, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCheckpoint bool) {
+	resume := &Runner{Concurrency: 2, Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCheckpoint bool) {
 		if fromCheckpoint {
 			restored++
 		} else {
@@ -246,7 +246,7 @@ func TestCheckpointSurvivesFailedSweep(t *testing.T) {
 	// M=2 with the default k=4 fails pipeline validation at Run time.
 	broken[len(broken)-1].Pipeline.Ensemble.M = 2
 
-	r := &Runner{Concurrency: 1, Dir: dir}
+	r := &Runner{Concurrency: 1, Store: DirStore{Dir: dir}}
 	if _, err := r.Sweep(context.Background(), broken); err == nil {
 		t.Fatal("broken spec did not fail the sweep")
 	}
@@ -275,7 +275,7 @@ func TestCheckpointIgnoresStaleSpec(t *testing.T) {
 	dir := t.TempDir()
 	specs := experiment.Fig8Specs(sc, 1, 5)
 
-	r := &Runner{Dir: dir}
+	r := &Runner{Store: DirStore{Dir: dir}}
 	if _, err := r.Sweep(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCheckpointIgnoresStaleSpec(t *testing.T) {
 		modified[i].Pipeline.Ensemble.Seed += 1000
 	}
 	var fromCkpt int
-	r2 := &Runner{Dir: dir, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, cached bool) {
+	r2 := &Runner{Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, cached bool) {
 		if cached {
 			fromCkpt++
 		}
@@ -316,7 +316,7 @@ func TestCheckpointIgnoresStaleSpec(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err = (&Runner{Dir: dir}).Sweep(context.Background(), specs)
+	got, err = (&Runner{Store: DirStore{Dir: dir}}).Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestCheckpointIgnoresStaleSpec(t *testing.T) {
 func TestSweepRejectsDuplicateIDsWhenCheckpointing(t *testing.T) {
 	specs := experiment.Fig8Specs(tinyScale(), 1, 5)
 	specs = append(specs, specs[0])
-	_, err := (&Runner{Dir: t.TempDir()}).Sweep(context.Background(), specs)
+	_, err := (&Runner{Store: DirStore{Dir: t.TempDir()}}).Sweep(context.Background(), specs)
 	if err == nil || !strings.Contains(err.Error(), "unique") {
 		t.Fatalf("duplicate IDs accepted: %v", err)
 	}
@@ -341,7 +341,7 @@ func TestSweepRejectsDuplicateIDsWhenCheckpointing(t *testing.T) {
 // observers or the raw ensemble.
 func TestCheckpointedResultsAreTrimmed(t *testing.T) {
 	specs := experiment.Fig8Specs(tinyScale(), 1, 6)
-	res, err := (&Runner{Dir: t.TempDir()}).Sweep(context.Background(), specs)
+	res, err := (&Runner{Store: DirStore{Dir: t.TempDir()}}).Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

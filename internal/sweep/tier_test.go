@@ -46,7 +46,7 @@ func TestApproxTierResumeBitIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	r := &Runner{Concurrency: 2, Dir: dir}
+	r := &Runner{Concurrency: 2, Store: DirStore{Dir: dir}}
 	first, err := RunSpec(context.Background(), r, g)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestApproxTierResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var restored, computed int
-	resume := &Runner{Concurrency: 2, Dir: dir, OnRunDone: func(_ int, _ experiment.SweepSpec, res *experiment.Result, fromCheckpoint bool) {
+	resume := &Runner{Concurrency: 2, Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, res *experiment.Result, fromCheckpoint bool) {
 		if fromCheckpoint {
 			restored++
 		} else {
@@ -94,7 +94,7 @@ func TestApproxTierKeysOwnCheckpoints(t *testing.T) {
 
 	exact := approxGrid(78)
 	exact.Estimator = nil
-	r := &Runner{Concurrency: 1, Dir: dir}
+	r := &Runner{Concurrency: 1, Store: DirStore{Dir: dir}}
 	exactFig, err := RunSpec(context.Background(), r, exact)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestApproxTierKeysOwnCheckpoints(t *testing.T) {
 	// be computed (no cross-tier restore), and the curves must differ
 	// from the exact ones (same draw seeds, different evaluation).
 	var restored int
-	r2 := &Runner{Concurrency: 1, Dir: dir, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCheckpoint bool) {
+	r2 := &Runner{Concurrency: 1, Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCheckpoint bool) {
 		if fromCheckpoint {
 			restored++
 		}
