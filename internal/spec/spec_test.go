@@ -246,6 +246,45 @@ func TestGoldenSpecs(t *testing.T) {
 	}
 }
 
+// FuzzParse decodes arbitrary bytes as spec JSON, seeded with the golden
+// specs. Parse must never panic; a spec it accepts must survive
+// MarshalIndent → Parse with the same fingerprint (or the same failure
+// to fingerprint), and must resolve to a pipeline, or fail to, without
+// panicking.
+func FuzzParse(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("golden specs: %v (found %d)", err, len(goldens))
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := Parse(data, "fuzz.json")
+		if err != nil {
+			return
+		}
+		b, err := sp.MarshalIndent()
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := Parse(b, "remarshalled.json")
+		if err != nil {
+			t.Fatalf("re-marshalled spec rejected: %v\n%s", err, b)
+		}
+		fp, fpErr := sp.Fingerprint()
+		fpBack, fpBackErr := back.Fingerprint()
+		if fp != fpBack || (fpErr == nil) != (fpBackErr == nil) {
+			t.Fatalf("fingerprint %016x (err %v) became %016x (err %v) across MarshalIndent → Parse", fp, fpErr, fpBack, fpBackErr)
+		}
+		_, _ = sp.Pipeline()
+	})
+}
+
 // TestEstimatorKindsRoundTripThroughSpec: every Est* constant survives
 // spec JSON and resolves back to a valid pipeline estimator.
 func TestEstimatorKindsRoundTripThroughSpec(t *testing.T) {
