@@ -10,9 +10,9 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# lint runs the sopslint suite (internal/lint: rngsource, walltime,
-# ctxflow, tokenpair, goroleak, chansend, dettaint, speccoverage,
-# errverbatim, allocfree) over the module, as CI's lint job does with
+# lint runs the sopslint suite's nine analyzers (internal/lint:
+# rngsource, walltime, ctxflow, tokenpair, goroleak, chansend, dettaint,
+# speccoverage, errverbatim) over the module, as CI's lint job does with
 # -json, then checks gofmt.
 lint:
 	$(GO) run ./cmd/sopslint ./...
