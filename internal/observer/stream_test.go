@@ -283,11 +283,10 @@ func TestAccumulatorProtocolErrors(t *testing.T) {
 	}
 }
 
-// TestAccumulatorSteadyStateAllocations is the allocation regression test
-// for the per-step accumulators: after the pools are warm, adding a frame
-// must not allocate on the SkipAlign path and must stay within a small
-// constant on the ICP path (scratch-reusing Aligner; no per-frame tree,
-// lift, permutation or matching storage).
+// TestAccumulatorSteadyStateAllocations is the allocation proof for the
+// per-step accumulators: after the pools are warm, adding a frame must
+// not allocate on the SkipAlign path or on the ICP path (scratch-reusing
+// Aligner; no per-frame tree, lift, permutation or matching storage).
 func TestAccumulatorSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
