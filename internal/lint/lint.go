@@ -4,9 +4,10 @@
 // cancellation, balanced worker-token accounting, joined goroutine
 // lifecycles, cancellable producer sends, nondeterminism-free
 // result/fingerprint flows, fingerprint coverage of every spec knob and
-// verbatim cancellation errors (DESIGN.md, "Mechanized contracts"). The suite has one driver:
-// load.Packages feeding Run, called by cmd/sopslint (which CI runs) and
-// by the meta-test that keeps this repository at zero diagnostics.
+// verbatim cancellation errors (DESIGN.md, "Mechanized contracts"). The
+// suite has one driver: load.Packages feeding Run, called by
+// cmd/sopslint (which CI runs) and by the meta-test that keeps this
+// repository at zero diagnostics.
 //
 // The syntax-shape analyzers work on the AST directly; walltime,
 // dettaint, tokenpair, goroleak and chansend sit on the flow-sensitive
@@ -19,10 +20,9 @@
 // package, Run's fact pass publishes facts about every function and
 // struct the package declares (taint summaries, bounded goroutine
 // launchers, context-root minting, error-wrapping helpers, nohash
-// exclusions) to its FactSet, and analyzers look every
-// callee up there, in the same package or across a package boundary:
-// load.Packages returns packages in dependency order sharing one fact
-// set.
+// exclusions) to its FactSet, and analyzers look every callee up there,
+// in the same package or across a package boundary: load.Packages
+// returns packages in dependency order sharing one fact set.
 //
 // There is no suppression directive: a finding is fixed, or the
 // analyzer learns the sanctioned idiom it misread.
