@@ -16,10 +16,10 @@
 // With a ResultStore attached (Store), every completed run is persisted
 // — one versioned gob file per run under DirStore — and a later Sweep
 // over the same specs resumes from the store: an interrupted figure
-// regeneration at paper scale loses at most the runs in flight. The store is also the
-// seam the remote package distributes over: workers in other processes
-// write through the same directory, so re-handing a run after a crash is
-// idempotent.
+// regeneration at paper scale loses at most the runs in flight. The
+// store is also the seam the remote package distributes over: workers in
+// other processes write through the same directory, so re-handing a run
+// after a crash is idempotent.
 package sweep
 
 import (
