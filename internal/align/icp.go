@@ -209,8 +209,9 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 		prevRMS := math.Inf(1)
 		for iter := 0; iter < opt.MaxIterations; iter++ {
 			totalIters++
+			rot := vec.Rotation(theta)
 			for i, p := range mov {
-				rotated[i] = p.Rotate(theta)
+				rotated[i] = rot.Apply(p)
 			}
 			// Correspondence within each type.
 			var sumD2 float64
@@ -233,8 +234,9 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 		}
 		// Score this restart by its final matching cost.
 		var cost float64
+		rot := vec.Rotation(theta)
 		for i, p := range mov {
-			_, d2 := a.nearest(i, p.Rotate(theta))
+			_, d2 := a.nearest(i, rot.Apply(p))
 			cost += d2
 		}
 		if cost < bestCost {
@@ -243,8 +245,9 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 	}
 
 	a.aligned = grow(a.aligned, len(moving))
+	rot := vec.Rotation(bestTheta)
 	for i, p := range mov {
-		a.aligned[i] = p.Rotate(bestTheta)
+		a.aligned[i] = rot.Apply(p)
 	}
 	a.matchByType(a.aligned, ref)
 	return bestTheta, totalIters, nil

@@ -233,6 +233,51 @@ func TestScalingSymmetricInTypes(t *testing.T) {
 	}
 }
 
+// scaled is a Scaling that is neither F1 nor F2; a Law must evaluate it
+// through its Eval.
+type scaled struct{ *F1 }
+
+func (s scaled) Eval(a, b int, x float64) float64 { return 2 * s.F1.Eval(a, b, x) }
+
+// A Law resolved once for type α gives, for every β and x, exactly the
+// bits of Eqs. (7) and (8) as printed, whatever its previous family; a
+// custom Scaling goes through its own Eval.
+func TestLawMatchesTheEquations(t *testing.T) {
+	rng := rngx.New(4)
+	f1 := RandomF1(4, 1, 10, 0.5, 5, rng)
+	f2 := MustF2(RandomMatrix(4, 1, 10, rng), RandomMatrix(4, 0.5, 3, rng), RandomMatrix(4, 1, 10, rng))
+	eq7 := func(a, b int, x float64) float64 { return f1.K.At(a, b) * (1 - f1.R.At(a, b)/x) }
+	eq := map[string]func(a, b int, x float64) float64{
+		"F1": eq7,
+		"F2": func(a, b int, x float64) float64 {
+			s, t := f2.Sigma.At(a, b), f2.Tau.At(a, b)
+			return f2.K.At(a, b) * (math.Exp(-x*x/(2*s))/(s*s) - math.Exp(-x*x/(2*t)))
+		},
+		"custom": func(a, b int, x float64) float64 { return 2 * eq7(a, b, x) },
+	}
+	var l Law // reused across families, as the simulator reuses it
+	for _, f := range []Scaling{f1, f2, scaled{f1}, f1} {
+		name := f.Name()
+		if _, ok := f.(scaled); ok {
+			name = "custom"
+		}
+		for a := 0; a < 4; a++ {
+			l.Resolve(f, a)
+			for b := 0; b < 4; b++ {
+				for _, x := range []float64{0.1, 0.7, 1, 2.5, 7, 30} {
+					want := math.Float64bits(eq[name](a, b, x))
+					if got := math.Float64bits(l.At(b, x)); got != want {
+						t.Fatalf("%s: Law(%d).At(%d, %g) bits %#x, want %#x", name, a, b, x, got, want)
+					}
+					if got := math.Float64bits(f.Eval(a, b, x)); got != want {
+						t.Fatalf("%s: Eval(%d, %d, %g) bits %#x, want %#x", name, a, b, x, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRandomF2UsesUnitSigma(t *testing.T) {
 	f := RandomF2(3, 1, 10, 1, 10, rngx.New(9))
 	for a := 0; a < 3; a++ {

@@ -20,13 +20,14 @@ import (
 	"repro/internal/rngx"
 )
 
-// Matrix is a symmetric l×l matrix of per-type-pair parameters. Only the
-// upper triangle (including the diagonal) is stored; At(a,b) and At(b,a)
-// always agree by construction, which realises the paper's restriction to
-// symmetric interactions.
+// Matrix is a symmetric l×l matrix of per-type-pair parameters. It stores
+// the full square, and Set writes (a,b) and (b,a) together, so At(a,b)
+// and At(b,a) always agree by construction, which realises the paper's
+// restriction to symmetric interactions. Each type's parameters are then
+// one contiguous row, which the force-law evaluator reads (Law).
 type Matrix struct {
 	l int
-	v []float64 // upper triangle, row-major: (a,b) with a <= b
+	v []float64 // full square, row-major: (a,b) at a*l + b
 }
 
 // NewMatrix returns the zero symmetric l×l matrix. l must be positive.
@@ -34,7 +35,7 @@ func NewMatrix(l int) Matrix {
 	if l <= 0 {
 		panic("forces: matrix size must be positive")
 	}
-	return Matrix{l: l, v: make([]float64, l*(l+1)/2)}
+	return Matrix{l: l, v: make([]float64, l*l)}
 }
 
 // ConstantMatrix returns the symmetric l×l matrix with every entry c.
@@ -82,23 +83,17 @@ func MustMatrix(rows [][]float64) Matrix {
 	return m
 }
 
-func (m Matrix) idx(a, b int) int {
-	if a < 0 || b < 0 || a >= m.l || b >= m.l {
-		panic(fmt.Sprintf("forces: index (%d,%d) out of range for %d types", a, b, m.l))
-	}
-	if a > b {
-		a, b = b, a
-	}
-	// Row a starts after a*(l) - a*(a-1)/2 ... derive: rows 0..a-1 contribute
-	// (l) + (l-1) + ... + (l-a+1) = a*l - a*(a-1)/2 entries.
-	return a*m.l - a*(a-1)/2 + (b - a)
-}
+// row returns row a, which panics unless 0 ≤ a < l.
+func (m Matrix) row(a int) []float64 { return m.v[a*m.l : (a+1)*m.l : (a+1)*m.l] }
 
 // At returns the (a,b) entry; At(a,b) == At(b,a).
-func (m Matrix) At(a, b int) float64 { return m.v[m.idx(a, b)] }
+func (m Matrix) At(a, b int) float64 { return m.row(a)[b] }
 
-// Set assigns the (a,b) and, implicitly, the (b,a) entry.
-func (m *Matrix) Set(a, b int, x float64) { m.v[m.idx(a, b)] = x }
+// Set assigns the (a,b) and the (b,a) entry.
+func (m *Matrix) Set(a, b int, x float64) {
+	m.row(a)[b] = x
+	m.row(b)[a] = x
+}
 
 // Len returns the number of types l.
 func (m Matrix) Len() int { return m.l }

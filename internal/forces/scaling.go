@@ -27,6 +27,53 @@ type Scaling interface {
 	Name() string
 }
 
+// Law is a force law with its first type fixed: F_αβ(x) for one α and
+// every β. The simulator resolves particle i's Law once per step and
+// evaluates it for each of i's pairs; for F1 and F2 that reads row α of
+// each parameter matrix directly, with no interface call per pair, and
+// any other Scaling falls back to its Eval. F1.Eval and F2.Eval evaluate
+// through a Law too, so Eqs. (7) and (8) are each written once.
+type Law struct {
+	f1, f2  bool
+	k, p, q []float64 // row α of K, and of R (F¹) or of Sigma and Tau (F²)
+	s       Scaling   // any other Scaling
+	alpha   int
+}
+
+// Resolve sets l to s's law for particles of type alpha, writing only
+// the fields that law reads.
+func (l *Law) Resolve(s Scaling, alpha int) {
+	switch f := s.(type) {
+	case *F1:
+		l.f1, l.k, l.p = true, f.K.row(alpha), f.R.row(alpha)
+	case *F2:
+		l.f1, l.f2, l.k, l.p, l.q = false, true, f.K.row(alpha), f.Sigma.row(alpha), f.Tau.row(alpha)
+	default:
+		l.f1, l.f2, l.s, l.alpha = false, false, s, alpha
+	}
+}
+
+// At returns F_αβ(x) for distance x > 0. F¹, Eq. (7), is evaluated
+// inline: k·(1 − r/x).
+func (l *Law) At(beta int, x float64) float64 {
+	if l.f1 {
+		return l.k[beta] * (1 - l.p[beta]/x)
+	}
+	return l.at(beta, x)
+}
+
+// at is At for F², Eq. (8), and for any other Scaling:
+// k·((1/σ²)·e^{−x²/(2σ)} − e^{−x²/(2τ)}), with x² taken from x, not
+// from the squared distance x came from.
+func (l *Law) at(beta int, x float64) float64 {
+	if !l.f2 {
+		return l.s.Eval(l.alpha, beta, x)
+	}
+	k, s, t := l.k[beta], l.p[beta], l.q[beta]
+	x2 := x * x
+	return k * (math.Exp(-x2/(2*s))/(s*s) - math.Exp(-x2/(2*t)))
+}
+
 // F1 is the first force-scaling function of the paper, Eq. (7):
 //
 //	F¹_αβ(x) = k_αβ · (1 − r_αβ/x)
@@ -61,7 +108,9 @@ func MustF1(k, r Matrix) *F1 {
 
 // Eval implements Scaling.
 func (f *F1) Eval(alpha, beta int, x float64) float64 {
-	return f.K.At(alpha, beta) * (1 - f.R.At(alpha, beta)/x)
+	var l Law
+	l.Resolve(f, alpha)
+	return l.At(beta, x)
 }
 
 // Types implements Scaling.
@@ -119,10 +168,9 @@ func MustF2(k, sigma, tau Matrix) *F2 {
 
 // Eval implements Scaling.
 func (f *F2) Eval(alpha, beta int, x float64) float64 {
-	s := f.Sigma.At(alpha, beta)
-	t := f.Tau.At(alpha, beta)
-	x2 := x * x
-	return f.K.At(alpha, beta) * (math.Exp(-x2/(2*s))/(s*s) - math.Exp(-x2/(2*t)))
+	var l Law
+	l.Resolve(f, alpha)
+	return l.At(beta, x)
 }
 
 // Types implements Scaling.

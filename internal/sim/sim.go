@@ -75,6 +75,15 @@ type Config struct {
 // by the package defaults and nil Types replaced by a round-robin
 // assignment.
 func (c Config) WithDefaults() Config {
+	c = c.numericDefaults()
+	if c.Types == nil && c.Force != nil {
+		c.Types = TypesRoundRobin(c.N, c.Force.Types())
+	}
+	return c
+}
+
+// numericDefaults is WithDefaults without the type assignment.
+func (c Config) numericDefaults() Config {
 	if c.Cutoff == 0 {
 		c.Cutoff = math.Inf(1)
 	}
@@ -96,27 +105,36 @@ func (c Config) WithDefaults() Config {
 	if c.EquilibriumWindow == 0 {
 		c.EquilibriumWindow = DefaultEquilibriumWindow
 	}
-	if c.Types == nil && c.Force != nil {
-		c.Types = TypesRoundRobin(c.N, c.Force.Types())
-	}
 	return c
 }
 
 // Validate reports the first problem with the configuration, or nil.
-func (c Config) Validate() error {
+func (c Config) Validate() error { return c.validate(false) }
+
+// ValidateDefaults reports what c.WithDefaults().Validate() would,
+// without building the round-robin types WithDefaults gives nil Types:
+// they are valid by construction, and N of them cost N slots however
+// short the spec that asked for N.
+func (c Config) ValidateDefaults() error { return c.numericDefaults().validate(c.Types == nil) }
+
+// validate is Validate; roundRobin skips the check of Types, which
+// WithDefaults will assign round-robin.
+func (c Config) validate(roundRobin bool) error {
 	if c.N <= 0 {
 		return errors.New("sim: N must be positive")
 	}
 	if c.Force == nil {
 		return errors.New("sim: Force must be set")
 	}
-	if len(c.Types) != c.N {
-		return fmt.Errorf("sim: len(Types)=%d, want N=%d", len(c.Types), c.N)
-	}
-	l := c.Force.Types()
-	for i, t := range c.Types {
-		if t < 0 || t >= l {
-			return fmt.Errorf("sim: particle %d has type %d, want [0,%d)", i, t, l)
+	if !roundRobin {
+		if len(c.Types) != c.N {
+			return fmt.Errorf("sim: len(Types)=%d, want N=%d", len(c.Types), c.N)
+		}
+		l := c.Force.Types()
+		for i, t := range c.Types {
+			if t < 0 || t >= l {
+				return fmt.Errorf("sim: particle %d has type %d, want [0,%d)", i, t, l)
+			}
 		}
 	}
 	if !(c.Dt > 0) {
@@ -327,54 +345,71 @@ func (s *System) computeForces() {
 	s.lastNet = net.sum()
 }
 
-// pairForce accumulates the contribution of the (i,j) interaction into both
-// particles' force buffers. The interaction is evaluated once per unordered
-// pair; by Newton-pair symmetry of Eq. (6) with symmetric matrices, the
-// contribution to j is the exact negation of the contribution to i.
-func (s *System) pairForce(i, j int) {
-	dz := s.pos[i].Sub(s.pos[j]) // Δz_ij = z_i − z_j
-	d2 := dz.Norm2()
-	if d2 == 0 {
-		// Coincident particles: direction undefined; Eq. (6)'s
-		// −F·Δz is the zero vector here for both F¹ (k·|x−r| → k·r
-		// but direction Δz/‖Δz‖ undefined) and F². Skip; noise will
-		// separate them next step.
-		return
-	}
-	d := math.Sqrt(d2)
-	f := s.cfg.Force.Eval(s.cfg.Types[i], s.cfg.Types[j], d)
-	contrib := dz.Scale(-f)
-	s.force[i] = s.force[i].Add(contrib)
-	s.force[j] = s.force[j].Sub(contrib)
-}
-
+// forcesBrute is the O(n²) sweep: each unordered pair once, from its
+// lower index, in index order.
 func (s *System) forcesBrute() {
-	rc := s.cfg.Cutoff
-	inf := math.IsInf(rc, 1)
-	rc2 := rc * rc
-	for i := 0; i < len(s.pos); i++ {
-		for j := i + 1; j < len(s.pos); j++ {
-			if !inf && s.pos[i].Dist2(s.pos[j]) > rc2 {
+	pos, force, types := s.pos, s.force, s.cfg.Types[:len(s.pos)]
+	rc2 := s.cfg.Cutoff * s.cfg.Cutoff // +Inf at rc = ∞: no pair is cut
+	var law forces.Law
+	for i, pi := range pos {
+		law.Resolve(s.cfg.Force, types[i])
+		fi := force[i]
+		for j := i + 1; j < len(pos); j++ {
+			dz, x, ok := separation(pi, pos[j], rc2)
+			if !ok {
 				continue
 			}
-			s.pairForce(i, j)
+			contrib := dz.Scale(-law.At(types[j], x))
+			fi = fi.Add(contrib)
+			force[j] = force[j].Sub(contrib)
 		}
+		force[i] = fi
 	}
 }
 
-// forcesScan is the grid path: each unordered pair is evaluated once,
-// discovered from the lower-index particle's neighbour list. The scratch
-// buffer s.nbr is recycled across particles and steps.
+// forcesScan is the grid path: each unordered pair once, discovered from
+// its lower index's neighbour list. The scratch buffer s.nbr is recycled
+// across particles and steps.
 func (s *System) forcesScan() {
+	pos, force, types := s.pos, s.force, s.cfg.Types[:len(s.pos)]
 	rc := s.cfg.Cutoff
-	for i := range s.pos {
-		s.nbr = s.grid.AppendNeighbors(s.nbr[:0], i, rc)
+	rc2 := rc * rc
+	var law forces.Law
+	for i, pi := range pos {
+		s.nbr = s.grid.AppendNeighbors(s.nbr[:0], i, i+1, rc)
+		law.Resolve(s.cfg.Force, types[i])
+		fi := force[i]
 		for _, j := range s.nbr {
-			if int(j) > i { // each unordered pair once
-				s.pairForce(i, int(j))
+			dz, x, ok := separation(pi, pos[j], rc2)
+			if !ok {
+				continue
 			}
+			contrib := dz.Scale(-law.At(types[j], x))
+			fi = fi.Add(contrib)
+			force[j] = force[j].Sub(contrib)
 		}
+		force[i] = fi
 	}
+}
+
+// separation returns Δz = pi − pj and x = ‖Δz‖ of a pair, and whether
+// the pair interacts: it does not beyond the cut-off, and coincident
+// particles do not either, since Eq. (6)'s −F·Δz has no direction for
+// them (noise separates them next step).
+//
+// Both force loops add each pair's −F·Δz to particle i's running force,
+// starting from what the lower-index pairs left in force[i], and subtract
+// it from force[j], in visit order: that order and the expressions here
+// are what the trajectories' bits rest on. By Newton-pair symmetry of
+// Eq. (6) with symmetric matrices, j's contribution is the exact negation
+// of i's.
+func separation(pi, pj vec.Vec2, rc2 float64) (dz vec.Vec2, x float64, ok bool) {
+	dz = pi.Sub(pj)
+	d2 := dz.Norm2()
+	if d2 > rc2 || d2 == 0 {
+		return dz, 0, false
+	}
+	return dz, math.Sqrt(d2), true
 }
 
 // Run advances the system by the given number of steps.

@@ -87,16 +87,36 @@ func newSweepSystem(t *testing.T, n int, cutoff float64) *System {
 	return sys
 }
 
+// withForce returns sys's configuration and positions run under f.
+func withForce(t *testing.T, sys *System, f forces.Scaling) *System {
+	t.Helper()
+	cfg := sys.Config()
+	cfg.Force = f
+	out, err := NewFromPositions(cfg, sys.PositionsRef(), rngx.New(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // Steady-state Step must not allocate on either neighbour search: on the
 // grid path the grid and all scratch buffers are recycled, whether the
 // collective is compact or spread so far that the grid wraps; the O(n²)
-// sweep (Fig. 8's and Fig. 11's N = 20, or rc = ∞) uses no scratch.
+// sweep (Fig. 8's and Fig. 11's N = 20, under F¹ and F², or rc = ∞)
+// uses no scratch, and neither does a custom Scaling's Eval fallback.
 func TestStepSteadyStateAllocationFree(t *testing.T) {
 	for name, build := range map[string]func(*testing.T) *System{
 		"spread":    newSpreadSystem,
 		"clustered": newClusteredSystem,
 		"sweep-n20": func(t *testing.T) *System { return newSweepSystem(t, 20, 2) },
+		"sweep-n20-f2": func(t *testing.T) *System {
+			f := forces.RandomF2(3, 1, 10, 1, 10, rngx.New(15))
+			return withForce(t, newSweepSystem(t, 20, 7.5), f)
+		},
 		"sweep-inf": func(t *testing.T) *System { return newSweepSystem(t, 64, math.Inf(1)) },
+		"custom-scaling": func(t *testing.T) *System {
+			return withForce(t, newSweepSystem(t, 20, 2), springScaling{l: 3})
+		},
 	} {
 		sys := build(t)
 		sys.Run(3) // warm up grid and scratch buffers

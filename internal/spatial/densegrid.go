@@ -220,12 +220,15 @@ func (g *DenseGrid) bucket(x, y int64) int64 {
 	return (y%g.wy)*g.wx + x%g.wx
 }
 
-// AppendNeighbors appends to dst the indices of all points j ≠ i with
-// ‖p_j − p_i‖ ≤ radius, in the grid's deterministic visit order, and
-// returns the extended slice. Passing a recycled dst[:0] makes the query
-// allocation-free once the buffer has grown to the steady-state neighbour
-// count — this is the simulator's hot-path entry point.
-func (g *DenseGrid) AppendNeighbors(dst []int32, i int, radius float64) []int32 {
+// AppendNeighbors appends to dst the indices of all points j ≠ i, j ≥ from,
+// with ‖p_j − p_i‖ ≤ radius, in the grid's deterministic visit order, and
+// returns the extended slice. Smaller indices are skipped before their
+// distance test, so from = i + 1 lists each unordered pair once, from its
+// lower index, and from = 0 lists every neighbour. Passing a recycled
+// dst[:0] makes the query allocation-free once the buffer has grown to
+// the steady-state neighbour count — this is the simulator's hot-path
+// entry point.
+func (g *DenseGrid) AppendNeighbors(dst []int32, i, from int, radius float64) []int32 {
 	p := g.points[i]
 	r2 := radius * radius
 	span := int64(math.Ceil(radius / g.cellSize))
@@ -245,7 +248,7 @@ func (g *DenseGrid) AppendNeighbors(dst []int32, i int, radius float64) []int32 
 			}
 			b := g.bucket(x, y)
 			for _, j := range g.idx[g.start[b]:g.start[b+1]] {
-				if int(j) == i {
+				if int(j) < from || int(j) == i {
 					continue
 				}
 				q := g.points[j]
@@ -262,7 +265,7 @@ func (g *DenseGrid) AppendNeighbors(dst []int32, i int, radius float64) []int32 
 // excluding i itself, in the grid's deterministic visit order.
 func (g *DenseGrid) Neighbors(i int, radius float64) []int {
 	var out []int
-	for _, j := range g.AppendNeighbors(nil, i, radius) {
+	for _, j := range g.AppendNeighbors(nil, i, 0, radius) {
 		out = append(out, int(j))
 	}
 	return out
@@ -270,7 +273,7 @@ func (g *DenseGrid) Neighbors(i int, radius float64) []int {
 
 // CountWithin returns the number of points j ≠ i within radius of point i.
 func (g *DenseGrid) CountWithin(i int, radius float64) int {
-	return len(g.AppendNeighbors(nil, i, radius))
+	return len(g.AppendNeighbors(nil, i, 0, radius))
 }
 
 // BruteNeighbors is the reference implementation of a fixed-radius query:

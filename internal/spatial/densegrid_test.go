@@ -197,7 +197,7 @@ func TestAppendNeighborsMatchesForNeighbors(t *testing.T) {
 		for i := range pts {
 			want := refNeighbors(pts, i, radius, radius)
 			buf = append(buf[:0], -1) // a prefix the query must keep
-			got := g.AppendNeighbors(buf, i, radius)
+			got := g.AppendNeighbors(buf, i, 0, radius)
 			if &got[0] != &buf[0] {
 				t.Fatalf("point %d: append reallocated a buffer with room to spare", i)
 			}
@@ -211,6 +211,20 @@ func TestAppendNeighborsMatchesForNeighbors(t *testing.T) {
 			}
 			if !equalInts(g.Neighbors(i, radius), want) || g.CountWithin(i, radius) != len(want) {
 				t.Fatalf("point %d: Neighbors/CountWithin disagree with AppendNeighbors", i)
+			}
+			// From i + 1 on: the same order with the smaller indices dropped.
+			var above []int
+			for _, j := range want {
+				if j > i {
+					above = append(above, j)
+				}
+			}
+			var from []int
+			for _, j := range g.AppendNeighbors(nil, i, i+1, radius) {
+				from = append(from, int(j))
+			}
+			if !equalInts(from, above) {
+				t.Fatalf("point %d: neighbours from %d are %v, want %v", i, i+1, from, above)
 			}
 		}
 	}
@@ -229,7 +243,7 @@ func TestDenseGridSteadyStateRebuildAllocationFree(t *testing.T) {
 		}
 		g.Rebuild(pts)
 		for i := range pts {
-			buf = g.AppendNeighbors(buf[:0], i, 2)
+			buf = g.AppendNeighbors(buf[:0], i, 0, 2)
 		}
 	})
 	if allocs != 0 {

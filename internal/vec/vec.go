@@ -53,9 +53,21 @@ func (v Vec2) Normalize() Vec2 {
 
 // Rotate returns v rotated counter-clockwise by theta radians about the
 // origin.
-func (v Vec2) Rotate(theta float64) Vec2 {
+func (v Vec2) Rotate(theta float64) Vec2 { return Rotation(theta).Apply(v) }
+
+// Rot is a rotation about the origin, held as the sine and cosine of its
+// angle, so rotating many points by one angle computes them once.
+type Rot struct{ sin, cos float64 }
+
+// Rotation returns the counter-clockwise rotation by theta radians.
+func Rotation(theta float64) Rot {
 	s, c := math.Sincos(theta)
-	return Vec2{c*v.X - s*v.Y, s*v.X + c*v.Y}
+	return Rot{s, c}
+}
+
+// Apply returns v rotated by r; it equals v.Rotate(θ) bit for bit.
+func (r Rot) Apply(v Vec2) Vec2 {
+	return Vec2{r.cos*v.X - r.sin*v.Y, r.sin*v.X + r.cos*v.Y}
 }
 
 // Lerp returns the linear interpolation (1−t)·v + t·u.
