@@ -273,7 +273,7 @@ func BenchmarkAblationNeighbourStrategies(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g.Rebuild(pts)
 			for p := range pts {
-				buf = g.AppendNeighbors(buf[:0], p, radius)
+				buf = g.AppendNeighbors(buf[:0], p, 0, radius)
 			}
 		}
 	})
@@ -464,7 +464,7 @@ func BenchmarkGridRebuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g.Rebuild(pts)
 				for p := range pts {
-					buf = g.AppendNeighbors(buf[:0], p, radius)
+					buf = g.AppendNeighbors(buf[:0], p, 0, radius)
 					count += len(buf)
 				}
 			}
@@ -472,22 +472,32 @@ func BenchmarkGridRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSimStep runs one fresh 250-step sample per op, from the same
+// seed every time, so each op does the same work whatever b.N is (a
+// system stepped b.N times would time how far it had contracted or
+// expanded). The shapes are the perfbench workloads' systems: Fig. 11's
+// F¹ at N = 20, rc = 15 and Fig. 8's F² at N = 20, rc = 7.5 (both on the
+// O(n²) sweep) and Fig. 4's F¹ at N = 50, rc = 5 (on the grid).
 func BenchmarkSimStep(b *testing.B) {
-	for _, n := range []int{20, 50, 120} {
-		b.Run("n="+itoa(n), func(b *testing.B) {
-			cfg := sim.Config{
-				N:      n,
-				Force:  forces.MustF1(forces.ConstantMatrix(3, 1), forces.ConstantMatrix(3, 2)),
-				Cutoff: 5,
-			}
-			sys, err := sim.New(cfg, rngx.New(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
+	const steps = 250
+	for _, c := range []struct {
+		name string
+		cfg  sim.Config
+	}{
+		{"fig11-f1-n20", experiment.RandomTypedF1Config(20, 5, 15, rngx.Split(benchSeed, 11))},
+		{"fig8-f2-n20", sim.Config{N: 20, Force: forces.RandomF2(3, 1, 10, 1, 10, rngx.Split(benchSeed, 8)), Cutoff: 7.5}},
+		{"fig4-f1-n50", experiment.Fig4Params()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sys.Step()
+				sys, err := sim.New(c.cfg, rngx.New(benchSeed))
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Run(steps)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 		})
 	}
 }

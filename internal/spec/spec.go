@@ -353,11 +353,10 @@ func (sp Spec) Validate() error {
 			break
 		}
 		if cfg.N <= 0 {
-			// Checked before WithDefaults: the round-robin type
-			// defaulting panics on a negative N — one of the scattered
-			// panics this Validate replaces with a typed error.
 			add(errf("sim.n", "must be positive, got %d", cfg.N))
-		} else if err := cfg.WithDefaults().Validate(); err != nil {
+		} else if err := cfg.ValidateDefaults(); err != nil {
+			// Omitted types are not built: a short spec may ask for
+			// millions of particles.
 			add(errf("sim", "%v", err))
 		}
 		sc, err := sp.EffectiveScale()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -246,8 +247,27 @@ func TestGoldenSpecs(t *testing.T) {
 	}
 }
 
+// largeNSpec is a valid single-run spec of a few dozen bytes that asks
+// for ten million particles.
+const largeNSpec = `{"sim":{"n":10000000,"force":{"family":"F1","k":[[1]],"r":[[1]]}}}`
+
+// Validating a spec must not cost memory in proportion to its sim.n: the
+// omitted types are round-robin, valid without being built.
+func TestParseLargeNAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sp, err := Parse([]byte(largeNSpec), "large-n.json")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Fatalf("parsing a %d-byte spec with n = %d allocated %d bytes, want < 1 MiB", len(largeNSpec), sp.Sim.N, grown)
+	}
+}
+
 // FuzzParse decodes arbitrary bytes as spec JSON, seeded with the golden
-// specs. Parse must never panic; a spec it accepts must survive
+// specs and largeNSpec. Parse must never panic; a spec it accepts must survive
 // MarshalIndent → Parse with the same fingerprint (or the same failure
 // to fingerprint), and must resolve to a pipeline, or fail to, without
 // panicking.
@@ -263,6 +283,7 @@ func FuzzParse(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add([]byte(largeNSpec))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := Parse(data, "fuzz.json")
 		if err != nil {
