@@ -139,9 +139,10 @@ type wire struct {
 	buf     bytes.Buffer
 	enc     *gob.Encoder
 
-	rmu sync.Mutex
-	rd  bytes.Reader
-	dec *gob.Decoder
+	rmu     sync.Mutex
+	payload []byte // recv's buffer, reused for every frame it holds
+	rd      bytes.Reader
+	dec     *gob.Decoder
 }
 
 func newWire(conn io.ReadWriter) *wire {
@@ -198,7 +199,17 @@ func (w *wire) recv() (*frame, error) {
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds cap", n)
 	}
-	payload, err := readPayload(w.conn, int(n))
+	// A frame that fits reads into the buffer earlier frames left (gob
+	// copies what it keeps). A longer one grows a new buffer as its
+	// bytes arrive, which replaces the old one unless it is longer than
+	// recvChunk.
+	payload := w.payload[:min(int(n), cap(w.payload))]
+	var err error
+	if len(payload) == int(n) {
+		_, err = io.ReadFull(w.conn, payload)
+	} else if payload, err = readPayload(w.conn, int(n)); err == nil && n <= recvChunk {
+		w.payload = payload
+	}
 	if err != nil {
 		return nil, fmt.Errorf("remote: read frame payload: %w", torn(err))
 	}
