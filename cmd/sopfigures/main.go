@@ -230,7 +230,7 @@ type runner struct {
 	seed uint64
 	out  string
 	ctx  context.Context
-	sw   experiment.Sweeper
+	sw   *sweep.Runner
 }
 
 func (r runner) run(fig string) error {
@@ -312,7 +312,7 @@ func (r runner) run(fig string) error {
 		}
 		return r.saveConfigs(fig, cfgs)
 	case "estimators":
-		table, err := experiment.EstimatorComparison(r.ctx, r.sw, 5, 200, max(2, r.sc.Repeats), 0.6, 4, r.seed)
+		table, err := experiment.EstimatorComparison(r.ctx, r.sw.Tokens, 5, 200, max(2, r.sc.Repeats), 0.6, 4, r.seed)
 		if err != nil {
 			return err
 		}
@@ -332,39 +332,7 @@ func resultFigure(id, title string, times []int, mi []float64) *experiment.Figur
 }
 
 func (r runner) saveFigure(fd *experiment.FigureData) error {
-	names := make([]string, len(fd.Series))
-	xs := make([][]float64, len(fd.Series))
-	ys := make([][]float64, len(fd.Series))
-	chart := &plot.Chart{Title: fd.Title, XLabel: "t", YLabel: "bits"}
-	for i, s := range fd.Series {
-		names[i] = s.Name
-		xs[i] = s.X
-		ys[i] = s.Y
-		chart.Add(s.Name, s.X, s.Y)
-	}
-	fmt.Print(chart.Render(72, 18))
-	if fd.Notes != "" {
-		fmt.Println("notes:", fd.Notes)
-	}
-
-	csvPath := filepath.Join(r.out, fd.ID+".csv")
-	f, err := os.Create(csvPath)
-	if err != nil {
-		return err
-	}
-	if err := plot.WriteSeriesCSV(f, names, xs, ys); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	svg := plot.SVGLines(fd.Title, names, xs, ys, 560)
-	if err := os.WriteFile(filepath.Join(r.out, fd.ID+".svg"), []byte(svg), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s and %s\n", csvPath, filepath.Join(r.out, fd.ID+".svg"))
-	return nil
+	return sops.WriteFigure(os.Stdout, r.out, fd)
 }
 
 func (r runner) saveConfigs(fig string, cfgs []experiment.TypedConfig) error {

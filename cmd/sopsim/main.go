@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -31,7 +32,6 @@ import (
 	"repro/internal/forces"
 	"repro/internal/plot"
 	"repro/internal/rngx"
-	"repro/internal/vec"
 )
 
 func main() {
@@ -73,39 +73,7 @@ func main() {
 		fatal(err)
 	}
 
-	detector := &sops.CycleDetector{Tolerance: 0.15, MaxPeriod: 40}
-	var times, netForces []float64
-	equilibriumAt := -1
-	for k := 0; k < *steps; k++ {
-		sys.Step()
-		times = append(times, float64(sys.Time()))
-		netForces = append(netForces, sys.NetForce())
-		detector.Observe(sys.PositionsRef())
-		if equilibriumAt < 0 && sys.InEquilibrium() {
-			equilibriumAt = sys.Time()
-		}
-	}
-
-	cfg := sys.Config()
-	fmt.Printf("force %s with %d types, %d particles, rc=%g, %d steps\n",
-		cfg.Force.Name(), cfg.Force.Types(), cfg.N, cfg.Cutoff, *steps)
-	fmt.Printf("final net force: %.3f (threshold %.3f)\n",
-		sys.NetForce(), cfg.EquilibriumThreshold)
-	switch {
-	case equilibriumAt >= 0:
-		fmt.Printf("terminal state: equilibrium (first reached at step %d)\n", equilibriumAt)
-	case detector.Period() > 1:
-		fmt.Printf("terminal state: limit cycle, period %d steps\n", detector.Period())
-	case detector.Period() == 1:
-		fmt.Println("terminal state: stationary (recurrence, force criterion not met)")
-	default:
-		fmt.Println("terminal state: still evolving (paper Sec. 6: likely slow expansion)")
-	}
-
-	chart := &plot.Chart{Title: "net deterministic force over time", XLabel: "t", YLabel: "sum |F|"}
-	chart.Add("netforce", times, netForces)
-	fmt.Print(chart.Render(72, 12))
-	fmt.Print(renderASCII(sys.Positions(), sys.Types()))
+	times, netForces := report(os.Stdout, sys, *steps)
 
 	if *svgPath != "" {
 		svg := plot.SVGScatter("sopsim final configuration", sys.Positions(), sys.Types(), 480)
@@ -125,6 +93,50 @@ func main() {
 		}
 		fmt.Println("wrote", *csvPath)
 	}
+}
+
+// report steps sys the given number of times and writes its summary to
+// w: the terminal state, the net-force trace as a chart and the final
+// configuration. It returns the trace for -csv. A run whose net force is
+// no longer finite has diverged (an Euler step beyond sim.MaxStableDt),
+// whatever its positions last recurred to.
+func report(w io.Writer, sys *sops.System, steps int) (times, netForces []float64) {
+	detector := &sops.CycleDetector{Tolerance: 0.15, MaxPeriod: 40}
+	equilibriumAt := -1
+	for k := 0; k < steps; k++ {
+		sys.Step()
+		times = append(times, float64(sys.Time()))
+		netForces = append(netForces, sys.NetForce())
+		detector.Observe(sys.PositionsRef())
+		if equilibriumAt < 0 && sys.InEquilibrium() {
+			equilibriumAt = sys.Time()
+		}
+	}
+
+	cfg := sys.Config()
+	net := sys.NetForce()
+	fmt.Fprintf(w, "force %s with %d types, %d particles, rc=%g, %d steps\n",
+		cfg.Force.Name(), cfg.Force.Types(), cfg.N, cfg.Cutoff, steps)
+	fmt.Fprintf(w, "final net force: %.3f (threshold %.3f)\n", net, cfg.EquilibriumThreshold)
+	switch {
+	case math.IsNaN(net) || math.IsInf(net, 0):
+		fmt.Fprintln(w, "terminal state: diverged (net force is not finite)")
+	case equilibriumAt >= 0:
+		fmt.Fprintf(w, "terminal state: equilibrium (first reached at step %d)\n", equilibriumAt)
+	case detector.Period() > 1:
+		fmt.Fprintf(w, "terminal state: limit cycle, period %d steps\n", detector.Period())
+	case detector.Period() == 1:
+		fmt.Fprintln(w, "terminal state: stationary (recurrence, force criterion not met)")
+	default:
+		fmt.Fprintln(w, "terminal state: still evolving (paper Sec. 6: likely slow expansion)")
+	}
+
+	chart := &plot.Chart{Title: "net deterministic force over time", XLabel: "t", YLabel: "sum |F|"}
+	chart.Add("netforce", times, netForces)
+	fmt.Fprint(w, chart.Render(72, 12))
+	fmt.Fprintln(w, "final configuration (digits = types):")
+	fmt.Fprint(w, sops.ASCIIScatter(sys.Positions(), sys.Types(), 64, 24))
+	return times, netForces
 }
 
 func fatal(err error) {
@@ -164,29 +176,4 @@ func resolveSpec(specFile string, n, l int, forceName string, rc float64, seed u
 		sops.WithSeed(seed),
 		sops.WithSim(sops.SimConfig{N: n, Force: force, Cutoff: cutoff}),
 	)
-}
-
-// renderASCII draws the typed configuration on a character grid, digits
-// being particle types — the terminal equivalent of the paper's figures.
-func renderASCII(pos []vec.Vec2, types []int) string {
-	const w, h = 64, 24
-	min, max := vec.BoundingBox(pos)
-	spanX := math.Max(max.X-min.X, 1e-9)
-	spanY := math.Max(max.Y-min.Y, 1e-9)
-	grid := make([][]byte, h)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", w))
-	}
-	for i, p := range pos {
-		c := int((p.X - min.X) / spanX * float64(w-1))
-		r := int((max.Y - p.Y) / spanY * float64(h-1))
-		grid[r][c] = byte('0' + types[i]%10)
-	}
-	var b strings.Builder
-	b.WriteString("final configuration (digits = types):\n")
-	for _, row := range grid {
-		b.WriteString(string(row))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

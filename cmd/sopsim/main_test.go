@@ -1,41 +1,35 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
-	"repro/internal/vec"
+	sops "repro"
 )
 
-func TestRenderASCIIPlacesAllTypes(t *testing.T) {
-	pos := []vec.Vec2{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}, {X: 10, Y: 10}}
-	types := []int{0, 1, 2, 3}
-	out := renderASCII(pos, types)
-	for _, digit := range []string{"0", "1", "2", "3"} {
-		if !strings.Contains(out, digit) {
-			t.Errorf("rendered grid missing type %s:\n%s", digit, out)
+// TestReportDivergedRun: `sopsim -rc 0 -seed 1` diverges within its 250
+// steps. The report names the divergence instead of calling the run
+// stationary, and draws the final configuration without panicking on its
+// non-finite positions.
+func TestReportDivergedRun(t *testing.T) {
+	sp, err := resolveSpec("", 30, 3, "F1", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sops.NewSession().System(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	report(&out, sys, 250)
+	if net := sys.NetForce(); !math.IsNaN(net) && !math.IsInf(net, 0) {
+		t.Fatalf("net force %g is finite; the test needs a diverged run", net)
+	}
+	for _, want := range []string{"terminal state: diverged", "final configuration (digits = types):"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
 		}
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 25 { // header + 24 rows
-		t.Errorf("grid has %d lines", len(lines))
-	}
-}
-
-func TestRenderASCIIDegenerateCloud(t *testing.T) {
-	// All points coincident: must not divide by zero.
-	pos := []vec.Vec2{{X: 1, Y: 1}, {X: 1, Y: 1}}
-	out := renderASCII(pos, []int{0, 0})
-	if !strings.Contains(out, "0") {
-		t.Error("coincident points not rendered")
-	}
-}
-
-func TestRenderASCIITypeWraparound(t *testing.T) {
-	pos := []vec.Vec2{{X: 0, Y: 0}, {X: 5, Y: 5}}
-	out := renderASCII(pos, []int{12, 7}) // 12 renders as digit 2
-	if !strings.Contains(out, "2") || !strings.Contains(out, "7") {
-		t.Errorf("type digits wrong:\n%s", out)
 	}
 }
 

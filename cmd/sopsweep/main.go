@@ -65,10 +65,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 
 	sops "repro"
-	"repro/internal/plot"
 	"repro/internal/sweep"
 )
 
@@ -114,9 +112,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-worker requires -dist-addr")
 		}
 		return sops.ServeSweepWorker(ctx, *distAddr, sops.SweepWorkerOptions{
-			Budget:     *budget,
-			Dir:        *ckptDir,
-			CacheBytes: *cacheB,
+			Budget: *budget,
+			Dir:    *ckptDir,
 		})
 	}
 	if *list {
@@ -185,7 +182,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}
-	return saveFigure(stdout, *outDir, fd)
+	return sops.WriteFigure(stdout, *outDir, fd)
 }
 
 // interruptMsg decorates a cancellation with what actually happened to
@@ -211,41 +208,4 @@ func resolveSpec(scenario, specFile, scale string, seed uint64) (sops.Spec, erro
 		return s.Spec(scale, seed), nil
 	}
 	return sops.LoadSpec(specFile) // scale/seed defaults merge in MergeCLIOverrides
-}
-
-// saveFigure renders the figure as an ASCII chart on stdout and writes
-// the CSV + SVG files, mirroring sopfigures' output conventions.
-func saveFigure(stdout io.Writer, outDir string, fd *sops.FigureData) error {
-	names := make([]string, len(fd.Series))
-	xs := make([][]float64, len(fd.Series))
-	ys := make([][]float64, len(fd.Series))
-	chart := &plot.Chart{Title: fd.Title, XLabel: "t", YLabel: "bits"}
-	for i, s := range fd.Series {
-		names[i] = s.Name
-		xs[i] = s.X
-		ys[i] = s.Y
-		chart.Add(s.Name, s.X, s.Y)
-	}
-	fmt.Fprint(stdout, chart.Render(72, 18))
-	if fd.Notes != "" {
-		fmt.Fprintln(stdout, "notes:", fd.Notes)
-	}
-	csvPath := filepath.Join(outDir, fd.ID+".csv")
-	f, err := os.Create(csvPath)
-	if err != nil {
-		return err
-	}
-	if err := plot.WriteSeriesCSV(f, names, xs, ys); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	svgPath := filepath.Join(outDir, fd.ID+".svg")
-	if err := os.WriteFile(svgPath, []byte(plot.SVGLines(fd.Title, names, xs, ys, 560)), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s and %s\n", csvPath, svgPath)
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/infotheory"
 	"repro/internal/mathx"
 	"repro/internal/rngx"
+	"repro/internal/workpool"
 )
 
 // ComparisonRow summarises one estimator's behaviour on a ground-truth
@@ -71,16 +72,17 @@ func SampleEquicorrelatedGaussians(m, n int, rho float64, rng rngx.Source) *info
 // accelerated stack the measurement pipeline actually executes, with one
 // engine per worker slot so scratch recycling matches the pipeline's
 // per-worker reuse (the brute-force definitions remain the estimator
-// packages' test reference, not what is timed here). The reps execute
-// through sw's job runner (nil = serial); estimates are bit-identical for
-// every sweeper, and PerEval is the mean of the individually timed
-// evaluations, so it stays meaningful under concurrency.
+// packages' test reference, not what is timed here). The reps run on one
+// worker per token of tok, each holding a token per rep (nil = serial);
+// estimates are bit-identical for every budget, and PerEval is the mean
+// of the individually timed evaluations, so it stays meaningful under
+// concurrency.
 //
 // Expected shape (paper, Sec. 5.3): KSG is fast and low-variance; the
 // kernel estimator is orders of magnitude slower with larger variance in
 // higher dimension; the binned estimator overestimates grossly in high
 // dimension.
-func EstimatorComparison(ctx context.Context, sw Sweeper, nVars, m, reps int, rho float64, kKSG int, seed uint64) (*ComparisonTable, error) {
+func EstimatorComparison(ctx context.Context, tok *workpool.Tokens, nVars, m, reps int, rho float64, kKSG int, seed uint64) (*ComparisonTable, error) {
 	if kKSG <= 0 {
 		kKSG = DefaultKSGK
 	}
@@ -90,7 +92,6 @@ func EstimatorComparison(ctx context.Context, sw Sweeper, nVars, m, reps int, rh
 	if kKSG >= m {
 		return nil, fmt.Errorf("experiment: EstimatorComparison needs k (%d) < m (%d)", kKSG, m)
 	}
-	sweeper := sweeperOrSerial(sw)
 	table := &ComparisonTable{
 		NVars:  nVars,
 		M:      m,
@@ -134,7 +135,7 @@ func EstimatorComparison(ctx context.Context, sw Sweeper, nVars, m, reps int, rh
 	vals := make([]float64, reps)
 	durs := make([]time.Duration, reps)
 	for _, e := range ests {
-		err := sweeper.Do(ctx, reps, func(worker, r int) error {
+		err := workpool.RunCtx(ctx, reps, tok.Cap(), tok, func(worker, r int) error {
 			eng := engines[worker]
 			if eng == nil {
 				eng = infotheory.NewEngine(0)

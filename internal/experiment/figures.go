@@ -48,29 +48,33 @@ func FloatTimes(times []int) []float64 {
 // ---------------------------------------------------------------------------
 // Fig. 1 — example of a particle configuration (4 types).
 
-// Fig1Example simulates the paper's opening example: a 4-type collective
-// under F¹ with a differential-adhesion matrix, run well past organisation.
-func Fig1Example(seed uint64) (*TypedConfig, error) {
-	// Nested preferred distances: type 0 adheres tightest (nucleus),
-	// type 3 loosest (membrane); cross-type distances increase with
-	// type separation, producing the layered morphology of Fig. 1.
+// Fig1Params returns the paper's opening example, a nucleus-and-membranes
+// tissue: 40 particles of 4 types under F¹ with a nested
+// differential-adhesion matrix. Type 0 adheres tightest (nucleus), type 3
+// loosest (membrane), and cross-type distances increase with type
+// separation, producing the layered morphology of Fig. 1.
+func Fig1Params() sim.Config {
 	r := forces.MustMatrix([][]float64{
 		{1.0, 1.8, 2.6, 3.4},
 		{1.8, 1.4, 2.2, 3.0},
 		{2.6, 2.2, 1.8, 2.6},
 		{3.4, 3.0, 2.6, 2.2},
 	})
-	k := forces.ConstantMatrix(4, 4)
-	cfg := sim.Config{
+	return sim.Config{
 		N:      40,
-		Force:  forces.MustF1(k, r),
+		Force:  forces.MustF1(forces.ConstantMatrix(4, 4), r),
 		Cutoff: 8,
 		// Strong adhesion and a dense neighbourhood need a small step
 		// (see sim.MaxStableDt).
 		Dt:         0.01,
 		InitRadius: 2.5,
 	}
-	sys, err := sim.New(cfg, rngx.New(seed))
+}
+
+// Fig1Example simulates the paper's opening example (Fig1Params), run
+// well past organisation.
+func Fig1Example(seed uint64) (*TypedConfig, error) {
+	sys, err := sim.New(Fig1Params(), rngx.New(seed))
 	if err != nil {
 		return nil, err
 	}

@@ -18,10 +18,10 @@ type SweepSpec struct {
 }
 
 // Sweeper executes batches of pipeline runs. The figure drivers that loop
-// over many pipelines (Figs. 8–10, the estimator comparison) are written
-// against this interface, so the same driver runs serially
-// (SerialSweeper, the historical loops) or concurrently with
-// checkpointing (sweep.Runner). Implementations must return results in
+// over many pipelines (Figs. 8–10) are written against this interface,
+// so the same driver runs serially (SerialSweeper, the historical loops),
+// concurrently with checkpointing (sweep.Runner) or across worker
+// processes (remote.Coordinator). Implementations must return results in
 // spec order and must not reorder, drop, or batch-merge runs — the
 // reducers consume results positionally with serial-loop arithmetic.
 // Cancelling the context stops the sweep within one token-grant; a
@@ -29,11 +29,6 @@ type SweepSpec struct {
 type Sweeper interface {
 	// Sweep executes every spec and returns the results in spec order.
 	Sweep(ctx context.Context, specs []SweepSpec) ([]*Result, error)
-	// Do executes n indexed jobs (not necessarily pipelines) under the
-	// sweeper's execution policy. fn receives a dense worker slot index
-	// so callers can keep per-worker scratch (estimator engines); jobs
-	// must be independent and safe to run concurrently.
-	Do(ctx context.Context, n int, fn func(worker, i int) error) error
 }
 
 // SerialSweeper runs every spec in order on the calling goroutine — the
@@ -55,19 +50,6 @@ func (SerialSweeper) Sweep(ctx context.Context, specs []SweepSpec) ([]*Result, e
 		results[i] = res
 	}
 	return results, nil
-}
-
-// Do runs the jobs in order on the calling goroutine (worker slot 0).
-func (SerialSweeper) Do(ctx context.Context, n int, fn func(worker, i int) error) error {
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := fn(0, i); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // sweeperOrSerial resolves a nil Sweeper to the serial reference, so

@@ -67,25 +67,3 @@ func TestMeanDeltaI(t *testing.T) {
 		_ = got
 	}
 }
-
-// TestSerialSweeperDoOrderAndWorkerZero: the serial reference runs jobs
-// in order on worker slot 0 — the properties the comparison's per-worker
-// engine reuse relies on.
-func TestSerialSweeperDoOrderAndWorkerZero(t *testing.T) {
-	var order []int
-	err := SerialSweeper{}.Do(context.Background(), 4, func(worker, i int) error {
-		if worker != 0 {
-			t.Fatalf("worker = %d", worker)
-		}
-		order = append(order, i)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if i != v {
-			t.Fatalf("order = %v", order)
-		}
-	}
-}

@@ -105,7 +105,7 @@ func FromEnsembleCtx(ctx context.Context, ens *sim.Ensemble, cfg Config) (*Obser
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		err := workpool.RunSharedCtx(ctx, (m-1)*nT, workers, nil, func(_, i int) error {
+		err := workpool.RunCtx(ctx, (m-1)*nT, workers, nil, func(_, i int) error {
 			s, t := 1+i/nT, i%nT
 			return acc.Add(s, t, ens.Trajs[s].Frames[t])
 		})

@@ -145,7 +145,7 @@ func streamRange(ctx context.Context, ec EnsembleConfig, lo, hi int, visit Frame
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	err := workpool.RunSharedCtx(ctx, hi-lo, workers, ec.Tokens, func(_, i int) error {
+	err := workpool.RunCtx(ctx, hi-lo, workers, ec.Tokens, func(_, i int) error {
 		s := lo + i
 		if err := streamSample(ec, s, visit); err != nil {
 			return fmt.Errorf("sample %d: %w", s, err)

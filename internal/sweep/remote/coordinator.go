@@ -14,7 +14,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/spec"
 	"repro/internal/sweep"
-	"repro/internal/workpool"
 )
 
 // SpawnFunc starts worker i against the coordinator at addr with its
@@ -35,7 +34,8 @@ type SpawnFunc func(ctx context.Context, i int, addr string, budget int) (wait f
 // requeued to the remaining workers; if it managed to checkpoint through
 // the shared store first, the retry loads instead of recomputes.
 type Coordinator struct {
-	// Procs is the number of workers to spawn (<= 1 means one).
+	// Procs is the number of workers to spawn (<= 1 means one), capped
+	// at the budget so that every worker holds at least one token.
 	Procs int
 	// Budget is the global token budget divided among workers
 	// (<= 0 means GOMAXPROCS), so N children on one box stay within the
@@ -44,15 +44,10 @@ type Coordinator struct {
 	// Spawn starts the workers; required. See CommandSpawner and
 	// GoSpawner.
 	Spawn SpawnFunc
-	// Addr is the listen address (a path-shaped string means a unix
-	// socket, anything else TCP). Empty picks a unix socket in a fresh
-	// temp directory.
-	Addr string
-	// Store, when non-nil, resolves runs before any worker is consulted
-	// — a fully checkpointed sweep completes without spawning — and
-	// persists the local fallback runs. Workers reach the same durable
-	// store through their own configuration (the shared directory), not
-	// through this handle.
+	// Store, when non-nil, resolves runs before any worker is consulted,
+	// so a fully checkpointed sweep completes without spawning. Workers
+	// reach the same durable store through their own configuration (the
+	// shared directory), not through this handle.
 	Store sweep.ResultStore
 	// OnProgress, when non-nil, receives the merged progress stream:
 	// every worker's pipeline events plus one ProgressRunDone per run,
@@ -121,28 +116,17 @@ func (c *Coordinator) emit(ev experiment.ProgressEvent) {
 	}
 }
 
-func (c *Coordinator) procs() int {
-	if c.Procs > 1 {
-		return c.Procs
+// split returns how many workers to spawn and each one's token budget:
+// Procs workers (at least one) but never more than the budget has tokens,
+// each holding an equal share, so the workers together never hold more
+// than the budget.
+func (c *Coordinator) split() (workers, per int) {
+	budget := c.Budget
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
 	}
-	return 1
-}
-
-func (c *Coordinator) budget() int {
-	if c.Budget > 0 {
-		return c.Budget
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// perWorkerBudget divides the global budget across workers, at least one
-// token each — the GOMAXPROCS-of-a-child analogue.
-func (c *Coordinator) perWorkerBudget() int {
-	per := c.budget() / c.procs()
-	if per < 1 {
-		per = 1
-	}
-	return per
+	workers = min(max(c.Procs, 1), budget)
+	return workers, budget / workers
 }
 
 // Sweep distributes the specs across worker processes and returns the
@@ -158,11 +142,11 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []experiment.SweepSpec) (
 	}
 	results := make([]*experiment.Result, len(specs))
 
-	// Resolve what the store already has and serialize the rest: remote
-	// runs carry their canonical spec JSON; pipelines with no
-	// serialisable spec (custom force closures) cannot cross a process
-	// boundary and fall back to local execution.
-	var pending, local []int
+	// Resolve what the store already has and serialize the rest: every
+	// other run crosses to a worker as its canonical spec JSON, so a
+	// pipeline with no spec form (a custom Scaling) fails the sweep
+	// before any worker is spawned.
+	var pending []int
 	wireSpecs := make([][]byte, len(specs))
 	for i, ss := range specs {
 		if c.Store != nil {
@@ -176,97 +160,81 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []experiment.SweepSpec) (
 		}
 		sp, err := spec.FromPipeline(ss.Pipeline)
 		if err != nil {
-			local = append(local, i)
-			continue
+			return nil, fmt.Errorf("remote: sweep run %q cannot cross to a worker: %w", ss.ID, err)
 		}
 		b, err := json.Marshal(sp)
 		if err != nil {
-			local = append(local, i)
-			continue
+			return nil, fmt.Errorf("remote: sweep run %q: %w", ss.ID, err)
 		}
 		wireSpecs[i] = b
 		pending = append(pending, i)
 	}
+	if len(pending) == 0 {
+		return results, nil // fully resolved from the store
+	}
 
 	st := &sweepState{
-		queue:       make(chan int, len(specs)),
+		queue:       make(chan int, len(pending)),
 		finished:    make(chan struct{}),
-		outstanding: len(pending) + len(local),
-	}
-	if st.outstanding == 0 {
-		return results, nil // fully resolved from the store
+		outstanding: len(pending),
 	}
 	for _, i := range pending {
 		st.queue <- i
 	}
 
+	ln, addr, cleanup, err := listen()
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
 	var handlers sync.WaitGroup
 	acceptDone := make(chan struct{})
-	close(acceptDone) // replaced by a live channel when a listener starts
-	var ln net.Listener
-	if len(pending) > 0 {
-		var addr string
-		var cleanup func()
-		var err error
-		ln, addr, cleanup, err = c.listen()
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		acceptDone = make(chan struct{})
-		go func() {
-			// handlers.Add happens only here; teardown waits for this
-			// loop to stop before handlers.Wait, so Add can never race
-			// a Wait that already saw zero.
-			defer close(acceptDone)
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return // listener closed: teardown
-				}
-				st.addConn(conn)
-				handlers.Add(1)
-				go func() {
-					defer handlers.Done()
-					c.handle(conn, st, specs, wireSpecs, results)
-				}()
-			}
-		}()
-
-		procs := c.procs()
-		per := c.perWorkerBudget()
-		var dead sync.WaitGroup
-		for i := 0; i < procs; i++ {
-			wait, err := c.Spawn(ctx, i, addr, per)
+	go func() {
+		// handlers.Add happens only here; teardown waits for this loop to
+		// stop before handlers.Wait, so Add can never race a Wait that
+		// already saw zero.
+		defer close(acceptDone)
+		for {
+			conn, err := ln.Accept()
 			if err != nil {
-				st.fail(fmt.Errorf("remote: spawning worker %d: %w", i, err))
-				break
+				return // listener closed: teardown
 			}
-			dead.Add(1)
+			st.addConn(conn)
+			handlers.Add(1)
 			go func() {
-				defer dead.Done()
-				_ = wait()
+				defer handlers.Done()
+				c.handle(conn, st, specs, wireSpecs, results)
 			}()
 		}
+	}()
+
+	workers, per := c.split()
+	var dead sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wait, err := c.Spawn(ctx, i, addr, per)
+		if err != nil {
+			st.fail(fmt.Errorf("remote: spawning worker %d: %w", i, err))
+			break
+		}
+		dead.Add(1)
 		go func() {
-			// Every worker exiting with runs still outstanding means no
-			// one is left to requeue to: fail instead of hanging. When
-			// cancellation is what killed the workers, the context's
-			// error is the cause and comes back verbatim — this watcher
-			// races the main select's st.fail(ctx.Err()) and must not
-			// mask it.
-			dead.Wait()
-			if err := ctx.Err(); err != nil {
-				st.failIfUnfinished(err)
-				return
-			}
-			st.failIfUnfinished(errors.New("remote: all workers exited with runs outstanding"))
+			defer dead.Done()
+			_ = wait()
 		}()
 	}
-
-	if len(local) > 0 {
-		go c.runLocal(ctx, st, specs, local, results)
-	}
+	go func() {
+		// Every worker exiting with runs still outstanding means no one
+		// is left to requeue to: fail instead of hanging. When
+		// cancellation is what killed the workers, the context's error is
+		// the cause and comes back verbatim — this watcher races the main
+		// select's st.fail(ctx.Err()) and must not mask it.
+		dead.Wait()
+		if err := ctx.Err(); err != nil {
+			st.failIfUnfinished(err)
+			return
+		}
+		st.failIfUnfinished(errors.New("remote: all workers exited with runs outstanding"))
+	}()
 
 	select {
 	case <-st.finished:
@@ -276,15 +244,13 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []experiment.SweepSpec) (
 	// Teardown: stop accepting, sever every worker so in-flight handlers
 	// unblock, then wait for them — no handler may touch the results
 	// slice after Sweep returns.
-	if ln != nil {
-		ln.Close()
-	}
+	ln.Close()
 	<-acceptDone
 	st.closeConns()
 	handlers.Wait()
 
 	st.mu.Lock()
-	err := st.err
+	err = st.err
 	st.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -292,16 +258,9 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []experiment.SweepSpec) (
 	return results, nil
 }
 
-// listen opens the coordinator socket: the configured address, or a unix
-// socket in a fresh temp directory.
-func (c *Coordinator) listen() (net.Listener, string, func(), error) {
-	if c.Addr != "" {
-		ln, err := net.Listen(Network(c.Addr), c.Addr)
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("remote: listen %s: %w", c.Addr, err)
-		}
-		return ln, c.Addr, func() {}, nil
-	}
+// listen opens the coordinator socket: a unix socket in a fresh temp
+// directory, which cleanup removes.
+func listen() (net.Listener, string, func(), error) {
 	dir, err := os.MkdirTemp("", "sops-dist-")
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("remote: listen: %w", err)
@@ -328,8 +287,8 @@ func (c *Coordinator) handle(conn net.Conn, st *sweepState, specs []experiment.S
 		case idx := <-st.queue:
 			if !c.runRemote(w, idx, st, specs, wireSpecs, results) {
 				// The connection is dead; the run is requeued for the
-				// surviving workers (the queue is sized for every spec,
-				// so this never blocks).
+				// surviving workers (the queue is sized for every pending
+				// run, so this never blocks).
 				st.queue <- idx
 				return
 			}
@@ -371,48 +330,6 @@ func (c *Coordinator) runRemote(w *wire, idx int, st *sweepState, specs []experi
 			return false
 		}
 	}
-}
-
-// runLocal executes the unserialisable specs in-process, one at a time,
-// through a Runner sharing the coordinator's store and a worker-sized
-// slice of the budget — the coordinator acting as one more worker for
-// the runs only it can see.
-func (c *Coordinator) runLocal(ctx context.Context, st *sweepState, specs []experiment.SweepSpec, local []int, results []*experiment.Result) {
-	tokens := workpool.NewTokens(c.perWorkerBudget())
-	for _, i := range local {
-		idx := i
-		r := &sweep.Runner{
-			Concurrency: 1,
-			Tokens:      tokens,
-			Store:       c.Store,
-			OnProgress: func(ev experiment.ProgressEvent) {
-				if ev.Kind == experiment.ProgressRunDone || ev.Kind == experiment.ProgressRunCheckpointed {
-					ev.Index = idx
-				}
-				c.emit(ev)
-			},
-		}
-		res, err := r.Sweep(ctx, []experiment.SweepSpec{specs[idx]})
-		if err != nil {
-			st.fail(err)
-			return
-		}
-		results[idx] = res[0]
-		st.complete()
-		select {
-		case <-st.finished:
-			return
-		default:
-		}
-	}
-}
-
-// Do executes n independent jobs locally under the coordinator's global
-// budget, implementing the job half of experiment.Sweeper: jobs are
-// closures and cannot cross a process boundary, so they run in-process
-// exactly as a Runner would run them.
-func (c *Coordinator) Do(ctx context.Context, n int, fn func(worker, i int) error) error {
-	return workpool.RunSharedCtx(ctx, n, runtime.GOMAXPROCS(0), workpool.NewTokens(c.Budget), fn)
 }
 
 // compile-time check: Coordinator implements the driver-facing interface.

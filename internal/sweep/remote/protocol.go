@@ -1,7 +1,7 @@
 // Package remote shards one sweep across worker processes on the same
-// box. A Coordinator (the experiment.Sweeper half) listens on a unix or
-// TCP socket, spawns N workers, and hands each idle worker one sweep
-// spec at a time; workers (the Serve half) run the spec through their own
+// box. A Coordinator (the experiment.Sweeper half) listens on a unix
+// socket, spawns N workers, and hands each idle worker one sweep spec at
+// a time; workers (the Serve half) run the spec through their own
 // sweep.Runner against the shared ResultStore, stream ProgressEvents
 // back, and return the trimmed result.
 //
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 
 	"repro/internal/experiment"
@@ -255,19 +254,9 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// Network classifies a coordinator address: path-shaped addresses are
-// unix sockets, everything else is TCP host:port. One rule shared by
-// listen and dial so the two sides can never disagree.
-func Network(addr string) string {
-	if strings.ContainsRune(addr, '/') {
-		return "unix"
-	}
-	return "tcp"
-}
-
-// Dial connects a worker to the coordinator address. The context governs
-// the dial only; close the returned conn to abort reads.
-func Dial(ctx context.Context, addr string) (net.Conn, error) {
+// dial connects a worker to the coordinator's unix socket. The context
+// governs the dial only; close the returned conn to abort reads.
+func dial(ctx context.Context, addr string) (net.Conn, error) {
 	var d net.Dialer
-	return d.DialContext(ctx, Network(addr), addr)
+	return d.DialContext(ctx, "unix", addr)
 }

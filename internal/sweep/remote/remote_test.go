@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/forces"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 )
@@ -249,6 +251,62 @@ func TestCoordinatorResumesWithoutSpawning(t *testing.T) {
 	sameResults(t, "store resume", want, got)
 }
 
+// customScaling wraps a force law in a type the spec layer cannot
+// serialise, as any Scaling outside F1 and F2 is.
+type customScaling struct{ forces.Scaling }
+
+// countingSpawn returns a GoSpawner that records the budget of every
+// worker it starts. The coordinator spawns from Sweep's goroutine, so
+// the slice is read safely once Sweep returns.
+func countingSpawn(budgets *[]int) SpawnFunc {
+	return func(ctx context.Context, i int, addr string, budget int) (func() error, error) {
+		*budgets = append(*budgets, budget)
+		return GoSpawner(WorkerOptions{})(ctx, i, addr, budget)
+	}
+}
+
+// TestRunWithoutSpecFormFailsBeforeSpawning: every run the store does not
+// resolve crosses to a worker as spec JSON, so a run whose pipeline has
+// no spec form fails the sweep, naming the run, before any worker starts.
+func TestRunWithoutSpecFormFailsBeforeSpawning(t *testing.T) {
+	specs := experiment.Fig8Specs(tinyScale(), 2, 9)
+	custom := &specs[1].Pipeline.Ensemble.Sim
+	custom.Force = customScaling{custom.Force}
+	var budgets []int
+	co := &Coordinator{Procs: 2, Budget: 2, Spawn: countingSpawn(&budgets), Store: sweep.DirStore{Dir: t.TempDir()}}
+	_, err := co.Sweep(context.Background(), specs)
+	if err == nil || !strings.Contains(err.Error(), specs[1].ID) {
+		t.Fatalf("err = %v, want the run without a spec form named", err)
+	}
+	if len(budgets) != 0 {
+		t.Fatalf("spawned %d workers, want none", len(budgets))
+	}
+}
+
+// TestWorkersNeverHoldMoreThanTheBudget: the coordinator spawns at most
+// one worker per token and splits the budget evenly among them, so the
+// workers together never hold more tokens than the budget.
+func TestWorkersNeverHoldMoreThanTheBudget(t *testing.T) {
+	specs := experiment.Fig8Specs(tinyScale(), 1, 3)
+	for _, tc := range []struct {
+		procs, budget int
+		want          []int
+	}{
+		{procs: 4, budget: 2, want: []int{1, 1}},
+		{procs: 2, budget: 5, want: []int{2, 2}},
+		{procs: 0, budget: 3, want: []int{3}},
+	} {
+		var budgets []int
+		co := &Coordinator{Procs: tc.procs, Budget: tc.budget, Spawn: countingSpawn(&budgets)}
+		if _, err := co.Sweep(context.Background(), specs); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(budgets, tc.want) {
+			t.Errorf("Procs %d, Budget %d: spawned workers with budgets %v, want %v", tc.procs, tc.budget, budgets, tc.want)
+		}
+	}
+}
+
 // TestWorkerStartupSweepsStaleTemps: a killed sibling's .tmp-run-*
 // remnants must be cleaned by whichever process next opens the dir —
 // including a worker, which may be the only process that ever opens it.
@@ -279,7 +337,7 @@ func TestAllWorkersDeadFails(t *testing.T) {
 	co := &Coordinator{
 		Procs: 2,
 		Spawn: func(ctx context.Context, i int, addr string, budget int) (func() error, error) {
-			conn, err := Dial(ctx, addr)
+			conn, err := dial(ctx, addr)
 			if err != nil {
 				return nil, err
 			}
@@ -321,7 +379,7 @@ func TestResultWithoutPayloadIsDropped(t *testing.T) {
 	co := &Coordinator{
 		Procs: 1,
 		Spawn: func(ctx context.Context, i int, addr string, budget int) (func() error, error) {
-			conn, err := Dial(ctx, addr)
+			conn, err := dial(ctx, addr)
 			if err != nil {
 				return nil, err
 			}

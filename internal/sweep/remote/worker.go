@@ -22,9 +22,6 @@ type WorkerOptions struct {
 	// Dir is the shared checkpoint directory; empty disables the store
 	// (runs are computed fresh and only returned over the wire).
 	Dir string
-	// CacheBytes, when > 0, fronts the store with an in-memory
-	// sweep.CacheStore of that many bytes.
-	CacheBytes int
 	// Store overrides Dir with an explicit store (tests exercise
 	// counting stores through this; Dir is still swept for stale temps).
 	Store sweep.ResultStore
@@ -56,7 +53,7 @@ func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 			return err
 		}
 	}
-	conn, err := Dial(ctx, addr)
+	conn, err := dial(ctx, addr)
 	if err != nil {
 		return fmt.Errorf("remote: worker dial: %w", err)
 	}
@@ -69,9 +66,6 @@ func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 	st := opts.Store
 	if st == nil && opts.Dir != "" {
 		st = sweep.DirStore{Dir: opts.Dir}
-	}
-	if st != nil && opts.CacheBytes > 0 {
-		st = sweep.NewCacheStore(st, opts.CacheBytes)
 	}
 	w := newWire(conn)
 	tokens := workpool.NewTokens(opts.Budget)
@@ -135,14 +129,14 @@ func runOne(ctx context.Context, f *frame, st sweep.ResultStore, tokens *workpoo
 		Tokens:      tokens,
 		Store:       st,
 		Engines:     engines,
-		OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fc bool) {
-			fromCkpt = fc
-		},
 		OnProgress: func(ev experiment.ProgressEvent) {
 			switch ev.Kind {
 			case experiment.ProgressRunDone:
 				// The coordinator emits its own RunDone when the result
-				// frame lands, so the merged stream has exactly one.
+				// frame lands, so the merged stream has exactly one; the
+				// worker only reports whether its store had the run. A
+				// one-spec sweep emits it on this goroutine.
+				fromCkpt = ev.FromCheckpoint
 				return
 			case experiment.ProgressRunCheckpointed:
 				// Run-level indices are sweep positions; remap from this

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/experiment"
 	"repro/internal/infotheory"
@@ -51,20 +50,17 @@ type Runner struct {
 	// (keyed by spec ID + fingerprint) before being computed, and
 	// persisted through it after. Nil disables checkpointing.
 	Store ResultStore
-	// OnRunDone, when non-nil, is invoked after each run completes (or
-	// is restored from its checkpoint), serialised by an internal mutex.
-	OnRunDone func(i int, spec experiment.SweepSpec, res *experiment.Result, fromCheckpoint bool)
 	// OnProgress, when non-nil, receives sweep-level progress events
-	// (ProgressRunCheckpointed, ProgressRunDone), and is installed as the
-	// per-pipeline progress listener of every run that does not carry its
-	// own. May be invoked concurrently; must be cheap and non-blocking.
+	// (ProgressRunCheckpointed, and one ProgressRunDone per run once it
+	// completes or is restored from its checkpoint), and is installed as
+	// the per-pipeline progress listener of every run that does not carry
+	// its own. May be invoked concurrently; must be cheap and
+	// non-blocking.
 	OnProgress func(experiment.ProgressEvent)
 	// Engines, when non-nil, is a shared estimator-engine pool handed to
 	// every run that does not carry its own (a Session does this), so a
 	// long sweep recycles engine scratch across runs. Runtime only.
 	Engines *infotheory.EnginePool
-
-	mu sync.Mutex // serialises OnRunDone
 }
 
 // budget resolves the shared token pool for one call.
@@ -111,13 +107,13 @@ func (r *Runner) Sweep(ctx context.Context, specs []experiment.SweepSpec) ([]*ex
 	}
 	tok := r.budget()
 	results := make([]*experiment.Result, len(specs))
-	err := workpool.RunSharedCtx(ctx, len(specs), r.concurrency(), nil, func(_, i int) error {
+	err := workpool.RunCtx(ctx, len(specs), r.concurrency(), nil, func(_, i int) error {
 		spec := specs[i]
 		fp, fpOK := fingerprint(spec)
 		if st != nil && fpOK {
 			if res, ok := st.Load(spec.ID, fp); ok {
 				results[i] = res
-				r.notify(i, spec, res, true)
+				r.emit(experiment.ProgressEvent{Kind: experiment.ProgressRunDone, Run: spec.ID, Index: i, FromCheckpoint: true})
 				return nil
 			}
 		}
@@ -143,7 +139,7 @@ func (r *Runner) Sweep(ctx context.Context, specs []experiment.SweepSpec) ([]*ex
 			}
 		}
 		results[i] = res
-		r.notify(i, spec, res, false)
+		r.emit(experiment.ProgressEvent{Kind: experiment.ProgressRunDone, Run: spec.ID, Index: i})
 		return nil
 	})
 	if err != nil {
@@ -171,29 +167,11 @@ func runError(ctx context.Context, id string, err error) error {
 	return wrapped
 }
 
-// Do executes n independent jobs under the runner's budget (one token
-// held per job) with at most Concurrency worker goroutines, implementing
-// the job half of experiment.Sweeper. fn receives a dense worker slot
-// index for per-worker scratch state.
-func (r *Runner) Do(ctx context.Context, n int, fn func(worker, i int) error) error {
-	return workpool.RunSharedCtx(ctx, n, r.concurrency(), r.budget(), fn)
-}
-
 // emit dispatches a sweep-level progress event if a listener is attached.
 func (r *Runner) emit(ev experiment.ProgressEvent) {
 	if r.OnProgress != nil {
 		r.OnProgress(ev)
 	}
-}
-
-func (r *Runner) notify(i int, spec experiment.SweepSpec, res *experiment.Result, fromCheckpoint bool) {
-	r.emit(experiment.ProgressEvent{Kind: experiment.ProgressRunDone, Run: spec.ID, Index: i, FromCheckpoint: fromCheckpoint})
-	if r.OnRunDone == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.OnRunDone(i, spec, res, fromCheckpoint)
 }
 
 // trimResult strips the fields checkpoints do not persist, so computed

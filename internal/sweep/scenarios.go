@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/experiment"
-	"repro/internal/forces"
 	"repro/internal/sim"
 	"repro/internal/spec"
 )
@@ -62,26 +61,6 @@ func meanCurveFigure(ctx context.Context, id, title, notes string, sw experiment
 	}, nil
 }
 
-// cellAdhesionConfig is the Fig. 1 nucleus-and-membranes tissue (the
-// paper's biological motivation) as a measurable MI workload: 4 types
-// under F¹ with the nested differential-adhesion matrix. Strong adhesion
-// needs the small step (sim.MaxStableDt).
-func cellAdhesionConfig() sim.Config {
-	r := forces.MustMatrix([][]float64{
-		{1.0, 1.8, 2.6, 3.4},
-		{1.8, 1.4, 2.2, 3.0},
-		{2.6, 2.2, 1.8, 2.6},
-		{3.4, 3.0, 2.6, 2.2},
-	})
-	return sim.Config{
-		N:          40,
-		Force:      forces.MustF1(forces.ConstantMatrix(4, 4), r),
-		Cutoff:     8,
-		Dt:         0.01,
-		InitRadius: 2.5,
-	}
-}
-
 var registry = []Scenario{
 	{
 		Name: "fig4",
@@ -128,7 +107,7 @@ var registry = []Scenario{
 		Run: func(ctx context.Context, sw experiment.Sweeper, sc experiment.Scale, seed uint64) (*experiment.FigureData, error) {
 			return meanCurveFigure(ctx, "cell-adhesion", "Nucleus-and-membranes tissue: mean multi-information vs time",
 				"Differential adhesion sorts the mixed ball into nested layers while MI grows.",
-				sw, sc, seed, func(int) sim.Config { return cellAdhesionConfig() })
+				sw, sc, seed, func(int) sim.Config { return experiment.Fig1Params() })
 		},
 	},
 	{

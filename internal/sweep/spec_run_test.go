@@ -123,8 +123,8 @@ func TestSweepCancellation(t *testing.T) {
 	interrupted := &Runner{
 		Concurrency: 2,
 		Store:       DirStore{Dir: dir},
-		OnRunDone: func(int, experiment.SweepSpec, *experiment.Result, bool) {
-			if done.Add(1) == 3 {
+		OnProgress: func(ev experiment.ProgressEvent) {
+			if ev.Kind == experiment.ProgressRunDone && done.Add(1) == 3 {
 				cancel() // cancel mid-sweep, after a few checkpoints exist
 			}
 		},
@@ -141,17 +141,13 @@ func TestSweepCancellation(t *testing.T) {
 	// Resume: the checkpoints written before the cancellation must be
 	// restored (not recomputed), and the figure must match the
 	// uninterrupted reference exactly.
-	restored := 0
-	resume := &Runner{Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCkpt bool) {
-		if fromCkpt {
-			restored++
-		}
-	}}
+	var n runCounts
+	resume := &Runner{Store: DirStore{Dir: dir}, OnProgress: n.count}
 	resumed, err := experiment.Fig8TypeCountSweep(context.Background(), resume, sc, maxTypes, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored < 3 {
+	if restored := n.restored.Load(); restored < 3 {
 		t.Fatalf("resume restored %d checkpoints, want >= 3", restored)
 	}
 	sameFigure(t, "resumed-after-cancel", reference, resumed)
@@ -165,8 +161,5 @@ func TestSerialSweeperCancellation(t *testing.T) {
 	sc := experiment.TestScale()
 	if _, err := (experiment.SerialSweeper{}).Sweep(ctx, experiment.Fig8Specs(sc, 1, 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if err := (experiment.SerialSweeper{}).Do(ctx, 3, func(_, _ int) error { return nil }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Do got %v, want context.Canceled", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiment"
@@ -18,6 +19,22 @@ import (
 // contract under test is scheduling-independence, not estimator quality.
 func tinyScale() experiment.Scale {
 	return experiment.Scale{M: 16, Steps: 20, RecordEvery: 10, Repeats: 2}
+}
+
+// runCounts counts a Runner's ProgressRunDone events by whether the run
+// was restored from its checkpoint. count is the Runner's OnProgress; it
+// is safe for concurrent use.
+type runCounts struct{ restored, computed atomic.Int32 }
+
+func (c *runCounts) count(ev experiment.ProgressEvent) {
+	if ev.Kind != experiment.ProgressRunDone {
+		return
+	}
+	if ev.FromCheckpoint {
+		c.restored.Add(1)
+	} else {
+		c.computed.Add(1)
+	}
 }
 
 func sameResults(t *testing.T, tag string, want, got []*experiment.Result) {
@@ -127,16 +144,15 @@ func TestSweepDriversBitIdenticalAcrossSweepers(t *testing.T) {
 	}
 }
 
-// TestEstimatorComparisonBitIdenticalAcrossSweepers: the rewired Sec. 5.3
-// comparison returns the same estimates through the serial job loop and
-// the budgeted concurrent one (timings are wall-clock and excluded).
+// TestEstimatorComparisonBitIdenticalAcrossSweepers: the Sec. 5.3
+// comparison returns the same estimates run serially and on a 3-token
+// budget (timings are wall-clock and excluded).
 func TestEstimatorComparisonBitIdenticalAcrossSweepers(t *testing.T) {
-	want, err := experiment.EstimatorComparison(context.Background(), experiment.SerialSweeper{}, 4, 80, 3, 0.5, 4, 99)
+	want, err := experiment.EstimatorComparison(context.Background(), nil, 4, 80, 3, 0.5, 4, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Concurrency: 3, Tokens: workpool.NewTokens(3)}
-	got, err := experiment.EstimatorComparison(context.Background(), r, 4, 80, 3, 0.5, 4, 99)
+	got, err := experiment.EstimatorComparison(context.Background(), workpool.NewTokens(3), 4, 80, 3, 0.5, 4, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,19 +216,13 @@ func TestCheckpointResumeMidSweep(t *testing.T) {
 	}
 
 	// Resume: the full sweep must restore the first half from disk.
-	var restored, computed int
-	resume := &Runner{Concurrency: 2, Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCheckpoint bool) {
-		if fromCheckpoint {
-			restored++
-		} else {
-			computed++
-		}
-	}}
+	var n runCounts
+	resume := &Runner{Concurrency: 2, Store: DirStore{Dir: dir}, OnProgress: n.count}
 	resumed, err := experiment.Fig8TypeCountSweep(context.Background(), resume, sc, maxTypes, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored != half || computed != len(specs)-half {
+	if restored, computed := int(n.restored.Load()), int(n.computed.Load()); restored != half || computed != len(specs)-half {
 		t.Fatalf("restored %d / computed %d, want %d / %d", restored, computed, half, len(specs)-half)
 	}
 	if !bytes.Equal(figureCSV(t, reference), figureCSV(t, resumed)) {
@@ -220,12 +230,13 @@ func TestCheckpointResumeMidSweep(t *testing.T) {
 	}
 
 	// A third pass over a complete checkpoint set computes nothing.
-	restored, computed = 0, 0
+	n.restored.Store(0)
+	n.computed.Store(0)
 	again, err := experiment.Fig8TypeCountSweep(context.Background(), resume, sc, maxTypes, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if computed != 0 || restored != len(specs) {
+	if computed := n.computed.Load(); computed != 0 || int(n.restored.Load()) != len(specs) {
 		t.Fatalf("second resume recomputed %d runs", computed)
 	}
 	if !bytes.Equal(figureCSV(t, reference), figureCSV(t, again)) {
@@ -287,17 +298,13 @@ func TestCheckpointIgnoresStaleSpec(t *testing.T) {
 	for i := range modified {
 		modified[i].Pipeline.Ensemble.Seed += 1000
 	}
-	var fromCkpt int
-	r2 := &Runner{Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, cached bool) {
-		if cached {
-			fromCkpt++
-		}
-	}}
+	var n runCounts
+	r2 := &Runner{Store: DirStore{Dir: dir}, OnProgress: n.count}
 	got, err := r2.Sweep(context.Background(), modified)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromCkpt != 0 {
+	if fromCkpt := n.restored.Load(); fromCkpt != 0 {
 		t.Fatalf("%d stale checkpoints were trusted", fromCkpt)
 	}
 	want, err := experiment.SerialSweeper{}.Sweep(context.Background(), modified)

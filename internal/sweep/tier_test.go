@@ -12,6 +12,13 @@ import (
 	"repro/internal/spec"
 )
 
+// sweeperFunc adapts a function to experiment.Sweeper.
+type sweeperFunc func(context.Context, []experiment.SweepSpec) ([]*experiment.Result, error)
+
+func (f sweeperFunc) Sweep(ctx context.Context, specs []experiment.SweepSpec) ([]*experiment.Result, error) {
+	return f(ctx, specs)
+}
+
 // approxGrid is a tiny grid sweep on the approximate estimator tier at
 // tinyScale.
 func approxGrid(seed uint64) spec.Spec {
@@ -63,22 +70,21 @@ func TestApproxTierResumeBitIdentical(t *testing.T) {
 	if err := os.Remove(files[0]); err != nil {
 		t.Fatal(err)
 	}
-	var restored, computed int
-	resume := &Runner{Concurrency: 2, Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, res *experiment.Result, fromCheckpoint bool) {
-		if fromCheckpoint {
-			restored++
-		} else {
-			computed++
+	var n runCounts
+	resume := &Runner{Concurrency: 2, Store: DirStore{Dir: dir}, OnProgress: n.count}
+	resumed, err := RunSpec(context.Background(), sweeperFunc(func(ctx context.Context, specs []experiment.SweepSpec) ([]*experiment.Result, error) {
+		results, err := resume.Sweep(ctx, specs)
+		for _, res := range results {
+			if len(res.MIStdErr) != len(res.MI) {
+				t.Errorf("run %q: %d error bars for %d MI points", res.Name, len(res.MIStdErr), len(res.MI))
+			}
 		}
-		if len(res.MIStdErr) != len(res.MI) {
-			t.Errorf("run %q: %d error bars for %d MI points", res.Name, len(res.MIStdErr), len(res.MI))
-		}
-	}}
-	resumed, err := RunSpec(context.Background(), resume, g)
+		return results, err
+	}), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if computed != 1 || restored != len(files)-1 {
+	if restored, computed := int(n.restored.Load()), n.computed.Load(); computed != 1 || restored != len(files)-1 {
 		t.Fatalf("restored %d / computed %d, want %d / 1", restored, computed, len(files)-1)
 	}
 	if !bytes.Equal(figureCSV(t, reference), figureCSV(t, resumed)) {
@@ -103,17 +109,13 @@ func TestApproxTierKeysOwnCheckpoints(t *testing.T) {
 	// Same grid on the approximate tier, same directory: every run must
 	// be computed (no cross-tier restore), and the curves must differ
 	// from the exact ones (same draw seeds, different evaluation).
-	var restored int
-	r2 := &Runner{Concurrency: 1, Store: DirStore{Dir: dir}, OnRunDone: func(_ int, _ experiment.SweepSpec, _ *experiment.Result, fromCheckpoint bool) {
-		if fromCheckpoint {
-			restored++
-		}
-	}}
+	var n runCounts
+	r2 := &Runner{Concurrency: 1, Store: DirStore{Dir: dir}, OnProgress: n.count}
 	approxFig, err := RunSpec(context.Background(), r2, approxGrid(78))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored != 0 {
+	if restored := n.restored.Load(); restored != 0 {
 		t.Fatalf("%d approx runs restored from exact-tier checkpoints", restored)
 	}
 	same := true

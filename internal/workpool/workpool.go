@@ -92,27 +92,24 @@ func (t *Tokens) Release() {
 // items are handed out, in-flight calls finish, and the first error is
 // returned. fn must be safe for concurrent invocation on distinct items.
 func Run(n, workers int, fn func(i int) error) error {
-	return RunShared(n, workers, nil, func(_, i int) error { return fn(i) })
+	return RunCtx(context.Background(), n, workers, nil, func(_, i int) error { return fn(i) })
 }
 
-// RunShared is Run under a shared token budget: each work item is
-// processed while holding one token from tok (nil tok waives the budget),
-// and fn additionally receives the dense worker slot index in
+// RunCtx is Run under a shared token budget and a context. Each work
+// item is processed while holding one token from tok (nil tok waives the
+// budget), and fn additionally receives the dense worker slot index in
 // [0, min(workers, n)) of the goroutine processing the item, so callers
 // can keep per-worker scratch state (estimator engines, reusable buffers)
 // without locking. Items are handed out in order but complete in any
 // order; the single-worker path runs inline with no goroutines.
-func RunShared(n, workers int, tok *Tokens, fn func(worker, i int) error) error {
-	return RunSharedCtx(context.Background(), n, workers, tok, fn)
-}
-
-// RunSharedCtx is RunShared under a context: cancellation stops the pool
-// within one token-grant. A worker waiting for a token abandons the wait
-// and exits; a worker mid-item finishes that item; the producer hands out
-// no further items. When the context's cancellation is what stopped the
-// pool, the context's error is returned verbatim (so callers can match
-// context.Canceled with errors.Is); an fn error observed first wins.
-func RunSharedCtx(ctx context.Context, n, workers int, tok *Tokens, fn func(worker, i int) error) error {
+//
+// Cancellation stops the pool within one token-grant. A worker waiting
+// for a token abandons the wait and exits; a worker mid-item finishes
+// that item; the producer hands out no further items. When the context's
+// cancellation is what stopped the pool, the context's error is returned
+// verbatim (so callers can match context.Canceled with errors.Is); an fn
+// error observed first wins.
+func RunCtx(ctx context.Context, n, workers int, tok *Tokens, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}

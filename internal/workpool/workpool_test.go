@@ -64,7 +64,7 @@ func TestRunSharedWorkerSlotsAreDense(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		var mu sync.Mutex
 		slots := map[int]bool{}
-		if err := RunShared(50, workers, nil, func(w, i int) error {
+		if err := RunCtx(context.Background(), 50, workers, nil, func(w, i int) error {
 			mu.Lock()
 			slots[w] = true
 			mu.Unlock()
@@ -96,7 +96,7 @@ func TestTokensBoundGlobalConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = RunShared(40, 8, tok, func(_, _ int) error {
+			_ = RunCtx(context.Background(), 40, 8, tok, func(_, _ int) error {
 				n := active.Add(1)
 				for {
 					p := peak.Load()
@@ -131,7 +131,7 @@ func TestNilTokensAreNoOp(t *testing.T) {
 func TestRunSharedPropagatesErrorUnderBudget(t *testing.T) {
 	boom := errors.New("boom")
 	tok := NewTokens(2)
-	err := RunShared(1000, 4, tok, func(_, i int) error {
+	err := RunCtx(context.Background(), 1000, 4, tok, func(_, i int) error {
 		if i == 5 {
 			return boom
 		}
@@ -204,7 +204,7 @@ func TestRunSharedCtxCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var started atomic.Int64
-		err := RunSharedCtx(ctx, 100, workers, nil, func(_, i int) error {
+		err := RunCtx(ctx, 100, workers, nil, func(_, i int) error {
 			if started.Add(1) == 3 {
 				cancel()
 			}

@@ -1,7 +1,11 @@
 package sops
 
 import (
+	"fmt"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/experiment"
@@ -100,4 +104,42 @@ func renderGrid(grid [][]byte) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// WriteFigure prints a figure as an ASCII chart (and its notes) on w and
+// writes its series to dir as <ID>.csv and <ID>.svg, the files sopfigures
+// and sopsweep produce for every curve figure.
+func WriteFigure(w io.Writer, dir string, fd *FigureData) error {
+	names := make([]string, len(fd.Series))
+	xs := make([][]float64, len(fd.Series))
+	ys := make([][]float64, len(fd.Series))
+	chart := &plot.Chart{Title: fd.Title, XLabel: "t", YLabel: "bits"}
+	for i, s := range fd.Series {
+		names[i] = s.Name
+		xs[i] = s.X
+		ys[i] = s.Y
+		chart.Add(s.Name, s.X, s.Y)
+	}
+	fmt.Fprint(w, chart.Render(72, 18))
+	if fd.Notes != "" {
+		fmt.Fprintln(w, "notes:", fd.Notes)
+	}
+	csvPath := filepath.Join(dir, fd.ID+".csv")
+	f, err := os.Create(csvPath)
+	if err != nil {
+		return err
+	}
+	if err := plot.WriteSeriesCSV(f, names, xs, ys); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	svgPath := filepath.Join(dir, fd.ID+".svg")
+	if err := os.WriteFile(svgPath, []byte(plot.SVGLines(fd.Title, names, xs, ys, 560)), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s and %s\n", csvPath, svgPath)
+	return nil
 }
