@@ -79,7 +79,7 @@ func BenchmarkFig05SingleTypeRings(b *testing.B) {
 }
 
 func BenchmarkFig06SampleSnapshots(b *testing.B) {
-	res, err := experiment.Fig6Pipeline(benchScale(), benchSeed)
+	res, err := experiment.Fig6PipelineOf(benchScale(), benchSeed).Run()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func BenchmarkFig10TypesVsCutoff(b *testing.B) {
 
 func BenchmarkFig11Decomposition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig11Decomposition(benchScale(), benchSeed); err != nil {
+		if _, err := experiment.Fig11Decomposition(context.Background(), benchScale(), benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}

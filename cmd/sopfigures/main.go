@@ -24,13 +24,14 @@
 // name). Snapshot figures (1, 3, 6, 7, 12) and the force-curve plot (2)
 // are bespoke drivers without a spec form.
 //
-// The sweep figures (8–10, estimators) execute through the budgeted
-// concurrent runner: -runs bounds the in-flight pipelines, -budget the
-// global worker tokens shared by all of their stages, and -checkpoint
-// makes the sweep resumable (one file per completed run). SIGINT cancels
-// gracefully: completed runs keep their checkpoints and the identical
-// command resumes. Outputs are bit-identical for every -runs/-budget
-// setting; see also cmd/sopsweep.
+// The sweep figures (8–10) and -spec run on one sops.Session, the sweep
+// figures as the scenario specs -dump-spec prints: -runs bounds the
+// in-flight pipelines, -budget the global worker tokens shared by all of
+// their stages (the estimator comparison draws from the same budget), and
+// -checkpoint makes the sweep resumable (one file per completed run).
+// SIGINT cancels gracefully: completed runs keep their checkpoints and the
+// identical command resumes. Outputs are bit-identical for every
+// -runs/-budget setting; see also cmd/sopsweep.
 package main
 
 import (
@@ -48,7 +49,6 @@ import (
 	"repro/internal/plot"
 	"repro/internal/spec"
 	"repro/internal/sweep"
-	"repro/internal/workpool"
 )
 
 func main() {
@@ -86,11 +86,12 @@ func main() {
 	if *repeatsOv > 0 {
 		sc.Repeats = *repeatsOv
 	}
-	sw := &sweep.Runner{Concurrency: *runs, Tokens: workpool.NewTokens(*budget)}
-	if *ckpt != "" {
-		sw.Store = sweep.DirStore{Dir: *ckpt}
-	}
-	r := runner{sc: sc, seed: *seed, out: *outDir, ctx: ctx, sw: sw}
+	session := sops.NewSession(
+		sops.WithWorkerBudget(*budget),
+		sops.WithRunConcurrency(*runs),
+		sops.WithCheckpointDir(*ckpt),
+	)
+	r := runner{sc: sc, scaleName: *scaleName, seed: *seed, out: *outDir, ctx: ctx, session: session}
 
 	if *specFile != "" {
 		if flag.NArg() != 0 {
@@ -109,11 +110,6 @@ func main() {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatal(err)
 		}
-		session := sops.NewSession(
-			sops.WithWorkerBudget(*budget),
-			sops.WithRunConcurrency(*runs),
-			sops.WithCheckpointDir(*ckpt),
-		)
 		fd, err := session.Figure(ctx, sp)
 		if err != nil {
 			fatal(interruptMsg(err, *ckpt))
@@ -226,11 +222,12 @@ func fatal(err error) {
 }
 
 type runner struct {
-	sc   experiment.Scale
-	seed uint64
-	out  string
-	ctx  context.Context
-	sw   *sweep.Runner
+	sc        experiment.Scale
+	scaleName string
+	seed      uint64
+	out       string
+	ctx       context.Context
+	session   *sops.Session
 }
 
 func (r runner) run(fig string) error {
@@ -266,7 +263,7 @@ func (r runner) run(fig string) error {
 		return r.saveFigure(resultFigure("fig5",
 			"Multi-information vs time (20 particles, one type, F1, rc > 2r)", res.Times, res.MI))
 	case "fig6":
-		res, err := experiment.Fig6Pipeline(r.sc, r.seed)
+		res, err := experiment.Fig6PipelineOf(r.sc, r.seed).RunCtx(r.ctx)
 		if err != nil {
 			return err
 		}
@@ -281,26 +278,18 @@ func (r runner) run(fig string) error {
 		fmt.Printf("inner-ring scatter %.3f vs outer-ring scatter %.3f (paper: inner ≫ outer)\n", inner, outer)
 		ov := experiment.Fig7AlignedOverlay(res)
 		return r.saveConfigs(fig, []experiment.TypedConfig{*ov})
-	case "fig8":
-		fd, err := experiment.Fig8TypeCountSweep(r.ctx, r.sw, r.sc, 10, r.seed)
+	case "fig8", "fig9", "fig10":
+		sp, err := specFor(fig, r.sc, r.scaleName, r.seed)
 		if err != nil {
 			return err
 		}
-		return r.saveFigure(fd)
-	case "fig9":
-		fd, err := experiment.Fig9CutoffSweep(r.ctx, r.sw, r.sc, r.seed)
-		if err != nil {
-			return err
-		}
-		return r.saveFigure(fd)
-	case "fig10":
-		fd, err := experiment.Fig10TypesVsCutoff(r.ctx, r.sw, r.sc, r.seed)
+		fd, err := r.session.Figure(r.ctx, sp)
 		if err != nil {
 			return err
 		}
 		return r.saveFigure(fd)
 	case "fig11":
-		fd, err := experiment.Fig11Decomposition(r.sc, r.seed)
+		fd, err := experiment.Fig11Decomposition(r.ctx, r.sc, r.seed)
 		if err != nil {
 			return err
 		}
@@ -312,7 +301,7 @@ func (r runner) run(fig string) error {
 		}
 		return r.saveConfigs(fig, cfgs)
 	case "estimators":
-		table, err := experiment.EstimatorComparison(r.ctx, r.sw.Tokens, 5, 200, max(2, r.sc.Repeats), 0.6, 4, r.seed)
+		table, err := experiment.EstimatorComparison(r.ctx, r.session.Budget(), 5, 200, max(2, r.sc.Repeats), 0.6, 4, r.seed)
 		if err != nil {
 			return err
 		}

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	sops "repro"
 	"repro/internal/experiment"
+	"repro/internal/sweep"
 	"repro/internal/vec"
 )
 
@@ -71,6 +76,45 @@ func TestRunnerUnknownFigure(t *testing.T) {
 	r := runner{sc: experiment.TestScale(), seed: 1, out: t.TempDir()}
 	if err := r.run("fig99"); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+}
+
+// TestRunnerSweepFigureRunsItsSpec: a sweep figure runs on the runner's
+// Session as the scenario spec -dump-spec prints, and writes the CSV the
+// serial reference writes for that spec.
+func TestRunnerSweepFigureRunsItsSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep")
+	}
+	sc := experiment.TestScale()
+	dir := t.TempDir()
+	r := runner{sc: sc, scaleName: "test", seed: 7, out: dir, ctx: context.Background(),
+		session: sops.NewSession(sops.WithWorkerBudget(2), sops.WithRunConcurrency(2))}
+	if err := r.run("fig8"); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := specFor("fig8", sc, "test", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := sweep.RunSpec(context.Background(), nil, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := t.TempDir()
+	if err := sops.WriteFigure(io.Discard, ref, fd); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "fig8.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(ref, "fig8.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("fig8.csv differs from the serial run of its spec")
 	}
 }
 

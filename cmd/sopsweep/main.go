@@ -27,8 +27,6 @@
 //	                          of all in-flight runs (0 = GOMAXPROCS)
 //	-checkpoint DIR           write one file per completed run and
 //	                          resume from matching files already present
-//	-cache-bytes N            front the checkpoint store with an
-//	                          in-memory LRU of N bytes (0 disables)
 //	-worker-procs N           shard the sweep across N worker processes
 //	                          (re-exec'd sopsweep children; 0/1 = in-process);
 //	                          the worker budget is split among them
@@ -65,6 +63,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"sync"
 
 	sops "repro"
 	"repro/internal/sweep"
@@ -95,7 +94,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		runs      = fs.Int("runs", 0, "concurrent pipeline runs (0 = GOMAXPROCS, 1 = serial)")
 		budget    = fs.Int("budget", 0, "global worker budget shared by all in-flight runs (0 = GOMAXPROCS)")
 		ckptDir   = fs.String("checkpoint", "", "checkpoint directory; completed runs resume from it")
-		cacheB    = fs.Int("cache-bytes", 0, "in-memory result cache in bytes fronting the checkpoint store (0 = off)")
 		procs     = fs.Int("worker-procs", 0, "shard the sweep across N worker processes (0/1 = in-process)")
 		outDir    = fs.String("out", "out", "output directory")
 		quiet     = fs.Bool("q", false, "suppress per-run progress lines")
@@ -149,7 +147,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		sops.WithWorkerBudget(*budget),
 		sops.WithRunConcurrency(*runs),
 		sops.WithCheckpointDir(*ckptDir),
-		sops.WithResultCache(*cacheB),
 	}
 	if *procs > 1 {
 		exe, err := os.Executable()
@@ -163,6 +160,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	session := sops.NewSession(opts...)
 	if !*quiet {
+		// The session calls listeners from concurrent runs; one line at a
+		// time reaches stderr.
+		var mu sync.Mutex
 		defer session.Subscribe(func(ev sops.ProgressEvent) {
 			if ev.Kind != sops.ProgressRunDone {
 				return
@@ -171,6 +171,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if ev.FromCheckpoint {
 				suffix = " (from checkpoint)"
 			}
+			mu.Lock()
+			defer mu.Unlock()
 			fmt.Fprintf(stderr, "done %s%s\n", ev.Run, suffix)
 		})()
 	}

@@ -181,8 +181,9 @@ func Fig4Params() sim.Config {
 }
 
 // Fig4PipelineOf is the Fig. 4 experiment as a pipeline value; the
-// raw ensemble is not retained (Fig6Pipeline retains it for the per-sample
-// snapshots). The spec layer captures the exact same run from it.
+// raw ensemble is not retained (Fig6PipelineOf retains it for the
+// per-sample snapshots). The spec layer captures the exact same run from
+// it.
 func Fig4PipelineOf(sc Scale, seed uint64) Pipeline {
 	return Pipeline{
 		Name: "fig4",
@@ -196,22 +197,14 @@ func Fig4PipelineOf(sc Scale, seed uint64) Pipeline {
 	}
 }
 
-// Fig6Pipeline is the Fig. 4 experiment with the raw ensemble retained, the
-// input of the Fig. 6 sample-variety snapshots. It is the one figure driver
-// that opts back into full-trajectory retention.
-func Fig6Pipeline(sc Scale, seed uint64) (*Result, error) {
-	p := Pipeline{
-		Name: "fig6",
-		Ensemble: sim.EnsembleConfig{
-			Sim:         Fig4Params(),
-			M:           sc.M,
-			Steps:       sc.Steps,
-			RecordEvery: sc.RecordEvery,
-			Seed:        seed,
-		},
-		RetainEnsemble: true,
-	}
-	return p.Run()
+// Fig6PipelineOf is the Fig. 4 experiment with the raw ensemble retained,
+// the input of the Fig. 6 sample-variety snapshots. It is the one figure
+// pipeline that opts back into full-trajectory retention.
+func Fig6PipelineOf(sc Scale, seed uint64) Pipeline {
+	p := Fig4PipelineOf(sc, seed)
+	p.Name = "fig6"
+	p.RetainEnsemble = true
+	return p
 }
 
 // ---------------------------------------------------------------------------
@@ -247,7 +240,7 @@ func Fig5PipelineOf(sc Scale, seed uint64) Pipeline {
 // Fig6Snapshots extracts per-sample snapshots from a Fig. 4 result at the
 // recorded steps closest to the requested times, for up to maxSamples
 // samples — the sample-variety panel of Fig. 6. The result must carry the
-// raw ensemble (Pipeline.RetainEnsemble, e.g. via Fig6Pipeline); a result
+// raw ensemble (Pipeline.RetainEnsemble, e.g. via Fig6PipelineOf); a result
 // without one yields no snapshots.
 func Fig6Snapshots(res *Result, atSteps []int, maxSamples int) []TypedConfig {
 	if res.Ensemble == nil {
@@ -578,8 +571,9 @@ func Fig11PipelineOf(sc Scale, seed uint64) Pipeline {
 // with the per-type decomposition enabled and returns the decomposition
 // terms normalised by the total at each time step — the presentation of
 // Fig. 11 (between-type term plus one within-type term per type).
-func Fig11Decomposition(sc Scale, seed uint64) (*FigureData, error) {
-	res, err := Fig11PipelineOf(sc, seed).Run()
+// Cancelling the context stops the run and returns the context's error.
+func Fig11Decomposition(ctx context.Context, sc Scale, seed uint64) (*FigureData, error) {
+	res, err := Fig11PipelineOf(sc, seed).RunCtx(ctx)
 	if err != nil {
 		return nil, err
 	}

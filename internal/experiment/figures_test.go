@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestFig11DecompositionAtTestScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	fd, err := Fig11Decomposition(TestScale(), 11)
+	fd, err := Fig11Decomposition(context.Background(), TestScale(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +160,20 @@ func TestFig11DecompositionAtTestScale(t *testing.T) {
 		if math.Abs(sum-1) > 1e-6 && sum != 0 {
 			t.Fatalf("decomposition fractions at point %d sum to %v", i, sum)
 		}
+	}
+}
+
+// TestFig6AndFig11StopWhenCancelled: the Fig. 6 pipeline and the Fig. 11
+// driver run under the caller's context, so a cancelled one returns the
+// context's error instead of a figure.
+func TestFig6AndFig11StopWhenCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Fig6PipelineOf(TestScale(), 6).RunCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("fig6 err = %v, want context.Canceled", err)
+	}
+	if _, err := Fig11Decomposition(ctx, TestScale(), 11); !errors.Is(err, context.Canceled) {
+		t.Fatalf("fig11 err = %v, want context.Canceled", err)
 	}
 }
 

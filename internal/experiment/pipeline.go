@@ -142,9 +142,6 @@ const (
 	// ProgressStepEstimated: one recorded step's multi-information was
 	// estimated (Index is the step's position on the time grid).
 	ProgressStepEstimated
-	// ProgressRunCheckpointed: one sweep run was persisted to its
-	// checkpoint file (Index is the run's position in the sweep).
-	ProgressRunCheckpointed
 	// ProgressRunDone: one sweep run completed — computed or restored
 	// from its checkpoint (Index is the run's position in the sweep).
 	ProgressRunDone

@@ -53,19 +53,6 @@ func BenchmarkDistributedResume(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cachestore", func(b *testing.B) {
-		cache := sweep.NewCacheStore(sweep.DirStore{Dir: dir}, 8<<20)
-		co := &Coordinator{Procs: 2, Spawn: GoSpawner(WorkerOptions{Dir: dir}), Store: cache}
-		if _, err := co.Sweep(context.Background(), specs); err != nil {
-			b.Fatal(err) // warm the cache outside the timed loop
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := co.Sweep(context.Background(), specs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkWire is the frame round-trip row: one send plus one recv over

@@ -116,17 +116,24 @@ func (c *Coordinator) emit(ev experiment.ProgressEvent) {
 	}
 }
 
-// split returns how many workers to spawn and each one's token budget:
-// Procs workers (at least one) but never more than the budget has tokens,
-// each holding an equal share, so the workers together never hold more
-// than the budget.
-func (c *Coordinator) split() (workers, per int) {
+// split returns the token budget of each worker to spawn: Procs workers
+// (at least one) but never more than the budget has tokens, each holding
+// an equal share and the first budget mod workers one token more, so the
+// workers together hold exactly the budget.
+func (c *Coordinator) split() []int {
 	budget := c.Budget
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-	workers = min(max(c.Procs, 1), budget)
-	return workers, budget / workers
+	workers := min(max(c.Procs, 1), budget)
+	budgets := make([]int, workers)
+	for i := range budgets {
+		budgets[i] = budget / workers
+		if i < budget%workers {
+			budgets[i]++
+		}
+	}
+	return budgets
 }
 
 // Sweep distributes the specs across worker processes and returns the
@@ -208,9 +215,8 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []experiment.SweepSpec) (
 		}
 	}()
 
-	workers, per := c.split()
 	var dead sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i, per := range c.split() {
 		wait, err := c.Spawn(ctx, i, addr, per)
 		if err != nil {
 			st.fail(fmt.Errorf("remote: spawning worker %d: %w", i, err))

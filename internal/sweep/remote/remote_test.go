@@ -284,8 +284,9 @@ func TestRunWithoutSpecFormFailsBeforeSpawning(t *testing.T) {
 }
 
 // TestWorkersNeverHoldMoreThanTheBudget: the coordinator spawns at most
-// one worker per token and splits the budget evenly among them, so the
-// workers together never hold more tokens than the budget.
+// one worker per token and splits the budget among them, the first
+// budget mod workers holding one token more, so the workers together
+// hold exactly the budget.
 func TestWorkersNeverHoldMoreThanTheBudget(t *testing.T) {
 	specs := experiment.Fig8Specs(tinyScale(), 1, 3)
 	for _, tc := range []struct {
@@ -293,7 +294,7 @@ func TestWorkersNeverHoldMoreThanTheBudget(t *testing.T) {
 		want          []int
 	}{
 		{procs: 4, budget: 2, want: []int{1, 1}},
-		{procs: 2, budget: 5, want: []int{2, 2}},
+		{procs: 2, budget: 5, want: []int{3, 2}},
 		{procs: 0, budget: 3, want: []int{3}},
 	} {
 		var budgets []int
@@ -304,7 +305,78 @@ func TestWorkersNeverHoldMoreThanTheBudget(t *testing.T) {
 		if !slices.Equal(budgets, tc.want) {
 			t.Errorf("Procs %d, Budget %d: spawned workers with budgets %v, want %v", tc.procs, tc.budget, budgets, tc.want)
 		}
+		sum := 0
+		for _, b := range budgets {
+			sum += b
+		}
+		if sum != tc.budget {
+			t.Errorf("Procs %d, Budget %d: workers hold %d tokens, want the whole budget", tc.procs, tc.budget, sum)
+		}
 	}
+}
+
+// failingStore is the fault double of the checkpoint seam: its Save
+// fails for one run and accepts every other, and its Load always misses.
+type failingStore struct {
+	id  string
+	err error
+}
+
+func (s failingStore) Load(string, uint64) (*experiment.Result, bool) { return nil, false }
+
+func (s failingStore) Save(id string, _ uint64, _ *experiment.Result) error {
+	if id == s.id {
+		return s.err
+	}
+	return nil
+}
+
+// TestFailingSaveSurfaces: a checkpoint that cannot be written fails the
+// sweep with the store's error and the run's ID, in process and across a
+// worker. The run reports no completion, the Runner leaves no goroutine
+// behind, and a later sweep over a working store is unaffected.
+func TestFailingSaveSurfaces(t *testing.T) {
+	specs := experiment.Fig8Specs(tinyScale(), 2, 31)
+	failing := failingStore{id: specs[1].ID, err: errors.New("disk full")}
+
+	base := runtime.NumGoroutine()
+	var failedDone atomic.Int32
+	r := &sweep.Runner{Concurrency: 2, Store: failing, OnProgress: func(ev experiment.ProgressEvent) {
+		if ev.Kind == experiment.ProgressRunDone && ev.Run == failing.id {
+			failedDone.Add(1)
+		}
+	}}
+	_, err := r.Sweep(context.Background(), specs)
+	if !errors.Is(err, failing.err) || !strings.Contains(err.Error(), failing.id) {
+		t.Fatalf("Runner err = %v, want %q naming run %s", err, failing.err, failing.id)
+	}
+	if n := failedDone.Load(); n != 0 {
+		t.Fatalf("%d ProgressRunDone events for the run whose Save failed, want 0", n)
+	}
+	// The pool's goroutines may still be unwinding after its WaitGroup
+	// released Sweep.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the failed sweep, %d before it", runtime.NumGoroutine(), base)
+		}
+	}
+
+	co := &Coordinator{Procs: 1, Budget: 2, Spawn: GoSpawner(WorkerOptions{Store: failing})}
+	_, err = co.Sweep(context.Background(), specs)
+	if err == nil || !strings.Contains(err.Error(), failing.id) || !strings.Contains(err.Error(), failing.err.Error()) {
+		t.Fatalf("Coordinator err = %v, want %q naming run %s", err, failing.err, failing.id)
+	}
+
+	want, err := experiment.SerialSweeper{}.Sweep(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Store = sweep.DirStore{Dir: t.TempDir()}
+	got, err := r.Sweep(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "working store after a failed save", want, got)
 }
 
 // TestWorkerStartupSweepsStaleTemps: a killed sibling's .tmp-run-*

@@ -130,18 +130,13 @@ func runOne(ctx context.Context, f *frame, st sweep.ResultStore, tokens *workpoo
 		Store:       st,
 		Engines:     engines,
 		OnProgress: func(ev experiment.ProgressEvent) {
-			switch ev.Kind {
-			case experiment.ProgressRunDone:
+			if ev.Kind == experiment.ProgressRunDone {
 				// The coordinator emits its own RunDone when the result
 				// frame lands, so the merged stream has exactly one; the
 				// worker only reports whether its store had the run. A
 				// one-spec sweep emits it on this goroutine.
 				fromCkpt = ev.FromCheckpoint
 				return
-			case experiment.ProgressRunCheckpointed:
-				// Run-level indices are sweep positions; remap from this
-				// one-spec sweep (always 0) to the global sweep index.
-				ev.Index = f.Index
 			}
 			// Best-effort: a torn connection surfaces at the next
 			// result/recv, not here.

@@ -50,12 +50,11 @@ type Runner struct {
 	// (keyed by spec ID + fingerprint) before being computed, and
 	// persisted through it after. Nil disables checkpointing.
 	Store ResultStore
-	// OnProgress, when non-nil, receives sweep-level progress events
-	// (ProgressRunCheckpointed, and one ProgressRunDone per run once it
-	// completes or is restored from its checkpoint), and is installed as
-	// the per-pipeline progress listener of every run that does not carry
-	// its own. May be invoked concurrently; must be cheap and
-	// non-blocking.
+	// OnProgress, when non-nil, receives one ProgressRunDone per run
+	// once it completes (and is checkpointed) or is restored from its
+	// checkpoint, and is installed as the per-pipeline progress listener
+	// of every run that does not carry its own. May be invoked
+	// concurrently; must be cheap and non-blocking.
 	OnProgress func(experiment.ProgressEvent)
 	// Engines, when non-nil, is a shared estimator-engine pool handed to
 	// every run that does not carry its own (a Session does this), so a
@@ -135,7 +134,6 @@ func (r *Runner) Sweep(ctx context.Context, specs []experiment.SweepSpec) ([]*ex
 				if err := st.Save(spec.ID, fp, res); err != nil {
 					return fmt.Errorf("sweep run %q: %w", spec.ID, err)
 				}
-				r.emit(experiment.ProgressEvent{Kind: experiment.ProgressRunCheckpointed, Run: spec.ID, Index: i})
 			}
 		}
 		results[i] = res

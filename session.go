@@ -32,8 +32,7 @@ type (
 	// SpecOption configures a Spec under construction (see NewSpec).
 	SpecOption = spec.Option
 	// ProgressEvent is one unit of observable progress (sample simulated,
-	// step estimated, run checkpointed/done) delivered to Session
-	// subscribers.
+	// step estimated, run done) delivered to Session subscribers.
 	ProgressEvent = experiment.ProgressEvent
 	// ProgressKind classifies a ProgressEvent.
 	ProgressKind = experiment.ProgressKind
@@ -88,7 +87,6 @@ type Session struct {
 	ckptDir     string
 	engines     *infotheory.EnginePool
 	store       sweep.ResultStore
-	cacheBytes  int
 	distProcs   int
 	distSpawn   remote.SpawnFunc
 
@@ -129,14 +127,6 @@ func WithCheckpointDir(dir string) SessionOption {
 // is not visible to them, only to this session's pre-dispatch resume.
 func WithResultStore(st ResultStore) SessionOption {
 	return func(s *Session) { s.store = st }
-}
-
-// WithResultCache fronts the session's checkpoint store with an
-// in-memory LRU of at most maxBytes of result payload: repeat resumes
-// (regenerating figures over one grid) are served from memory without
-// touching disk.
-func WithResultCache(maxBytes int) SessionOption {
-	return func(s *Session) { s.cacheBytes = maxBytes }
 }
 
 // WithWorkerProcs shards every session sweep across n worker processes
@@ -180,9 +170,6 @@ func NewSession(opts ...SessionOption) *Session {
 	}
 	if s.store == nil && s.ckptDir != "" {
 		s.store = sweep.DirStore{Dir: s.ckptDir}
-	}
-	if s.store != nil && s.cacheBytes > 0 {
-		s.store = sweep.NewCacheStore(s.store, s.cacheBytes)
 	}
 	return s
 }
