@@ -212,10 +212,9 @@ type System struct {
 	eqStreak int
 	lastNet  float64 // Σ_i ‖force_i‖ of the most recent step
 
-	// Neighbour-search scratch state, recycled across steps so the
+	// Persistent cell list of the grid path, rebuilt in place, so the
 	// steady-state grid path performs zero heap allocations.
-	grid *spatial.DenseGrid // persistent cell list, rebuilt in place
-	nbr  []int32            // neighbour buffer of the grid path
+	grid *spatial.DenseGrid
 }
 
 // New creates a system with particles placed uniformly at random on the
@@ -334,7 +333,7 @@ func (s *System) computeForces() {
 		s.force[i] = vec.Vec2{}
 	}
 	if s.gridReady() {
-		s.forcesScan()
+		s.forcesGrid()
 	} else {
 		s.forcesBrute()
 	}
@@ -367,26 +366,33 @@ func (s *System) forcesBrute() {
 	}
 }
 
-// forcesScan is the grid path: each unordered pair once, discovered from
-// its lower index's neighbour list. The scratch buffer s.nbr is recycled
-// across particles and steps.
-func (s *System) forcesScan() {
+// forcesGrid is the grid path: each unordered pair once, from its lower
+// index, which walks the runs of its 3×3 cell window (spatial.Window) in
+// their visit order, the neighbour order of AppendNeighbors. Smaller
+// indices are skipped before the distance test. The test is d2 ≤ rc²,
+// not separation's d2 > rc², so a NaN distance never interacts here.
+func (s *System) forcesGrid() {
 	pos, force, types := s.pos, s.force, s.cfg.Types[:len(s.pos)]
-	rc := s.cfg.Cutoff
-	rc2 := rc * rc
+	rc2 := s.cfg.Cutoff * s.cfg.Cutoff
 	var law forces.Law
+	var buf [6][]int32
 	for i, pi := range pos {
-		s.nbr = s.grid.AppendNeighbors(s.nbr[:0], i, i+1, rc)
 		law.Resolve(s.cfg.Force, types[i])
 		fi := force[i]
-		for _, j := range s.nbr {
-			dz, x, ok := separation(pi, pos[j], rc2)
-			if !ok {
-				continue
+		for _, run := range s.grid.Window(i, &buf) {
+			for _, j := range run {
+				if int(j) <= i {
+					continue
+				}
+				dz := pi.Sub(pos[j])
+				d2 := dz.Norm2()
+				if !(d2 <= rc2) || d2 == 0 {
+					continue
+				}
+				contrib := dz.Scale(-law.At(types[j], math.Sqrt(d2)))
+				fi = fi.Add(contrib)
+				force[j] = force[j].Sub(contrib)
 			}
-			contrib := dz.Scale(-law.At(types[j], x))
-			fi = fi.Add(contrib)
-			force[j] = force[j].Sub(contrib)
 		}
 		force[i] = fi
 	}

@@ -100,14 +100,31 @@ func withForce(t *testing.T, sys *System, f forces.Scaling) *System {
 }
 
 // Steady-state Step must not allocate on either neighbour search: on the
-// grid path the grid and all scratch buffers are recycled, whether the
-// collective is compact or spread so far that the grid wraps; the O(n²)
-// sweep (Fig. 8's and Fig. 11's N = 20, under F¹ and F², or rc = ∞)
-// uses no scratch, and neither does a custom Scaling's Eval fallback.
+// grid path the grid is recycled and the column walk keeps its window
+// runs on the stack, whether the collective is compact or spread so far
+// that the grid wraps (Fig. 4's shape both ways, the wrapped one with
+// windows split across the table's last row); the O(n²) sweep (Fig. 8's
+// and Fig. 11's N = 20, under F¹ and F², or rc = ∞) uses no scratch, and
+// neither does a custom Scaling's Eval fallback.
 func TestStepSteadyStateAllocationFree(t *testing.T) {
+	fig4 := Config{N: 50, Force: fig4Force(), Cutoff: 5}
 	for name, build := range map[string]func(*testing.T) *System{
 		"spread":    newSpreadSystem,
 		"clustered": newClusteredSystem,
+		"fig4-column": func(t *testing.T) *System {
+			sys := placedSystem(t, fig4, 50, onDisc(12))
+			if !sys.gridReady() {
+				t.Fatal("test setup: expected the grid")
+			}
+			return sys
+		},
+		"fig4-wrapped-column": func(t *testing.T) *System {
+			sys, ok := straddling(t, fig4, 51)
+			if !ok || sys.grid.Cells() >= 1000*1000 {
+				t.Fatal("test setup: expected a wrapped grid with split windows")
+			}
+			return sys
+		},
 		"sweep-n20": func(t *testing.T) *System { return newSweepSystem(t, 20, 2) },
 		"sweep-n20-f2": func(t *testing.T) *System {
 			f := forces.RandomF2(3, 1, 10, 1, 10, rngx.New(15))

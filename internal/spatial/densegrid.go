@@ -43,6 +43,11 @@ const maxCellCoord = 1 << 62
 // own cell instead. Either way a query visits neighbours cell by cell in
 // window order — offset dx, then dy, ascending — and by ascending index
 // within a cell, the order the simulator's bit-reproducibility rests on.
+//
+// Buckets are numbered column-major, bucket(x, y) = x·wy + y, so the
+// cells of one window column are consecutive buckets, and their points
+// one run of idx already in visit order: Window hands the simulator its
+// 3×3 window as at most three such runs, or six on a wrapped table.
 type DenseGrid struct {
 	cellSize float64
 	points   []vec.Vec2 // aliased from the last Rebuild; not owned
@@ -211,13 +216,43 @@ func (g *DenseGrid) inCell(q vec.Vec2, x, y int64) bool {
 	return qx == x && qy == y
 }
 
-// bucket returns the bucket of cell (x, y), which must lie in the box.
-// Unwrapped grids skip the modulo, which would cost every rebuild.
+// bucket returns the bucket of cell (x, y), which must lie in the box:
+// column-major, so y and y+1 of one column are adjacent buckets. Unwrapped
+// grids skip the modulo, which would cost every rebuild.
 func (g *DenseGrid) bucket(x, y int64) int64 {
 	if g.wrap == 0 {
-		return y*g.wx + x
+		return x*g.wy + y
 	}
-	return (y%g.wy)*g.wx + x%g.wx
+	return (x%g.wx)*g.wy + y%g.wy
+}
+
+// Window returns the points of the 3×3 cells around point i's cell, the
+// candidates of any query of radius at most the cell size, as at most six
+// runs of ascending point indices: column by column (dx = −1, 0, 1), and
+// within a column cell by cell up y, the visit order of AppendNeighbors.
+// A column is one run, or two where a wrapped table's rows wrap past its
+// last one. On a wrapped table the runs also hold the window's aliases;
+// each lies at least 62 cells away (a wrapped side is at least 64), so a
+// distance test against the radius rejects it. A NaN point's window is
+// empty. buf backs the returned slice, so the call does not allocate.
+func (g *DenseGrid) Window(i int, buf *[6][]int32) [][]int32 {
+	runs := buf[:0]
+	if g.cellOf[i] < 0 {
+		return runs
+	}
+	cx, cy := g.cell(g.points[i])
+	ylo, yhi := max(cy-1, 0), min(cy+1, g.ny-1)
+	for x := max(cx-1, 0); x <= min(cx+1, g.nx-1); x++ {
+		lo, hi := g.bucket(x, ylo), g.bucket(x, yhi)
+		if lo <= hi {
+			runs = append(runs, g.idx[g.start[lo]:g.start[hi+1]])
+			continue
+		}
+		// Rows wrapped: the column's top buckets, then its bottom ones.
+		col := hi - yhi%g.wy
+		runs = append(runs, g.idx[g.start[lo]:g.start[col+g.wy]], g.idx[g.start[col]:g.start[hi+1]])
+	}
+	return runs
 }
 
 // AppendNeighbors appends to dst the indices of all points j ≠ i, j ≥ from,
@@ -226,8 +261,8 @@ func (g *DenseGrid) bucket(x, y int64) int64 {
 // distance test, so from = i + 1 lists each unordered pair once, from its
 // lower index, and from = 0 lists every neighbour. Passing a recycled
 // dst[:0] makes the query allocation-free once the buffer has grown to
-// the steady-state neighbour count — this is the simulator's hot-path
-// entry point.
+// the steady-state neighbour count. It serves any radius; the simulator,
+// whose radius is the cell size, walks Window's runs instead.
 func (g *DenseGrid) AppendNeighbors(dst []int32, i, from int, radius float64) []int32 {
 	p := g.points[i]
 	r2 := radius * radius

@@ -304,3 +304,76 @@ func TestDenseGridRejectsBadCellSize(t *testing.T) {
 		}()
 	}
 }
+
+// windowNeighbors filters point i's Window runs by the distance test at
+// the cell size, as the simulator's column walk does, and reports how
+// many runs the window had.
+func windowNeighbors(g *DenseGrid, i int) (out []int, runs int) {
+	var buf [6][]int32
+	w := g.Window(i, &buf)
+	r2 := g.cellSize * g.cellSize
+	for _, run := range w {
+		for _, j := range run {
+			if int(j) != i && g.points[j].Dist2(g.points[i]) <= r2 {
+				out = append(out, int(j))
+			}
+		}
+	}
+	return out, len(w)
+}
+
+// Property: Window's runs, filtered by the distance test at the cell
+// size, list exactly the neighbours AppendNeighbors lists, in its order,
+// on compact and wrapped tables with NaN points mixed in, and on wrapped
+// tables whose rows wrap inside a window column, where a column splits
+// into two runs.
+func TestWindowMatchesAppendNeighbors(t *testing.T) {
+	r := rand.New(rand.NewPCG(33, 34))
+	g := NewDenseGrid(1)
+	split := 0
+	check := func(trial int, pts []vec.Vec2) {
+		t.Helper()
+		if !g.Rebuild(pts) {
+			t.Fatalf("trial %d: rebuild refused", trial)
+		}
+		for i := range pts {
+			var want []int
+			for _, j := range g.AppendNeighbors(nil, i, 0, g.cellSize) {
+				want = append(want, int(j))
+			}
+			got, runs := windowNeighbors(g, i)
+			if !equalInts(got, want) {
+				t.Fatalf("trial %d point %d: window %v, AppendNeighbors %v (wrap=%d)", trial, i, got, want, g.wrap)
+			}
+			if runs > 3 {
+				split++
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		g.cellSize = 0.3 + r.Float64()*6
+		n := 5 + r.IntN(120)
+		pts := randomPoints(r, n, 20*g.cellSize)
+		if trial%2 == 0 {
+			pts = wrappingPoints(r, n, g.cellSize)
+		}
+		if trial%3 == 0 { // not the first point: a NaN there makes the box NaN
+			pts[1+r.IntN(n-1)].X = math.NaN()
+		}
+		check(trial, pts)
+
+		// A cluster across the table's first wrapped row, x far from
+		// the corners that make the table wrap.
+		pts = make([]vec.Vec2, 40)
+		pts[0], pts[1] = vec.Vec2{}, vec.Vec2{X: 1 << 14 * g.cellSize, Y: 1 << 14 * g.cellSize}
+		g.Rebuild(pts)
+		row := float64(g.wy) * g.cellSize
+		for i := 2; i < len(pts); i++ {
+			pts[i] = vec.Vec2{X: (100 + 3*r.Float64()) * g.cellSize, Y: row + (r.Float64()*3-1.5)*g.cellSize}
+		}
+		check(trial, pts)
+	}
+	if split == 0 {
+		t.Fatal("no window column split into two runs")
+	}
+}
