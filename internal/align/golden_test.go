@@ -161,3 +161,48 @@ func TestICPGoldenBits(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAlignFrames aligns the frames of simulated samples 2 to 5 onto
+// sample 1's at every 25th of 250 steps, the cadence of a quick-scale
+// pipeline, with one reused Aligner, for the Fig. 4, Fig. 8 (l = 1, 3,
+// 10) and Fig. 11 shapes: type runs of 16 and 17, 20, 6 and 7, 2, and 4.
+// Its rows set boundedRunMin: "scan" never takes the bounded search,
+// "bounded" takes it on every type run, and "rule" on runs of at least
+// boundedRunMin.
+func BenchmarkAlignFrames(b *testing.B) {
+	steps := make([]int, 0, 11)
+	for s := 0; s <= 250; s += 25 {
+		steps = append(steps, s)
+	}
+	for _, sh := range paperShapes() {
+		refs, types := simulatedFrames(b, sh.cfg, 1, steps)
+		var cases []alignCase
+		for seed := uint64(2); seed <= 5; seed++ {
+			movs, _ := simulatedFrames(b, sh.cfg, seed, steps)
+			for k := range steps {
+				cases = append(cases, alignCase{moving: movs[k], reference: refs[k], types: types})
+			}
+		}
+		for _, path := range []struct {
+			name      string
+			boundFrom int
+		}{{"scan", math.MaxInt}, {"bounded", 1}, {"rule", boundedRunMin}} {
+			b.Run(sh.name+"/"+path.name, func(b *testing.B) {
+				var al Aligner
+				alignAll := func() {
+					for _, c := range cases {
+						if _, _, err := al.icp(c.moving, c.reference, c.types, Options{}, path.boundFrom); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				alignAll() // size the scratch, as a pipeline worker's first frame does
+				b.ReportAllocs()
+				for b.Loop() {
+					alignAll()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cases)), "ns/frame")
+			})
+		}
+	}
+}

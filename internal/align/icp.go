@@ -80,12 +80,38 @@ type Aligner struct {
 	order    []int
 	sameType [][]int // sameType[i]: particle i's type members, in a.order
 	typeSort typeSorter
-	pairs    []icpPair
+	bounds   []bound   // per moving particle, for the bounded search
+	heap     []icpPair // the lazy greedy matching's candidates
+	pairs    []icpPair // the sorted greedy's pairs, for non-finite types
 	pairSort pairSorter
 	usedI    []bool
 	usedJ    []bool
 
+	// boundFrom is the shortest type run nearest searches with bounds in
+	// this alignment, and margin the rounding slack of those bounds.
+	boundFrom int
+	margin    float64
+
 	movCentroid, refCentroid vec.Vec2
+}
+
+// boundedRunMin is the shortest type run whose correspondences the
+// bounded search finds; shorter runs scan. BenchmarkAlignFrames measured
+// the bounded search slower than the scan on the Fig. 8 frames at l = 10
+// (type runs of 2) and the Fig. 11 frames (runs of 4), and faster on the
+// Fig. 8 frames at l = 3 (runs of 6 and 7), the Fig. 4 frames (16 and
+// 17) and the Fig. 8 frames at l = 1 (20); DESIGN.md, "ICP
+// implementation", lists the rows.
+const boundedRunMin = 6
+
+// bound is what the bounded search keeps of a moving particle between
+// its correspondence queries: the reference j its last full scan found
+// nearest, a lower bound lb on its distance at that scan to every other
+// reference of its type, the rotation angle theta of that scan, and the
+// particle's distance norm from the centroid.
+type bound struct {
+	j               int // -1 before the alignment's first scan
+	lb, theta, norm float64
 }
 
 // ICP aligns the moving configuration onto the reference configuration,
@@ -115,7 +141,7 @@ func ICP(moving, reference []vec.Vec2, types []int, opt Options) (Result, error)
 // ICP is the scratch-reusing form of the package-level ICP. The returned
 // Result's slices are freshly allocated and caller-owned.
 func (a *Aligner) ICP(moving, reference []vec.Vec2, types []int, opt Options) (Result, error) {
-	theta, iters, err := a.icp(moving, reference, types, opt)
+	theta, iters, err := a.icp(moving, reference, types, opt, boundedRunMin)
 	if err != nil {
 		return Result{}, err
 	}
@@ -149,7 +175,7 @@ func (a *Aligner) AlignReorderedInto(dst []vec.Vec2, moving, reference []vec.Vec
 	if len(dst) != len(reference) {
 		return fmt.Errorf("align: dst has %d slots, reference %d", len(dst), len(reference))
 	}
-	if _, _, err := a.icp(moving, reference, types, opt); err != nil {
+	if _, _, err := a.icp(moving, reference, types, opt, boundedRunMin); err != nil {
 		return err
 	}
 	for j, i := range a.perm {
@@ -159,9 +185,14 @@ func (a *Aligner) AlignReorderedInto(dst []vec.Vec2, moving, reference []vec.Vec
 }
 
 // nearest returns the reference particle of particle i's type closest to
-// q, and the squared distance; ties go to the smaller index.
-func (a *Aligner) nearest(i int, q vec.Vec2) (int, float64) {
+// q, particle i rotated by theta, and the squared distance; ties go to the
+// smaller index. A type run at least a.boundFrom long takes the bounded
+// search, which returns what this scan would.
+func (a *Aligner) nearest(i int, q vec.Vec2, theta float64) (int, float64) {
 	same := a.sameType[i]
+	if len(same) >= a.boundFrom {
+		return a.boundedNearest(i, q, theta)
+	}
 	best, bestD2 := same[0], a.ref[same[0]].Dist2(q)
 	for _, j := range same[1:] {
 		if d2 := a.ref[j].Dist2(q); d2 < bestD2 {
@@ -171,32 +202,50 @@ func (a *Aligner) nearest(i int, q vec.Vec2) (int, float64) {
 	return best, bestD2
 }
 
+// boundedNearest is nearest with Hamerly's bound (Hamerly 2010, "Making
+// k-means even faster") on the scan. Since particle i's last full scan at
+// angle b.theta, its rotated position has moved by at most
+// b.norm·|theta − b.theta|, so every other reference of its type is at
+// least b.lb minus that far away. If the reference the scan found is
+// nearer than that, the scan would find it again, strictly nearest, and
+// its squared distance is the scan's own expression. Otherwise it scans,
+// keeping the best and second-best distances. b.lb carries a.margin, the
+// rounding slack, so the bound holds for the computed distances the scan
+// compares, not just for the exact ones; DESIGN.md gives the argument.
+// Every comparison with a NaN fails, so NaN takes the scan.
+func (a *Aligner) boundedNearest(i int, q vec.Vec2, theta float64) (int, float64) {
+	b := &a.bounds[i]
+	if b.j >= 0 {
+		d2 := a.ref[b.j].Dist2(q)
+		if lb := b.lb - b.norm*math.Abs(theta-b.theta); lb > 0 && d2 < lb*lb {
+			return b.j, d2
+		}
+	}
+	same := a.sameType[i]
+	best, bestD2, second := same[0], a.ref[same[0]].Dist2(q), math.Inf(1)
+	for _, j := range same[1:] {
+		d2 := a.ref[j].Dist2(q)
+		if d2 < bestD2 {
+			best, bestD2, second = j, d2, bestD2
+		} else if d2 < second {
+			second = d2
+		}
+	}
+	b.j, b.lb, b.theta = best, math.Sqrt(second)-a.margin, theta
+	return best, bestD2
+}
+
 // icp runs the full alignment into the scratch buffers: afterwards
 // a.aligned holds the rotated moving cloud (original particle order) and
 // a.perm the type-respecting bijection. It returns the winning rotation
-// angle and the total iteration count.
-func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (float64, int, error) {
-	if len(moving) != len(reference) {
-		return 0, 0, fmt.Errorf("align: moving has %d points, reference %d", len(moving), len(reference))
-	}
-	if len(types) != len(moving) {
-		return 0, 0, fmt.Errorf("align: %d types for %d points", len(types), len(moving))
-	}
-	if len(moving) == 0 {
-		return 0, 0, fmt.Errorf("align: empty configuration")
-	}
-	if err := checkTypeMultiset(types); err != nil {
+// angle and the total iteration count. Type runs at least boundFrom long
+// take the bounded search; the result does not depend on it.
+func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options, boundFrom int) (float64, int, error) {
+	if err := a.load(moving, reference, types, boundFrom); err != nil {
 		return 0, 0, err
 	}
 	opt = opt.withDefaults()
-
-	a.mov = append(a.mov[:0], moving...)
-	a.ref = append(a.ref[:0], reference...)
-	a.movCentroid = vec.Center(a.mov)
-	a.refCentroid = vec.Center(a.ref)
 	mov, ref := a.mov, a.ref
-
-	a.groupByType(types)
 
 	bestTheta, bestCost := 0.0, math.Inf(1)
 	totalIters := 0
@@ -216,7 +265,7 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 			// Correspondence within each type.
 			var sumD2 float64
 			for i, p := range rotated {
-				j, d2 := a.nearest(i, p)
+				j, d2 := a.nearest(i, p, theta)
 				matched[i] = ref[j]
 				sumD2 += d2
 			}
@@ -236,7 +285,7 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 		var cost float64
 		rot := vec.Rotation(theta)
 		for i, p := range mov {
-			_, d2 := a.nearest(i, rot.Apply(p))
+			_, d2 := a.nearest(i, rot.Apply(p), theta)
 			cost += d2
 		}
 		if cost < bestCost {
@@ -253,6 +302,50 @@ func (a *Aligner) icp(moving, reference []vec.Vec2, types []int, opt Options) (f
 	return bestTheta, totalIters, nil
 }
 
+// load validates an alignment's input and readies the scratch for it:
+// both clouds copied and centred, the particles grouped by type, and the
+// bounded search reset. It searches with bounds only where every
+// coordinate is finite and below 2^400 in magnitude, so no squared
+// distance overflows; their margin is 2^-44 (512 unit roundoffs) of the
+// largest coordinate, plus 2^-500 for underflow.
+func (a *Aligner) load(moving, reference []vec.Vec2, types []int, boundFrom int) error {
+	if len(moving) != len(reference) {
+		return fmt.Errorf("align: moving has %d points, reference %d", len(moving), len(reference))
+	}
+	if len(types) != len(moving) {
+		return fmt.Errorf("align: %d types for %d points", len(types), len(moving))
+	}
+	if len(moving) == 0 {
+		return fmt.Errorf("align: empty configuration")
+	}
+	if err := checkTypeMultiset(types); err != nil {
+		return err
+	}
+	a.mov = append(a.mov[:0], moving...)
+	a.ref = append(a.ref[:0], reference...)
+	a.movCentroid = vec.Center(a.mov)
+	a.refCentroid = vec.Center(a.ref)
+	longest := a.groupByType(types)
+
+	a.boundFrom = math.MaxInt
+	if longest < boundFrom {
+		return nil
+	}
+	a.bounds = grow(a.bounds, len(moving))
+	largest := 0.0
+	for i, p := range a.mov {
+		a.bounds[i] = bound{j: -1, norm: math.Sqrt(p.Norm2())}
+		largest = max(largest, math.Abs(p.X), math.Abs(p.Y))
+	}
+	for _, p := range a.ref {
+		largest = max(largest, math.Abs(p.X), math.Abs(p.Y))
+	}
+	if largest < 0x1p400 { // false for NaN too
+		a.boundFrom, a.margin = boundFrom, 0x1p-44*largest+0x1p-500
+	}
+	return nil
+}
+
 func checkTypeMultiset(types []int) error {
 	for _, t := range types {
 		if t < 0 {
@@ -267,23 +360,26 @@ type icpPair struct {
 	i, j int // moving index, reference index
 }
 
-// pairSorter orders candidate pairs by distance with deterministic index
-// tie-breaks — a reusable sort.Interface so the per-frame matching does not
-// allocate a closure and swapper the way sort.Slice would.
+// less orders candidate pairs by distance with deterministic index
+// tie-breaks: by d², then the moving index, then the reference index.
+func (p icpPair) less(q icpPair) bool {
+	if p.d2 != q.d2 {
+		return p.d2 < q.d2
+	}
+	if p.i != q.i {
+		return p.i < q.i
+	}
+	return p.j < q.j
+}
+
+// pairSorter sorts candidate pairs by less — a reusable sort.Interface so
+// the per-frame matching does not allocate a closure and swapper the way
+// sort.Slice would.
 type pairSorter struct{ pairs []icpPair }
 
-func (p *pairSorter) Len() int      { return len(p.pairs) }
-func (p *pairSorter) Swap(a, b int) { p.pairs[a], p.pairs[b] = p.pairs[b], p.pairs[a] }
-func (p *pairSorter) Less(a, b int) bool {
-	pa, pb := p.pairs[a], p.pairs[b]
-	if pa.d2 != pb.d2 {
-		return pa.d2 < pb.d2
-	}
-	if pa.i != pb.i {
-		return pa.i < pb.i
-	}
-	return pa.j < pb.j
-}
+func (p *pairSorter) Len() int           { return len(p.pairs) }
+func (p *pairSorter) Swap(a, b int)      { p.pairs[a], p.pairs[b] = p.pairs[b], p.pairs[a] }
+func (p *pairSorter) Less(a, b int) bool { return p.pairs[a].less(p.pairs[b]) }
 
 // typeSorter orders particle indices by (type, index) so same-type
 // particles form contiguous runs — constant scratch for any type ids,
@@ -306,8 +402,9 @@ func (s *typeSorter) Less(a, b int) bool {
 
 // groupByType sorts the particle indices by (type, index) into a.order,
 // so each type's members form one run in increasing index order, and
-// points a.sameType[i] at particle i's run.
-func (a *Aligner) groupByType(types []int) {
+// points a.sameType[i] at particle i's run. It returns the longest run's
+// length.
+func (a *Aligner) groupByType(types []int) (longest int) {
 	n := len(types)
 	a.order = grow(a.order, n)
 	for i := range a.order {
@@ -324,18 +421,21 @@ func (a *Aligner) groupByType(types []int) {
 		for _, i := range a.order[lo:hi] {
 			a.sameType[i] = a.order[lo:hi]
 		}
+		longest = max(longest, hi-lo)
 		lo = hi
 	}
+	return longest
 }
 
 // matchByType produces a type-respecting bijection between the moving and
 // reference clouds into a.perm: perm[j] = i. Within each type it runs a
-// greedy minimum-distance matching (repeatedly pairing the globally closest
-// unmatched moving/reference pair), which is O(n² log n) per type and is a
-// strict improvement over the raw many-to-one nearest-neighbour output of
-// the ICP correspondence step. Types are processed in increasing order; the
-// result is identical to any other order because the per-type matchings
-// write disjoint permutation slots. It reuses groupByType's runs.
+// greedy minimum-distance matching: it repeatedly pairs the unmatched
+// moving and reference particles that are closest, ties broken toward the
+// smaller moving, then reference index. That is a strict improvement over
+// the raw many-to-one nearest-neighbour output of the ICP correspondence
+// step. Types are processed in increasing order; the result is identical
+// to any other order because the per-type matchings write disjoint
+// permutation slots. It reuses groupByType's runs.
 func (a *Aligner) matchByType(moving, reference []vec.Vec2) {
 	n := len(moving)
 	a.perm = grow(a.perm, n)
@@ -344,27 +444,114 @@ func (a *Aligner) matchByType(moving, reference []vec.Vec2) {
 	for lo := 0; lo < n; {
 		idx := a.sameType[a.order[lo]] // one type's members, in increasing index order
 		lo += len(idx)
-		a.pairs = a.pairs[:0]
-		for _, i := range idx {
-			for _, j := range idx {
-				a.pairs = append(a.pairs, icpPair{moving[i].Dist2(reference[j]), i, j})
-			}
-		}
-		a.pairSort.pairs = a.pairs
-		sort.Sort(&a.pairSort)
 		for _, i := range idx {
 			a.usedI[i] = false
 			a.usedJ[i] = false
 		}
-		for _, p := range a.pairs {
-			if a.usedI[p.i] || a.usedJ[p.j] {
-				continue
-			}
-			a.usedI[p.i] = true
-			a.usedJ[p.j] = true
-			a.perm[p.j] = p.i
+		if finite(moving, idx) && finite(reference, idx) {
+			a.lazyGreedy(moving, reference, idx)
+		} else {
+			a.sortedGreedy(moving, reference, idx)
 		}
 	}
+}
+
+// lazyGreedy is the greedy matching of one type's members idx, driven by
+// a min-heap that holds, for each unmatched moving particle i, its
+// nearest free reference j as a (d², i, j) entry, the key the pairs are
+// ordered by. A popped entry whose j is free is the least pair over the
+// unmatched moving and free reference particles, the pair the greedy
+// takes next; one whose j was taken is recomputed over the free
+// references and pushed back. DESIGN.md, "ICP implementation", gives the
+// argument. With a NaN distance the key is no order, so types with a
+// non-finite coordinate take sortedGreedy.
+func (a *Aligner) lazyGreedy(moving, reference []vec.Vec2, idx []int) {
+	a.heap = a.heap[:0]
+	for _, i := range idx {
+		a.heap = append(a.heap, a.nearestFree(moving, reference, i, idx))
+	}
+	for k := len(a.heap)/2 - 1; k >= 0; k-- {
+		a.siftDown(k)
+	}
+	for len(a.heap) > 0 {
+		p := a.heap[0]
+		if a.usedJ[p.j] {
+			a.heap[0] = a.nearestFree(moving, reference, p.i, idx)
+		} else {
+			a.usedJ[p.j] = true
+			a.perm[p.j] = p.i
+			last := len(a.heap) - 1
+			a.heap[0] = a.heap[last]
+			a.heap = a.heap[:last]
+		}
+		a.siftDown(0)
+	}
+}
+
+// nearestFree returns moving particle i's least pair over the free
+// reference particles of idx: the smallest d², ties to the smaller j.
+func (a *Aligner) nearestFree(moving, reference []vec.Vec2, i int, idx []int) icpPair {
+	best := icpPair{d2: math.Inf(1), i: i, j: -1}
+	for _, j := range idx {
+		if a.usedJ[j] {
+			continue
+		}
+		if d2 := moving[i].Dist2(reference[j]); best.j < 0 || d2 < best.d2 {
+			best.d2, best.j = d2, j
+		}
+	}
+	return best
+}
+
+// siftDown restores the heap order below slot k.
+func (a *Aligner) siftDown(k int) {
+	h := a.heap
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
+}
+
+// sortedGreedy is the greedy matching of one type's members idx by a sort
+// of all their pairs, which fixes an order even where a NaN distance
+// leaves the key none.
+func (a *Aligner) sortedGreedy(moving, reference []vec.Vec2, idx []int) {
+	a.pairs = a.pairs[:0]
+	for _, i := range idx {
+		for _, j := range idx {
+			a.pairs = append(a.pairs, icpPair{moving[i].Dist2(reference[j]), i, j})
+		}
+	}
+	a.pairSort.pairs = a.pairs
+	sort.Sort(&a.pairSort)
+	for _, p := range a.pairs {
+		if a.usedI[p.i] || a.usedJ[p.j] {
+			continue
+		}
+		a.usedI[p.i] = true
+		a.usedJ[p.j] = true
+		a.perm[p.j] = p.i
+	}
+}
+
+// finite reports whether every coordinate of pts[idx] is finite.
+func finite(pts []vec.Vec2, idx []int) bool {
+	for _, i := range idx {
+		if !pts[i].IsFinite() {
+			return false
+		}
+	}
+	return true
 }
 
 // grow returns s resliced to length n, reallocating only when the

@@ -286,14 +286,17 @@ func TestAccumulatorProtocolErrors(t *testing.T) {
 // TestAccumulatorSteadyStateAllocations is the allocation proof for the
 // per-step accumulators: after the pools are warm, adding a frame must
 // not allocate on the SkipAlign path or on the ICP path (scratch-reusing
-// Aligner; no per-frame tree, lift, permutation or matching storage).
+// Aligner; no per-frame tree, lift, permutation, matching or bound
+// storage). The ICP path aligns 12 particles of 3 types, whose type runs
+// of 4 scan for their correspondences, and 24 of 2, whose runs of 12 take
+// the bounded search.
 func TestAccumulatorSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
 	}
 	ens := smallEnsemble(t, 12, 3, 4, 10, 5)
-	times := ens.Times()
-	build := func(cfg Config) *Accumulator {
+	build := func(ens *sim.Ensemble, cfg Config) *Accumulator {
+		times := ens.Times()
 		acc, err := NewAccumulator(len(ens.Trajs), times, ens.Types, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +313,7 @@ func TestAccumulatorSteadyStateAllocations(t *testing.T) {
 	}
 
 	t.Run("skipalign", func(t *testing.T) {
-		acc := build(Config{SkipAlign: true})
+		acc := build(ens, Config{SkipAlign: true})
 		warm := func() {
 			for s := 1; s < len(ens.Trajs); s++ {
 				if err := acc.Add(s, 0, ens.Trajs[s].Frames[0]); err != nil {
@@ -330,20 +333,22 @@ func TestAccumulatorSteadyStateAllocations(t *testing.T) {
 	})
 
 	t.Run("aligned", func(t *testing.T) {
-		acc := build(Config{})
-		for s := 1; s < len(ens.Trajs); s++ {
-			if err := acc.Add(s, 0, ens.Trajs[s].Frames[0]); err != nil {
-				t.Fatal(err)
+		for _, ens := range []*sim.Ensemble{ens, smallEnsemble(t, 24, 2, 4, 10, 5)} {
+			acc := build(ens, Config{})
+			for s := 1; s < len(ens.Trajs); s++ {
+				if err := acc.Add(s, 0, ens.Trajs[s].Frames[0]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := acc.Add(1, 1, ens.Trajs[1].Frames[1]); err != nil {
-				t.Fatal(err)
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := acc.Add(1, 1, ens.Trajs[1].Frames[1]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// ICP alignment and the dataset write run on pooled scratch.
+			if allocs != 0 {
+				t.Errorf("aligned Add of %d particles allocates %.1f objects/op, want 0", len(ens.Types), allocs)
 			}
-		})
-		// ICP alignment and the dataset write run on pooled scratch.
-		if allocs != 0 {
-			t.Errorf("aligned Add allocates %.1f objects/op, want 0", allocs)
 		}
 	})
 }
