@@ -700,3 +700,89 @@ func TestRecvTruncatedFrameAllocatesAsBytesArrive(t *testing.T) {
 		t.Errorf("recv of a 10-byte truncated frame allocated %d bytes, want < 1 MiB", grown)
 	}
 }
+
+// TestTruncatedCheckpointIsRecomputed: writeRunFile renames its temp file
+// without an fsync, so after a host crash a short .run.gob at the final
+// path is an expected state. A Runner and a Coordinator (through
+// GoSpawner workers) sweeping a directory that holds one, cut to no
+// bytes, to half or to all but its last byte, must recompute that run and
+// resume the others, return results bit-identical to SerialSweeper's,
+// leave the recomputed checkpoint whole, and leave no goroutine behind.
+func TestTruncatedCheckpointIsRecomputed(t *testing.T) {
+	ctx := context.Background()
+	specs := experiment.Fig8Specs(tinyScale(), 2, 61)
+	want, err := experiment.SerialSweeper{}.Sweep(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := t.TempDir()
+	if _, err := (&sweep.Runner{Store: sweep.DirStore{Dir: seeded}}).Sweep(ctx, specs); err != nil {
+		t.Fatal(err)
+	}
+	victim := specs[1]
+	fp, ok := spec.PipelineFingerprint(victim.ID, victim.Pipeline)
+	if !ok {
+		t.Fatal("test setup: the victim run has no fingerprint")
+	}
+	files, err := filepath.Glob(filepath.Join(seeded, "*.run.gob"))
+	if err != nil || len(files) != len(specs) {
+		t.Fatalf("test setup: %d checkpoints (%v), want %d", len(files), err, len(specs))
+	}
+	victimFile := filepath.Join(seeded, fmt.Sprintf("%s-%016x.run.gob", victim.ID, fp))
+	whole, err := os.ReadFile(victimFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sweepers := map[string]func(dir string, onProgress func(experiment.ProgressEvent)) experiment.Sweeper{
+		"runner": func(dir string, onProgress func(experiment.ProgressEvent)) experiment.Sweeper {
+			return &sweep.Runner{Concurrency: 2, Store: sweep.DirStore{Dir: dir}, OnProgress: onProgress}
+		},
+		"coordinator": func(dir string, onProgress func(experiment.ProgressEvent)) experiment.Sweeper {
+			return &Coordinator{Procs: 1, Budget: 2, Spawn: GoSpawner(WorkerOptions{Dir: dir}),
+				Store: sweep.DirStore{Dir: dir}, OnProgress: onProgress}
+		},
+	}
+	for name, build := range sweepers {
+		for _, keep := range []int{0, len(whole) / 2, len(whole) - 1} {
+			dir := t.TempDir()
+			for _, f := range files {
+				b, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f == victimFile {
+					b = b[:keep]
+				}
+				if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tag := fmt.Sprintf("%s over a %d-byte prefix of a %d-byte checkpoint", name, keep, len(whole))
+
+			base := runtime.NumGoroutine()
+			counts := map[progressKey]int{}
+			got, err := build(dir, countProgress(counts)).Sweep(ctx, specs)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			sameResults(t, tag, want, got)
+			for i, ss := range specs {
+				fromCheckpoint := ss.ID != victim.ID
+				if n := counts[progressKey{experiment.ProgressRunDone, ss.ID, i, fromCheckpoint}]; n != 1 {
+					t.Fatalf("%s: run %s reported done %d times with FromCheckpoint = %v, want once", tag, ss.ID, n, fromCheckpoint)
+				}
+			}
+			if res, hit := (sweep.DirStore{Dir: dir}).Load(victim.ID, fp); !hit {
+				t.Fatalf("%s: the recomputed run's checkpoint does not load", tag)
+			} else {
+				sameResults(t, tag+", reloaded", want[1:2], []*experiment.Result{res})
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %d goroutines outlive the sweep, %d before it", tag, runtime.NumGoroutine(), base)
+				}
+			}
+		}
+	}
+}
