@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -136,7 +137,7 @@ func checkAgainstReference(t *testing.T, a *Aligner, c alignCase, boundFrom int)
 	}
 	wantPerm := refMatch(aligned, ref, c.types)
 	a.matchByType(aligned, ref)
-	if !equalPerm(a.perm, wantPerm) {
+	if !slices.Equal(a.perm, wantPerm) {
 		t.Fatalf("%s: lazy greedy %v, sorted greedy %v", c.name, a.perm, wantPerm)
 	}
 
@@ -144,23 +145,11 @@ func checkAgainstReference(t *testing.T, a *Aligner, c alignCase, boundFrom int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(theta) != math.Float64bits(bestTheta) || gotIters != iters || !equalPerm(a.perm, wantPerm) {
+	if math.Float64bits(theta) != math.Float64bits(bestTheta) || gotIters != iters || !slices.Equal(a.perm, wantPerm) {
 		t.Fatalf("%s: icp θ %v, %d iterations, perm %v; reference θ %v, %d iterations, perm %v",
 			c.name, theta, gotIters, a.perm, bestTheta, iters, wantPerm)
 	}
 	return skipped
-}
-
-func equalPerm(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // constructedCases are frames built to meet the bounded search's and the
@@ -299,7 +288,7 @@ func TestMatchByTypeMatchesSortedGreedy(t *testing.T) {
 		}
 		a.groupByType(types)
 		a.matchByType(mov, ref)
-		if want := refMatch(mov, ref, types); !equalPerm(a.perm, want) {
+		if want := refMatch(mov, ref, types); !slices.Equal(a.perm, want) {
 			t.Fatalf("trial %d: lazy greedy %v, sorted greedy %v (types %v)", trial, a.perm, want, types)
 		}
 	}

@@ -158,7 +158,9 @@ func TestGridWalkMatchesNeighbourList(t *testing.T) {
 
 // BenchmarkGridForces times one grid rebuild and force pass of Fig. 4's
 // interaction (rc = 5) over N particles on a disc of the given radius,
-// on the column walk and on the neighbour-list walk it replaced.
+// on the column walk and on the neighbour-list walk it replaced, and one
+// force pass of the O(n²) sweep over the same positions, the search
+// gridReady's rule would otherwise pick.
 func BenchmarkGridForces(b *testing.B) {
 	for _, n := range []int{40, 64, 128, 256} {
 		for _, radius := range []float64{8, 12, 20, 30} {
@@ -178,17 +180,17 @@ func BenchmarkGridForces(b *testing.B) {
 			sys.grid = spatial.NewDenseGrid(cfg.Cutoff)
 			var nbr []int32
 			for _, walk := range []struct {
-				name  string
-				force func()
+				name string
+				pass func()
 			}{
-				{"column", sys.forcesGrid},
-				{"list", func() { forcesList(sys, &nbr) }},
+				{"column", func() { sys.grid.Rebuild(sys.pos); sys.forcesGrid() }},
+				{"list", func() { sys.grid.Rebuild(sys.pos); forcesList(sys, &nbr) }},
+				{"sweep", sys.forcesBrute},
 			} {
 				b.Run(fmt.Sprintf("n=%d/disc=%g/%s", n, radius, walk.name), func(b *testing.B) {
 					for b.Loop() {
 						clear(sys.force)
-						sys.grid.Rebuild(sys.pos)
-						walk.force()
+						walk.pass()
 					}
 				})
 			}

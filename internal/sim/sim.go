@@ -271,12 +271,13 @@ func (s *System) Config() Config { return s.cfg }
 // relative to the collective's extent a cell-list grid gives O(n) total
 // work; otherwise (rc = ∞ or rc spanning the whole collective) an O(n²)
 // pair sweep is cheaper in practice. The choice is re-made every step from
-// the current bounding box. Both paths are exact: the grid visits
-// neighbours in one fixed order however spread out the collective is,
-// while the brute sweep accumulates in a different order and agrees with
-// it up to floating-point rounding (the tests verify agreement to 1e-9).
-// The grid is persistent and rebuilt in place, so in steady state the grid
-// path allocates nothing.
+// the current bounding box. Both paths are exact: the grid path walks each
+// particle's 3×3 cell window column by column, in one fixed order however
+// spread out the collective is, while the brute sweep accumulates in a
+// different order and agrees with it up to floating-point rounding (the
+// tests verify agreement to 1e-9). The grid is persistent and rebuilt in
+// place, and the walk keeps its window on the stack, so in steady state
+// the grid path allocates nothing.
 func (s *System) Step() {
 	s.computeForces()
 	dt := s.cfg.Dt
