@@ -154,9 +154,9 @@ func checkAgainstReference(t *testing.T, a *Aligner, c alignCase, boundFrom int)
 
 // constructedCases are frames built to meet the bounded search's and the
 // lazy matching's edge cases: exact distance ties on lattices and regular
-// polygons, near-ties one unit in the last place apart, single-member
-// types, coordinates near 1e8 with unit-scale structure, and signed
-// zeros.
+// polygons, near-ties one unit in the last place apart (also scaled to
+// 1e-300, 2^398 and 2^401), single-member types, coordinates near 1e8
+// with unit-scale structure, and signed zeros.
 func constructedCases(r *rand.Rand) []alignCase {
 	var cases []alignCase
 	add := func(name string, moving, reference []vec.Vec2, types []int) {
@@ -215,6 +215,19 @@ func constructedCases(r *rand.Rand) []alignCase {
 		}
 		add(fmt.Sprintf("far/%d", k), farMoved, far, randomTypes(n, 2))
 
+		// The near-ties scaled to the margin's underflow floor and to
+		// either side of the bounded search's 2^400 cut.
+		for _, sc := range []struct {
+			name  string
+			scale float64
+		}{{"tiny", 1e-300}, {"2^398", 0x1p398}, {"2^401", 0x1p401}} {
+			smov, sref := make([]vec.Vec2, n), make([]vec.Vec2, n)
+			for i := range smov {
+				smov[i], sref[i] = mov[i].Scale(sc.scale), nudged[i].Scale(sc.scale)
+			}
+			add(fmt.Sprintf("scaled-%s/%d", sc.name, k), smov, sref, randomTypes(n, 1))
+		}
+
 		// Signed zeros: a lattice over ±0 and ±1 whose centroid is zero.
 		signed := []float64{math.Copysign(0, -1), 0, 1, -1}
 		zmov, zref := make([]vec.Vec2, 16), make([]vec.Vec2, 16)
@@ -254,11 +267,15 @@ func TestICPMatchesReference(t *testing.T) {
 			skipped[kind] += checkAgainstReference(t, &a, c, boundFrom)
 		}
 		// Unless bounds are off, the bound must have spared scans on
-		// the simulated and the far frames, or this test shows nothing.
-		for _, kind := range []string{"fig4", "fig8-l1", "far"} {
+		// the simulated, the far and the scaled frames below 2^400, or
+		// this test shows nothing; above it, every query scans.
+		for _, kind := range []string{"fig4", "fig8-l1", "far", "scaled-tiny", "scaled-2^398"} {
 			if (boundFrom == math.MaxInt) != (skipped[kind] == 0) {
 				t.Errorf("bounds from runs of %d: %d queries of the %s frames answered without a scan", boundFrom, skipped[kind], kind)
 			}
+		}
+		if n := skipped["scaled-2^401"]; n != 0 {
+			t.Errorf("bounds from runs of %d: %d queries of frames beyond 2^400 answered without a scan", boundFrom, n)
 		}
 		t.Logf("bounds from runs of %d: queries answered without a scan %v", boundFrom, skipped)
 	}
