@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,7 +91,13 @@ func RemoveStaleTemps(dir string) (int, error) {
 		if e.IsDir() || !strings.HasPrefix(e.Name(), ".tmp-run-") {
 			continue
 		}
-		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+		// A temp gone since ReadDir was a live writer's, renamed into
+		// place, or already removed by another sweep: nothing to do.
+		err := os.Remove(filepath.Join(dir, e.Name()))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
 			return removed, fmt.Errorf("sweep: removing stale temp: %w", err)
 		}
 		removed++
@@ -139,9 +147,18 @@ func readRunFile(dir, id string, fp uint64) (*experiment.Result, bool) {
 	}, true
 }
 
+// writeAttempts bounds how often writeRunFile starts over after its temp
+// file was swept away. Each process sweeps a directory once, when it
+// opens it, so a write is hit at most once per process started during
+// it.
+const writeAttempts = 16
+
 // writeRunFile persists a completed (already trimmed) run. The write
 // goes through a temp file in the same directory plus a rename, so a
 // kill mid-write leaves no half-checkpoint that a resume could trust.
+// A process opening the directory meanwhile cannot tell that temp from a
+// killed writer's and may remove it (RemoveStaleTemps); the rename then
+// finds no file, and the write starts over.
 func writeRunFile(dir, id string, fp uint64, res *experiment.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -160,22 +177,27 @@ func writeRunFile(dir, id string, fp uint64, res *experiment.Result) error {
 		EquilibratedFraction: res.EquilibratedFraction,
 	}
 	path := runFilePath(dir, id, fp)
-	tmp, err := os.CreateTemp(dir, ".tmp-run-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := gob.NewEncoder(tmp).Encode(rec); err != nil {
-		tmp.Close()
+	for attempt := 1; ; attempt++ {
+		tmp, err := os.CreateTemp(dir, ".tmp-run-*")
+		if err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+		if err := gob.NewEncoder(tmp).Encode(rec); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+		if err := tmp.Close(); err != nil {
+			os.Remove(tmp.Name())
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+		err = os.Rename(tmp.Name(), path)
+		if err == nil {
+			return nil
+		}
 		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: %w", err)
+		if !errors.Is(err, fs.ErrNotExist) || attempt == writeAttempts {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
 }

@@ -1,9 +1,13 @@
 package sweep
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestRemoveStaleTemps pins the selection rule: only plain files named
@@ -46,5 +50,58 @@ func TestRemoveStaleTemps(t *testing.T) {
 	// Missing directory: nothing to do, no error.
 	if n, err := RemoveStaleTemps(filepath.Join(dir, "nope")); err != nil || n != 0 {
 		t.Errorf("missing dir: got (%d, %v), want (0, nil)", n, err)
+	}
+}
+
+// TestStaleTempSweepSparesConcurrentWrites: every process that opens a
+// checkpoint directory sweeps its temps (a remote worker does it at
+// start), while siblings already running may be writing checkpoints
+// there. Such a sweep removes a sibling's in-flight temp or meets one
+// that was just renamed away; neither the sibling's write nor the sweep
+// may fail for it. Sweepers sweep 15 times in all, once per process
+// start in practice, and every checkpoint must read back.
+func TestStaleTempSweepSparesConcurrentWrites(t *testing.T) {
+	want, _ := checkpointFixture(t)
+	dir := t.TempDir()
+	const writers, writes, sweepers, sweeps = 4, 50, 3, 5
+	started := make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*writes+sweepers*sweeps)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < writes; k++ {
+				errs <- writeRunFile(dir, fmt.Sprintf("run-%d-%d", w, k), ckptFP, want)
+				once.Do(func() { close(started) })
+			}
+		}()
+	}
+	for s := 0; s < sweepers; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-started
+			for k := 0; k < sweeps; k++ {
+				_, err := RemoveStaleTemps(dir)
+				errs <- err
+				time.Sleep(50 * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 0; w < writers; w++ {
+		for k := 0; k < writes; k++ {
+			if got, ok := readRunFile(dir, fmt.Sprintf("run-%d-%d", w, k), ckptFP); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("checkpoint run-%d-%d: ok=%v", w, k, ok)
+			}
+		}
 	}
 }
