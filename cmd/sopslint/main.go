@@ -1,7 +1,5 @@
-// Command sopslint runs this repository's nine contract analyzers
-// (rngsource, walltime, ctxflow, tokenpair, goroleak, chansend,
-// dettaint, speccoverage, errverbatim — see internal/lint and DESIGN.md
-// "Mechanized contracts") over package patterns:
+// Command sopslint runs this repository's contract analyzers (DESIGN.md,
+// "Mechanized contracts", names them) over package patterns:
 //
 //	sopslint ./...          # diagnostics on stderr
 //	sopslint -json ./...    # diagnostics as a JSON array on stdout

@@ -63,10 +63,12 @@ const (
 	TierApprox EstimatorTier = "approx"
 )
 
-// Pipeline is a complete experiment specification.
+// Pipeline is a complete experiment specification. Every field reachable
+// from it keys spec.PipelineFingerprint, except the runtime-only ones on
+// the exclusion list of spec's TestFingerprintCoversEveryLeaf.
 type Pipeline struct {
 	// Name labels the experiment in records and plots.
-	Name string //sopslint:nohash hashed by the caller as the fingerprint id parameter
+	Name string
 	// Ensemble configures the simulation stage.
 	Ensemble sim.EnsembleConfig
 	// Observer configures alignment and the optional k-means reduction.
@@ -99,7 +101,7 @@ type Pipeline struct {
 	// 0 means GOMAXPROCS. Simulation-stage parallelism is bounded
 	// separately by Ensemble.Workers; alignment runs inline on the
 	// simulation workers.
-	Workers int //sopslint:nohash parallelism knob; results are bit-identical for every setting
+	Workers int
 	// SampleWorkers bounds the within-step sample parallelism of the
 	// tree-engine estimators: each estimation worker partitions one
 	// step's samples across this many goroutines, so a single huge-m
@@ -107,29 +109,29 @@ type Pipeline struct {
 	// estimation serial (allocation-free in steady state). Estimates are
 	// bit-identical for every setting; at peak Workers × SampleWorkers
 	// goroutines estimate concurrently.
-	SampleWorkers int //sopslint:nohash parallelism knob; results are bit-identical for every setting
+	SampleWorkers int
 	// RetainEnsemble keeps the raw trajectories in Result.Ensemble (for
 	// snapshot figures and trajectory analyses). Off by default: the
 	// streaming pipeline then never materialises the ensemble, so peak
 	// memory is the per-step observer datasets alone.
-	RetainEnsemble bool //sopslint:nohash output-retention switch; the numbers themselves are unchanged
+	RetainEnsemble bool
 	// Tokens, when non-nil, is a shared execution budget all of this
 	// pipeline's stage workers draw from: each simulated sample and each
 	// estimated step holds one token while active. Several concurrently
 	// running pipelines handed the same budget (sweep.Runner does this)
 	// then share one machine-wide worker pool instead of each assuming
 	// the whole machine. Results never depend on it.
-	Tokens *workpool.Tokens //sopslint:nohash shared runtime budget; results never depend on it
+	Tokens *workpool.Tokens
 	// Engines, when non-nil, recycles estimator engines across pipeline
 	// runs (a Session hands every pipeline its pool). Runtime only;
 	// results never depend on it.
-	Engines *infotheory.EnginePool //sopslint:nohash engine recycling is runtime-only; results never depend on it
+	Engines *infotheory.EnginePool
 	// OnProgress, when non-nil, receives progress events as the run
 	// advances: one ProgressSampleSimulated per completed sample (on the
 	// streaming path) and one ProgressStepEstimated per estimated step.
 	// It may be invoked concurrently from several workers and must be
 	// cheap and non-blocking. Runtime only; results never depend on it.
-	OnProgress func(ProgressEvent) //sopslint:nohash progress callback; observability only
+	OnProgress func(ProgressEvent)
 }
 
 // ProgressKind classifies a pipeline or sweep progress event.

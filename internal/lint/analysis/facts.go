@@ -2,10 +2,10 @@ package analysis
 
 // This file is the summary half of the analysis layer: durable,
 // object-keyed facts. A package's fact pass exports facts about the
-// package's objects (a function's taint summary, a struct's annotated
-// fields); analyzers of that package and of downstream packages import
-// them at call/use sites, so one lookup serves a local callee and one
-// across a package boundary.
+// package's functions (a taint summary, an error-wrapping mask);
+// analyzers of that package and of downstream packages import them at
+// call sites, so one lookup serves a local callee and one across a
+// package boundary.
 //
 // Facts travel one way: every package of a run shares one FactSet
 // (load.Packages and load.Corpus hand it out), and the driver visits
@@ -20,9 +20,9 @@ import (
 	"reflect"
 )
 
-// A Fact is one exported observation about a package-level object.
-// Implementations must be pointers to structs. The AFact method is a
-// marker only.
+// A Fact is one exported observation about a package-level function or
+// method. Implementations must be pointers to structs. The AFact method
+// is a marker only.
 type Fact interface {
 	AFact()
 }
@@ -35,9 +35,9 @@ type factKey struct {
 }
 
 // ObjectKey returns the stable within-package key of a package-level
-// object: "Name" for functions, types, vars and consts, and
-// "RecvType.Name" for methods (the pointer-ness of the receiver does not
-// key — a type has one method set namespace).
+// object: "Name" for a function and "RecvType.Name" for a method (the
+// pointer-ness of the receiver does not key — a type has one method set
+// namespace).
 func ObjectKey(obj types.Object) string {
 	if fn, ok := obj.(*types.Func); ok {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {

@@ -22,10 +22,6 @@ func TestChansendCorpus(t *testing.T) { runCorpus(t, soloCheck(Chansend), "chans
 
 func TestDettaintCorpus(t *testing.T) { runCorpus(t, soloCheck(Dettaint), "dettaint") }
 
-func TestSpecCoverageCorpus(t *testing.T) {
-	runCorpus(t, soloCheck(SpecCoverage), "speccoverage", "speccoverage/dep")
-}
-
 func TestErrVerbatimCorpus(t *testing.T) {
 	runCorpus(t, soloCheck(ErrVerbatim), "errverbatim", "errverbatim/wrapx")
 }
@@ -125,10 +121,8 @@ func TestDefaultChecksScope(t *testing.T) {
 		{"dettaint", "repro/internal/spec", true},
 		{"dettaint", "repro/internal/vec", false},
 		{"dettaint", "repro/cmd/sops", false},
-		// speccoverage and errverbatim bind library code: root +
-		// internal/..., not CLIs and not the lint suite.
-		{"speccoverage", "repro/internal/spec", true},
-		{"speccoverage", "repro/cmd/sops", false},
+		// errverbatim binds library code: root + internal/..., not CLIs
+		// and not the lint suite.
 		{"errverbatim", "repro/internal/sweep/remote", true},
 		{"errverbatim", "repro/internal/lint", false},
 	}

@@ -1,14 +1,14 @@
 package lint
 
-// This file defines the suite's facts — the durable per-function and
-// per-struct observations a package's fact pass exports — and the fact
-// pass that computes them. Facts are the suite's only summary store:
-// analyzers read a callee's summary from them whether the callee lives
-// in the package under analysis or in a dependency, so the fingerprint
-// flow spec → experiment → sweep, the goroutine lifecycles coordinated
-// across internal/sweep/remote, and the cancellation-error identity
-// contract are followed across package boundaries by the same lookup
-// that serves a local call.
+// This file defines the suite's facts — the durable per-function
+// observations a package's fact pass exports — and the fact pass that
+// computes them. Facts are the suite's only summary store: analyzers
+// read a callee's summary from them whether the callee lives in the
+// package under analysis or in a dependency, so the fingerprint flow
+// spec → experiment → sweep, the goroutine lifecycles coordinated across
+// internal/sweep/remote, and the cancellation-error identity contract
+// are followed across package boundaries by the same lookup that serves
+// a local call.
 //
 // The packages of a run share one analysis.FactSet and are visited in
 // dependency order, so a dependency's facts are in the store before any
@@ -73,21 +73,11 @@ type ErrWrapFact struct {
 
 func (*ErrWrapFact) AFact() {}
 
-// NoHashFact lists the fields of a struct type annotated
-// //sopslint:nohash — runtime-only knobs deliberately excluded from the
-// fingerprint — so speccoverage honors annotations on structs it
-// reaches across package boundaries.
-type NoHashFact struct {
-	Fields []string
-}
-
-func (*NoHashFact) AFact() {}
-
 // factPass is the pseudo-analyzer the fact pass runs under (facts have
 // no diagnostics of their own; the name only labels the Pass).
 var factPass = &analysis.Analyzer{
 	Name: "facts",
-	Doc:  "export cross-package facts (taint summaries, bounded lifetimes, wrap/nohash annotations)",
+	Doc:  "export cross-package facts (taint summaries, bounded lifetimes, root minting, error wrapping)",
 }
 
 // exportFacts runs the fact pass over one package: every fact producer
@@ -101,7 +91,6 @@ func exportFacts(pkg *analysis.Package) {
 		exportBoundedFacts(pass)
 		exportRootMintFacts(pass)
 		exportErrWrapFacts(pass)
-		exportNoHashFacts(pass)
 		return true
 	})
 }

@@ -11,17 +11,14 @@ import (
 	"repro/internal/lint/load"
 )
 
-// fakeFactObjects builds detached type objects to key facts on: a
-// function and a type name in a synthetic package. Fact identity is
-// (package path, object key, fact type), so a fresh object with the
-// same coordinates must resolve the same fact.
-func fakeFactObjects() (*types.Func, *types.TypeName) {
+// fakeFactObject builds a detached function object in a synthetic
+// package to key facts on. Fact identity is (package path, object key,
+// fact type), so a fresh object with the same coordinates must resolve
+// the same fact.
+func fakeFactObject() *types.Func {
 	pkg := types.NewPackage("corpus/p", "p")
 	sig := types.NewSignatureType(nil, nil, nil, nil, nil, false)
-	fn := types.NewFunc(token.NoPos, pkg, "F", sig)
-	tn := types.NewTypeName(token.NoPos, pkg, "T", nil)
-	types.NewNamed(tn, types.NewStruct(nil, nil), nil)
-	return fn, tn
+	return types.NewFunc(token.NoPos, pkg, "F", sig)
 }
 
 // TestFactIdentityIsPositional exports one fact of every type and
@@ -30,15 +27,14 @@ func fakeFactObjects() (*types.Func, *types.TypeName) {
 // importer never holds the types.Object a dependency exported its fact
 // on.
 func TestFactIdentityIsPositional(t *testing.T) {
-	fn, tn := fakeFactObjects()
+	fn := fakeFactObject()
 	facts := analysis.NewFactSet()
 	facts.ExportObjectFact(fn, &TaintFact{Ret: 5, Escapes: 2, Sinks: 9, Src: "time.Now"})
 	facts.ExportObjectFact(fn, &BoundedFact{})
 	facts.ExportObjectFact(fn, &RootMintFact{})
 	facts.ExportObjectFact(fn, &ErrWrapFact{Params: 3})
-	facts.ExportObjectFact(tn, &NoHashFact{Fields: []string{"Tokens", "Workers"}})
 
-	fn2, tn2 := fakeFactObjects()
+	fn2 := fakeFactObject()
 	var taint TaintFact
 	if !facts.ImportObjectFact(fn2, &taint) {
 		t.Fatal("TaintFact not found through a fresh object")
@@ -60,13 +56,6 @@ func TestFactIdentityIsPositional(t *testing.T) {
 	}
 	if wrap.Params != 3 {
 		t.Errorf("ErrWrapFact.Params = %d, want 3", wrap.Params)
-	}
-	var nohash NoHashFact
-	if !facts.ImportObjectFact(tn2, &nohash) {
-		t.Fatal("NoHashFact not found through a fresh object")
-	}
-	if len(nohash.Fields) != 2 || nohash.Fields[0] != "Tokens" || nohash.Fields[1] != "Workers" {
-		t.Errorf("NoHashFact.Fields = %v", nohash.Fields)
 	}
 }
 

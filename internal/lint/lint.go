@@ -1,13 +1,9 @@
-// Package lint is sopslint: nine custom static analyzers that mechanize
-// this repository's written contracts — bit-identical determinism,
-// rngx-derived randomness, wall-clock-free fingerprints, context-aware
-// cancellation, balanced worker-token accounting, joined goroutine
-// lifecycles, cancellable producer sends, nondeterminism-free
-// result/fingerprint flows, fingerprint coverage of every spec knob and
-// verbatim cancellation errors (DESIGN.md, "Mechanized contracts"). The
-// suite has one driver: load.Packages feeding Run, called by
-// cmd/sopslint (which CI runs) and by the meta-test that keeps this
-// repository at zero diagnostics.
+// Package lint is sopslint: custom static analyzers that mechanize this
+// repository's written contracts. DESIGN.md's "Mechanized contracts"
+// table names each analyzer and the contract it holds; DefaultChecks
+// scopes them. The suite has one driver: load.Packages feeding Run,
+// called by cmd/sopslint (which CI runs) and by the meta-test that keeps
+// this repository at zero diagnostics.
 //
 // The syntax-shape analyzers work on the AST directly; walltime,
 // dettaint, tokenpair, goroleak and chansend sit on the flow-sensitive
@@ -17,12 +13,12 @@
 // without annotation.
 //
 // Facts are the one summary store. Before any analyzer runs on a
-// package, Run's fact pass publishes facts about every function and
-// struct the package declares (taint summaries, bounded goroutine
-// launchers, context-root minting, error-wrapping helpers, nohash
-// exclusions) to its FactSet, and analyzers look every callee up there,
-// in the same package or across a package boundary: load.Packages
-// returns packages in dependency order sharing one fact set.
+// package, Run's fact pass publishes facts about every function the
+// package declares (taint summaries, bounded goroutine launchers,
+// context-root minting, error-wrapping helpers) to its FactSet, and
+// analyzers look every callee up there, in the same package or across a
+// package boundary: load.Packages returns packages in dependency order
+// sharing one fact set.
 //
 // There is no suppression directive: a finding is fixed, or the
 // analyzer learns the sanctioned idiom it misread.
@@ -83,7 +79,6 @@ func DefaultChecks() []Check {
 		{Goroleak, contractScope},
 		{Chansend, contractScope},
 		{Dettaint, func(p string) bool { return resultProducing[p] || p == "repro/internal/spec" }},
-		{SpecCoverage, contractScope},
 		{ErrVerbatim, contractScope},
 	}
 }

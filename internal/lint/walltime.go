@@ -5,7 +5,7 @@ import (
 )
 
 // Walltime flags wall-clock reads whose values escape time-typed
-// instrumentation in packages reachable from Spec.Fingerprint() or
+// instrumentation in packages reachable from spec.PipelineFingerprint or
 // checkpoint encoding.
 //
 // Contract (DESIGN.md): a run's identity is fully determined by its

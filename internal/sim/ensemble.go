@@ -30,13 +30,13 @@ type EnsembleConfig struct {
 	// Workers bounds the sample-level parallelism (independent runs
 	// executed concurrently); 0 means GOMAXPROCS. Results never depend
 	// on this count: every sample runs on its own positional seed.
-	Workers int //sopslint:nohash sample-level parallelism; results are bit-identical for every count
+	Workers int
 	// Tokens, when non-nil, is a shared execution budget the sample
 	// workers draw from: each sample's full run holds one token. It lets
 	// several concurrently running ensembles (a sweep) share one global
 	// worker budget instead of each assuming the whole machine. Runtime
 	// only — never persisted; results never depend on it.
-	Tokens *workpool.Tokens //sopslint:nohash shared runtime budget; results never depend on it
+	Tokens *workpool.Tokens
 }
 
 // Trajectory is the recorded output of one sample: Frames[t][i] is the

@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 
@@ -23,6 +22,8 @@ import (
 // estimator, sweep) are deliberately excluded: results are
 // bit-identical across all of them. The frozen observer text alone
 // still carries Align.Workers, which no spec sets.
+// TestFingerprintCoversEveryLeaf moves every leaf of the pipeline and
+// holds both rules.
 func PipelineFingerprint(id string, p experiment.Pipeline) (fp uint64, ok bool) {
 	if p.Ensemble.Sim.Force == nil {
 		return 0, false
@@ -52,49 +53,4 @@ func PipelineFingerprint(id string, p experiment.Pipeline) (fp uint64, ok bool) 
 		fmt.Fprintf(h, "|tier|%s|%d", p.Tier, p.Subsample)
 	}
 	return h.Sum64(), true
-}
-
-// Fingerprint derives the spec's stable identity.
-//
-// A single-run spec fingerprints exactly as PipelineFingerprint of its
-// resolved pipeline keyed by its name — the same value the sweep layer's
-// checkpoints use, so a Spec subsumes the checkpoint key. Scenario and
-// grid specs hash their canonical JSON form (normalized, omitempty):
-// because absent fields are omitted, a spec serialized today fingerprints
-// identically after future field additions. Runtime-only knobs (worker
-// counts) are excluded from single-run fingerprints and excluded from
-// sweep fingerprints by zeroing them before hashing.
-func (sp Spec) Fingerprint() (uint64, error) {
-	if sp.Kind() == KindRun {
-		p, err := sp.Pipeline()
-		if err != nil {
-			return 0, err
-		}
-		fp, ok := PipelineFingerprint(sp.Name, p)
-		if !ok {
-			return 0, fmt.Errorf("spec: force family has no serialisable fingerprint")
-		}
-		return fp, nil
-	}
-	n := sp.Normalized()
-	// Zero the runtime-only knobs so deployments with different worker
-	// settings agree on the identity of identical experiments.
-	if n.Ensemble != nil {
-		ensCopy := *n.Ensemble
-		ensCopy.Workers = 0
-		n.Ensemble = &ensCopy
-	}
-	if n.Estimator != nil {
-		estCopy := *n.Estimator
-		estCopy.Workers, estCopy.SampleWorkers = 0, 0
-		n.Estimator = &estCopy
-	}
-	b, err := json.Marshal(n)
-	if err != nil {
-		return 0, err
-	}
-	h := fnv.New64a()
-	h.Write([]byte("spec|"))
-	h.Write(b)
-	return h.Sum64(), nil
 }

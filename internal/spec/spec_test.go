@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,6 +47,21 @@ func runSpec(t *testing.T) Spec {
 		t.Fatal(err)
 	}
 	return sp
+}
+
+// runFingerprint is a run spec's checkpoint key: PipelineFingerprint of
+// its pipeline, keyed by its name.
+func runFingerprint(t *testing.T, sp Spec) uint64 {
+	t.Helper()
+	p, err := sp.Pipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, ok := PipelineFingerprint(sp.Name, p)
+	if !ok {
+		t.Fatalf("%s: the force has no serialisable fingerprint", sp.Name)
+	}
+	return fp
 }
 
 // TestJSONRoundTripLossless: marshal → unmarshal → marshal must be a
@@ -120,15 +136,7 @@ func TestPipelineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp1, err := sp.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp2, err := sp2.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp1 != fp2 {
+	if fp1, fp2 := runFingerprint(t, sp), runFingerprint(t, sp2); fp1 != fp2 {
 		t.Fatalf("fingerprint changed across JSON: %x vs %x", fp1, fp2)
 	}
 }
@@ -205,22 +213,21 @@ func TestFingerprintMatchesLegacyCheckpointKey(t *testing.T) {
 	}
 }
 
-// goldenFingerprints pins the fingerprint of each golden spec file.
+// goldenFingerprints pins the checkpoint key of each golden run spec.
 // These values must NEVER change: a spec serialized today must load and
 // fingerprint identically forever, including after future field
 // additions (new fields must be omitempty so absent-field JSON — and the
 // run fingerprint recipe — stay stable).
 var goldenFingerprints = map[string]string{
 	"run.json":        "be86699539325bde",
-	"grid.json":       "08070089628c7d38",
-	"scenario.json":   "5fcf193f4ef640c1",
 	"approx-run.json": "c271a9cdf582d515",
 }
 
 // TestGoldenSpecs loads each golden file, requires a lossless round-trip
-// back to the identical bytes, and requires the pinned fingerprint.
+// back to the identical bytes, and requires each run spec's pinned
+// fingerprint.
 func TestGoldenSpecs(t *testing.T) {
-	for name, wantFP := range goldenFingerprints {
+	for _, name := range []string{"run.json", "approx-run.json", "grid.json", "scenario.json"} {
 		path := filepath.Join("testdata", name)
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -237,12 +244,10 @@ func TestGoldenSpecs(t *testing.T) {
 		if string(b) != string(data) {
 			t.Errorf("%s: round-trip changed the file:\n--- on disk\n%s--- re-marshalled\n%s", name, data, b)
 		}
-		fp, err := sp.Fingerprint()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := fmt.Sprintf("%016x", fp); got != wantFP {
-			t.Errorf("%s: fingerprint %s, golden %s — a changed fingerprint invalidates every checkpoint on disk", name, got, wantFP)
+		if wantFP, ok := goldenFingerprints[name]; ok {
+			if got := fmt.Sprintf("%016x", runFingerprint(t, sp)); got != wantFP {
+				t.Errorf("%s: fingerprint %s, golden %s — a changed fingerprint invalidates every checkpoint on disk", name, got, wantFP)
+			}
 		}
 	}
 }
@@ -267,10 +272,10 @@ func TestParseLargeNAllocatesLittle(t *testing.T) {
 }
 
 // FuzzParse decodes arbitrary bytes as spec JSON, seeded with the golden
-// specs and largeNSpec. Parse must never panic; a spec it accepts must survive
-// MarshalIndent → Parse with the same fingerprint (or the same failure
-// to fingerprint), and must resolve to a pipeline, or fail to, without
-// panicking.
+// specs and largeNSpec. Parse must never panic, and a spec it accepts
+// must survive MarshalIndent → Parse: MarshalIndent's bytes are a fixed
+// point, and a run spec resolves to a pipeline with the same
+// PipelineFingerprint (or fails to resolve on both sides).
 func FuzzParse(f *testing.F) {
 	goldens, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil || len(goldens) == 0 {
@@ -297,12 +302,22 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshalled spec rejected: %v\n%s", err, b)
 		}
-		fp, fpErr := sp.Fingerprint()
-		fpBack, fpBackErr := back.Fingerprint()
-		if fp != fpBack || (fpErr == nil) != (fpBackErr == nil) {
-			t.Fatalf("fingerprint %016x (err %v) became %016x (err %v) across MarshalIndent → Parse", fp, fpErr, fpBack, fpBackErr)
+		if b2, err := back.MarshalIndent(); err != nil || !bytes.Equal(b, b2) {
+			t.Fatalf("MarshalIndent is not a fixed point across Parse (err %v):\n%s\n%s", err, b, b2)
 		}
-		_, _ = sp.Pipeline()
+		p, err := sp.Pipeline()
+		pBack, errBack := back.Pipeline()
+		if (err == nil) != (errBack == nil) {
+			t.Fatalf("pipeline error %v became %v across MarshalIndent → Parse", err, errBack)
+		}
+		if err != nil {
+			return
+		}
+		fp, ok := PipelineFingerprint(sp.Name, p)
+		fpBack, okBack := PipelineFingerprint(back.Name, pBack)
+		if fp != fpBack || ok != okBack {
+			t.Fatalf("fingerprint %016x (ok %t) became %016x (ok %t) across MarshalIndent → Parse", fp, ok, fpBack, okBack)
+		}
 	})
 }
 
@@ -398,40 +413,26 @@ func TestValidateTypedErrors(t *testing.T) {
 // checkpoints must not collide).
 func TestTierFingerprintCompat(t *testing.T) {
 	base := runSpec(t)
-	want, err := base.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runFingerprint(t, base)
 	exact := base
 	est := *exact.Estimator
 	est.Tier = "exact"
 	exact.Estimator = &est
-	fp, err := exact.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp != want {
+	if fp := runFingerprint(t, exact); fp != want {
 		t.Errorf(`tier "exact" changed the fingerprint: %016x vs %016x`, fp, want)
 	}
 	approx := base
 	estA := *approx.Estimator
 	estA.Tier, estA.Subsample = "approx", 16
 	approx.Estimator = &estA
-	afp, err := approx.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	afp := runFingerprint(t, approx)
 	if afp == want {
 		t.Error(`tier "approx" did not change the fingerprint`)
 	}
 	estB := estA
 	estB.Subsample = 32
 	approx.Estimator = &estB
-	bfp, err := approx.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bfp == afp {
+	if bfp := runFingerprint(t, approx); bfp == afp {
 		t.Error("changing Subsample did not change the fingerprint")
 	}
 }
