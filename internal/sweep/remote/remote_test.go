@@ -92,6 +92,18 @@ func sameResults(t *testing.T, tag string, want, got []*experiment.Result) {
 	}
 }
 
+// checkGoroutineBaseline fails the test unless the goroutine count falls
+// back to base, sampled before the sweep, within five seconds: a pool's
+// goroutines may still be unwinding after its WaitGroup released Sweep.
+func checkGoroutineBaseline(t *testing.T, tag string, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines outlive the sweep, %d before it", tag, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
 // TestDistributedMatchesSerial is the tentpole acceptance criterion:
 // sharding a sweep across 1, 2 and 4 worker processes returns results
 // bit-identical to the serial reference loop.
@@ -202,10 +214,12 @@ func TestWorkerDeathRequeuesAndResumes(t *testing.T) {
 			}
 		},
 	}
+	base := runtime.NumGoroutine()
 	got, err := co.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoroutineBaseline(t, "after worker death", base)
 	sameResults(t, "after worker death", want, got)
 	if !died.Load() {
 		t.Fatal("worker 0 never exercised the death hook")
@@ -353,19 +367,14 @@ func TestFailingSaveSurfaces(t *testing.T) {
 	if n := failedDone.Load(); n != 0 {
 		t.Fatalf("%d ProgressRunDone events for the run whose Save failed, want 0", n)
 	}
-	// The pool's goroutines may still be unwinding after its WaitGroup
-	// released Sweep.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines outlive the failed sweep, %d before it", runtime.NumGoroutine(), base)
-		}
-	}
+	checkGoroutineBaseline(t, "Runner with a failing store", base)
 
 	co := &Coordinator{Procs: 1, Budget: 2, Spawn: GoSpawner(WorkerOptions{Store: failing})}
 	_, err = co.Sweep(context.Background(), specs)
 	if err == nil || !strings.Contains(err.Error(), failing.id) || !strings.Contains(err.Error(), failing.err.Error()) {
 		t.Fatalf("Coordinator err = %v, want %q naming run %s", err, failing.err, failing.id)
 	}
+	checkGoroutineBaseline(t, "Coordinator with a failing store", base)
 
 	want, err := experiment.SerialSweeper{}.Sweep(context.Background(), specs)
 	if err != nil {
@@ -417,10 +426,12 @@ func TestAllWorkersDeadFails(t *testing.T) {
 			return func() error { return nil }, nil
 		},
 	}
+	base := runtime.NumGoroutine()
 	_, err := co.Sweep(context.Background(), specs)
 	if err == nil || !strings.Contains(err.Error(), "all workers exited") {
 		t.Fatalf("err = %v, want all-workers-exited failure", err)
 	}
+	checkGoroutineBaseline(t, "all workers dead", base)
 }
 
 // TestWorkerRunErrorSurfaces: a run that fails on the worker for a
@@ -435,10 +446,12 @@ func TestWorkerRunErrorSurfaces(t *testing.T) {
 		Budget: 2,
 		Spawn:  GoSpawner(WorkerOptions{}),
 	}
+	base := runtime.NumGoroutine()
 	_, err := co.Sweep(context.Background(), specs)
 	if err == nil || !strings.Contains(err.Error(), "bad-run") {
 		t.Fatalf("err = %v, want the failing run's ID surfaced", err)
 	}
+	checkGoroutineBaseline(t, "worker run error", base)
 }
 
 // TestResultWithoutPayloadIsDropped: a worker that answers a spec with a
@@ -572,10 +585,12 @@ func TestCancelReturnsContextError(t *testing.T) {
 			cancel() // first event from any worker: pull the plug
 		},
 	}
+	base := runtime.NumGoroutine()
 	_, err := co.Sweep(ctx, specs)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled verbatim", err)
 	}
+	checkGoroutineBaseline(t, "cancelled sweep", base)
 }
 
 // TestWireSpecFingerprintRoundTrip pins the property distribution rests
@@ -668,10 +683,12 @@ func TestProcessWorkerSIGKILL(t *testing.T) {
 			})
 		},
 	}
+	base := runtime.NumGoroutine()
 	got, err := co.Sweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoroutineBaseline(t, "after SIGKILL", base)
 	sameResults(t, "after SIGKILL", want, got)
 }
 
@@ -778,11 +795,7 @@ func TestTruncatedCheckpointIsRecomputed(t *testing.T) {
 			} else {
 				sameResults(t, tag+", reloaded", want[1:2], []*experiment.Result{res})
 			}
-			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%s: %d goroutines outlive the sweep, %d before it", tag, runtime.NumGoroutine(), base)
-				}
-			}
+			checkGoroutineBaseline(t, tag, base)
 		}
 	}
 }
