@@ -10,10 +10,9 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# lint runs the sopslint suite's nine analyzers (internal/lint:
-# rngsource, walltime, ctxflow, tokenpair, goroleak, chansend, dettaint,
-# speccoverage, errverbatim) over the module, as CI's lint job does with
-# -json, then checks gofmt.
+# lint runs the sopslint suite (internal/lint; DESIGN.md's "Mechanized
+# contracts" table names its analyzers) over the module, as CI's lint
+# job does with -json, then checks gofmt.
 lint:
 	$(GO) run ./cmd/sopslint ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
