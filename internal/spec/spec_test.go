@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/align"
 	"repro/internal/experiment"
 	"repro/internal/forces"
 	"repro/internal/observer"
@@ -141,78 +139,6 @@ func TestPipelineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFingerprintMatchesLegacyCheckpointKey pins PipelineFingerprint to
-// the exact byte recipe of the pre-Spec sweep checkpoint key (reproduced
-// inline here), so checkpoints written by earlier releases keep
-// verifying. If this test fails, existing checkpoint directories are
-// silently invalidated — bump the checkpoint file version instead of
-// changing the recipe.
-func TestFingerprintMatchesLegacyCheckpointKey(t *testing.T) {
-	// legacyObserver is observer.Config in its layout when the recipe was
-	// frozen: align.Options then also carried TypeScaleFactor and
-	// BruteForceNN. The key hashes its %+v text.
-	type legacyObserver struct {
-		Align struct {
-			ICP struct {
-				MaxIterations   int
-				Tolerance       float64
-				TypeScaleFactor float64
-				Restarts        int
-				BruteForceNN    bool
-			}
-			Reference align.Reference
-			Workers   int
-		}
-		KMeansK   int
-		Seed      uint64
-		SkipAlign bool
-	}
-	legacy := func(id string, p experiment.Pipeline) (uint64, bool) {
-		fspec, err := forces.ToSpec(p.Ensemble.Sim.Force)
-		if err != nil {
-			return 0, false
-		}
-		h := fnv.New64a()
-		fmt.Fprintf(h, "run|%s|%s|%d|%d|%t|%t|", id, p.Estimator, p.K, p.Bins, p.Decompose, p.TrackEntropies)
-		ec := p.Ensemble
-		fmt.Fprintf(h, "ens|%d|%d|%d|%d|", ec.M, ec.Steps, ec.RecordEvery, ec.Seed)
-		s := ec.Sim
-		fmt.Fprintf(h, "sim|%d|%v|%g|%g|%g|%g|%g|%d|", s.N, s.Types, s.Cutoff, s.Dt, s.NoiseVariance, s.InitRadius, s.EquilibriumThreshold, s.EquilibriumWindow)
-		var o legacyObserver
-		o.Align.ICP.MaxIterations = p.Observer.Align.ICP.MaxIterations
-		o.Align.ICP.Tolerance = p.Observer.Align.ICP.Tolerance
-		o.Align.ICP.Restarts = p.Observer.Align.ICP.Restarts
-		o.Align.Reference = p.Observer.Align.Reference
-		o.Align.Workers = p.Observer.Align.Workers
-		o.KMeansK, o.Seed, o.SkipAlign = p.Observer.KMeansK, p.Observer.Seed, p.Observer.SkipAlign
-		fmt.Fprintf(h, "obs|%+v|", o)
-		fmt.Fprintf(h, "force|%+v", fspec)
-		return h.Sum64(), true
-	}
-	tuned := experiment.Pipeline{Name: "c", Observer: observer.Config{KMeansK: 3, Seed: 1 << 63, SkipAlign: true},
-		Ensemble: sim.EnsembleConfig{Sim: fig4ish(), M: 8, Steps: 4, RecordEvery: 2, Seed: 3}}
-	tuned.Observer.Align = align.FrameOptions{ICP: align.Options{MaxIterations: 20, Tolerance: 1.0 / 3, Restarts: 4},
-		Reference: align.RefMedoid, Workers: 7}
-	pipelines := []experiment.Pipeline{
-		{Name: "a", Ensemble: sim.EnsembleConfig{Sim: fig4ish(), M: 32, Steps: 40, RecordEvery: 20, Seed: 7}},
-		{Name: "b", Estimator: experiment.EstKernel, Bins: 6, TrackEntropies: true,
-			Ensemble: sim.EnsembleConfig{Sim: fig4ish(), M: 16, Steps: 10, RecordEvery: 5, Seed: 1}},
-		tuned,
-	}
-	for i, p := range pipelines {
-		id := fmt.Sprintf("run-%d", i)
-		want, wantOK := legacy(id, p)
-		got, ok := PipelineFingerprint(id, p)
-		if ok != wantOK || got != want {
-			t.Fatalf("pipeline %d: fingerprint %x (ok=%t), legacy key %x (ok=%t)", i, got, ok, want, wantOK)
-		}
-	}
-	// A custom (non-serialisable) force cannot be fingerprinted.
-	if _, ok := PipelineFingerprint("x", experiment.Pipeline{}); ok {
-		t.Fatal("nil force fingerprinted")
-	}
-}
-
 // goldenFingerprints pins the checkpoint key of each golden run spec.
 // These values must NEVER change: a spec serialized today must load and
 // fingerprint identically forever, including after future field
@@ -272,10 +198,11 @@ func TestParseLargeNAllocatesLittle(t *testing.T) {
 }
 
 // FuzzParse decodes arbitrary bytes as spec JSON, seeded with the golden
-// specs and largeNSpec. Parse must never panic, and a spec it accepts
-// must survive MarshalIndent → Parse: MarshalIndent's bytes are a fixed
-// point, and a run spec resolves to a pipeline with the same
-// PipelineFingerprint (or fails to resolve on both sides).
+// specs, largeNSpec and an F² Fig. 8 run. Parse must never panic, and a
+// spec it accepts must survive MarshalIndent → Parse: MarshalIndent's
+// bytes are a fixed point, and a run spec resolves to a pipeline with
+// the same PipelineFingerprint (or fails to resolve on both sides),
+// whose key text is the frozen fmt recipe's byte for byte.
 func FuzzParse(f *testing.F) {
 	goldens, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil || len(goldens) == 0 {
@@ -289,6 +216,15 @@ func FuzzParse(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(largeNSpec))
+	f2, err := FromPipeline(experiment.Fig8Specs(experiment.Scale{M: 16, Steps: 20, Repeats: 1}, 3, 1)[2].Pipeline)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f2JSON, err := f2.MarshalIndent()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(f2JSON)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := Parse(data, "fuzz.json")
 		if err != nil {
@@ -313,6 +249,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkLegacyKey(t, sp.Name, p)
 		fp, ok := PipelineFingerprint(sp.Name, p)
 		fpBack, okBack := PipelineFingerprint(back.Name, pBack)
 		if fp != fpBack || ok != okBack {
