@@ -18,8 +18,10 @@ import (
 
 // SpawnFunc starts worker i against the coordinator at addr with its
 // slice of the token budget, returning a wait function that blocks until
-// the worker exits. The context is the sweep's: cancelling it must bring
-// the worker down.
+// the worker exits. The context is cancelled when the sweep fails or its
+// caller cancels it, and that must bring the worker down; a sweep that
+// succeeds closes the worker's connection instead. Sweep returns only
+// after every wait has.
 type SpawnFunc func(ctx context.Context, i int, addr string, budget int) (wait func() error, err error)
 
 // Coordinator shards sweeps across worker processes, implementing
@@ -76,24 +78,24 @@ func (s *sweepState) complete() {
 	}
 }
 
+// fail aborts the sweep with err unless it already failed or every run
+// completed: a sweep finishes once, and a failure that arrives after the
+// last result (a cancellation racing it, or the workers exiting at
+// teardown) leaves it finished.
 func (s *sweepState) fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err == nil {
-		s.err = err
-		close(s.finished)
-	}
-}
-
-// failIfUnfinished aborts the sweep only if runs are still outstanding —
-// the all-workers-dead path, where waiting would hang forever.
-func (s *sweepState) failIfUnfinished(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.outstanding > 0 && s.err == nil {
 		s.err = err
 		close(s.finished)
 	}
+}
+
+// failed returns the error the sweep failed with, if it did.
+func (s *sweepState) failed() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 func (s *sweepState) addConn(c net.Conn) {
@@ -139,7 +141,8 @@ func (c *Coordinator) split() []int {
 // Sweep distributes the specs across worker processes and returns the
 // results in spec order. The contract is Runner.Sweep's: bit-identical
 // results, checkpoints of completed runs survive failures, cancellation
-// returns the context's error verbatim.
+// returns the context's error verbatim. Every worker it spawned has
+// exited when it returns, so none writes to the store afterwards.
 func (c *Coordinator) Sweep(ctx context.Context, specs []experiment.SweepSpec) ([]*experiment.Result, error) {
 	if c.Spawn == nil {
 		return nil, errors.New("remote: Coordinator requires a Spawn function")
@@ -215,9 +218,15 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []experiment.SweepSpec) (
 		}
 	}()
 
+	// The workers run under a context of their own, cancelled only when
+	// the sweep fails. A sweep that succeeds closes their connections
+	// and waits for them to exit on their own: cancelling would kill a
+	// process worker before it exits cleanly.
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var dead sync.WaitGroup
 	for i, per := range c.split() {
-		wait, err := c.Spawn(ctx, i, addr, per)
+		wait, err := c.Spawn(wctx, i, addr, per)
 		if err != nil {
 			st.fail(fmt.Errorf("remote: spawning worker %d: %w", i, err))
 			break
@@ -236,10 +245,10 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []experiment.SweepSpec) (
 		// select's st.fail(ctx.Err()) and must not mask it.
 		dead.Wait()
 		if err := ctx.Err(); err != nil {
-			st.failIfUnfinished(err)
+			st.fail(err)
 			return
 		}
-		st.failIfUnfinished(errors.New("remote: all workers exited with runs outstanding"))
+		st.fail(errors.New("remote: all workers exited with runs outstanding"))
 	}()
 
 	select {
@@ -247,17 +256,19 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []experiment.SweepSpec) (
 	case <-ctx.Done():
 		st.fail(ctx.Err())
 	}
-	// Teardown: stop accepting, sever every worker so in-flight handlers
-	// unblock, then wait for them — no handler may touch the results
-	// slice after Sweep returns.
+	// Teardown: stop a failed sweep's workers, stop accepting, sever
+	// every worker so in-flight handlers unblock, then wait for the
+	// handlers and the workers — no handler may touch the results slice,
+	// and no worker may write a checkpoint, after Sweep returns.
+	err = st.failed()
+	if err != nil {
+		cancel()
+	}
 	ln.Close()
 	<-acceptDone
 	st.closeConns()
 	handlers.Wait()
-
-	st.mu.Lock()
-	err = st.err
-	st.mu.Unlock()
+	dead.Wait()
 	if err != nil {
 		return nil, err
 	}

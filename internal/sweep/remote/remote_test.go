@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -229,6 +230,79 @@ func TestWorkerDeathRequeuesAndResumes(t *testing.T) {
 	}
 }
 
+// tornConn is a worker's connection that dies inside its first result
+// frame: it passes the frames before it through, writes the first half
+// of it, closes, and closes tore. A send is one Write of one whole
+// frame, so a wire reading back the written bytes tells which frame
+// each Write holds; after the torn one the worker's wire writes no more.
+type tornConn struct {
+	net.Conn
+	written bytes.Buffer
+	peek    *wire // decodes written
+	tore    chan struct{}
+}
+
+func (c *tornConn) Write(b []byte) (int, error) {
+	c.written.Write(b)
+	f, err := c.peek.recv()
+	if err != nil {
+		return 0, err
+	}
+	if f.Type != msgResult {
+		return c.Conn.Write(b)
+	}
+	n, _ := c.Conn.Write(b[:len(b)/2])
+	c.Conn.Close()
+	close(c.tore)
+	return n, net.ErrClosed
+}
+
+// TestWorkerDeathMidFrameRequeues: worker 0's connection closes halfway
+// through its first result frame. The coordinator reads a torn frame and
+// requeues that run to worker 1, which connects only then, and the
+// sweep's results are bit-identical to the serial loop's.
+func TestWorkerDeathMidFrameRequeues(t *testing.T) {
+	specs := experiment.Fig8Specs(tinyScale(), 2, 41)
+	want, err := experiment.SerialSweeper{}.Sweep(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tore := make(chan struct{})
+	spawn := func(ctx context.Context, i int, addr string, budget int) (func() error, error) {
+		done := make(chan error, 1)
+		go func() {
+			if i == 1 {
+				select {
+				case <-tore:
+				case <-ctx.Done(): // the sweep failed before worker 0 tore a frame
+					done <- ctx.Err()
+					return
+				}
+			}
+			conn, err := dial(ctx, addr)
+			if err != nil {
+				done <- err
+				return
+			}
+			if i == 0 {
+				tc := &tornConn{Conn: conn, tore: tore}
+				tc.peek = newWire(&tc.written)
+				conn = tc
+			}
+			done <- serveConn(ctx, conn, WorkerOptions{Budget: budget})
+		}()
+		return func() error { return <-done }, nil
+	}
+	co := &Coordinator{Procs: 2, Budget: 2, Spawn: spawn}
+	base := runtime.NumGoroutine()
+	got, err := co.Sweep(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoroutineBaseline(t, "after a mid-frame close", base)
+	sameResults(t, "after a mid-frame close", want, got)
+}
+
 // TestCoordinatorResumesWithoutSpawning: a sweep whose runs are all in
 // the store completes from the coordinator's pre-dispatch pass — no
 // worker is ever spawned, the process-boundary analogue of the
@@ -454,6 +528,47 @@ func TestWorkerRunErrorSurfaces(t *testing.T) {
 	checkGoroutineBaseline(t, "worker run error", base)
 }
 
+// dirListing returns the names in dir.
+func dirListing(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestFailedSweepStopsWorkers: a sweep that fails stops its workers and
+// waits for them before returning, so no worker writes a checkpoint
+// into the directory after Sweep has returned its error. Run 0 is
+// rejected by worker-side validation at once; run 1 takes hundreds of
+// milliseconds, so the other worker is still computing it.
+func TestFailedSweepStopsWorkers(t *testing.T) {
+	specs := experiment.Fig8Specs(experiment.Scale{M: 64, Steps: 3000, Repeats: 1}, 2, 19)
+	specs[0].Pipeline.K = 64 // k >= m: rejected by worker-side validation
+	dir := t.TempDir()
+	co := &Coordinator{
+		Procs:  2,
+		Budget: 2,
+		Spawn:  GoSpawner(WorkerOptions{Dir: dir}),
+		Store:  sweep.DirStore{Dir: dir},
+	}
+	base := runtime.NumGoroutine()
+	_, err := co.Sweep(context.Background(), specs)
+	returned := dirListing(t, dir)
+	if err == nil || !strings.Contains(err.Error(), specs[0].ID) {
+		t.Fatalf("err = %v, want run %s's rejection", err, specs[0].ID)
+	}
+	checkGoroutineBaseline(t, "failed sweep", base)
+	if later := dirListing(t, dir); !slices.Equal(later, returned) {
+		t.Fatalf("the checkpoint directory held %q when Sweep returned and %q after its workers settled", returned, later)
+	}
+}
+
 // TestResultWithoutPayloadIsDropped: a worker that answers a spec with a
 // result frame carrying no result broke the protocol. The coordinator
 // requeues the run and drops the connection, as for an unknown frame
@@ -591,6 +706,51 @@ func TestCancelReturnsContextError(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled verbatim", err)
 	}
 	checkGoroutineBaseline(t, "cancelled sweep", base)
+}
+
+// TestCancelAfterLastResultReturnsResults: a cancellation that lands
+// after the last result, but before Sweep looks, leaves the sweep
+// finished. Worker 0 answers every run alone and exits when the sweep
+// closes its connection; only then does worker 1's Spawn cancel the
+// context and return, so Sweep sees both at once. Whichever it takes
+// first, it returns the complete results.
+func TestCancelAfterLastResultReturnsResults(t *testing.T) {
+	specs := experiment.Fig8Specs(tinyScale(), 2, 43)
+	want, err := experiment.SerialSweeper{}.Sweep(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 20 {
+		ctx, cancel := context.WithCancel(context.Background())
+		exited := make(chan struct{})
+		var err0 error
+		co := &Coordinator{
+			Procs:  2,
+			Budget: 2,
+			Spawn: func(ctx context.Context, i int, addr string, budget int) (func() error, error) {
+				if i == 1 {
+					<-exited
+					cancel()
+					return func() error { return nil }, nil
+				}
+				wait, err := GoSpawner(WorkerOptions{})(ctx, i, addr, budget)
+				if err != nil {
+					return nil, err
+				}
+				go func() {
+					err0 = wait()
+					close(exited)
+				}()
+				return func() error { <-exited; return err0 }, nil
+			},
+		}
+		got, err := co.Sweep(ctx, specs)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, "cancelled after the last result", want, got)
+	}
 }
 
 // TestWireSpecFingerprintRoundTrip pins the property distribution rests

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"repro/internal/experiment"
 	"repro/internal/infotheory"
@@ -39,14 +40,7 @@ var errWorkerDied = errors.New("remote: worker died (test hook)")
 // Serve runs the worker side of the protocol: sweep the checkpoint
 // directory for stale temps (a killed sibling's .tmp-run-* remnants must
 // be cleaned by whichever process next opens the dir), dial the
-// coordinator, then loop — receive a spec frame, run it through a local
-// sweep.Runner against the shared store, stream progress back, answer
-// with the trimmed result. Every run shares one estimator-engine pool, as
-// a Session's runs do, so engine scratch grows once per worker rather
-// than once per run. A clean connection close (the coordinator is done)
-// returns nil; a frame torn by the coordinator's death is an error;
-// cancelling the context severs the connection and returns the
-// context's error.
+// coordinator, then serve the connection (serveConn).
 func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 	if opts.Dir != "" {
 		if _, err := sweep.RemoveStaleTemps(opts.Dir); err != nil {
@@ -57,6 +51,19 @@ func Serve(ctx context.Context, addr string, opts WorkerOptions) error {
 	if err != nil {
 		return fmt.Errorf("remote: worker dial: %w", err)
 	}
+	return serveConn(ctx, conn, opts)
+}
+
+// serveConn serves one coordinator connection, which it closes, in a
+// loop: receive a spec frame, run it through a local sweep.Runner
+// against the shared store, stream progress back, answer with the
+// trimmed result. Every run shares one estimator-engine pool, as a
+// Session's runs do, so engine scratch grows once per worker rather than
+// once per run. A clean connection close (the coordinator is done)
+// returns nil; a frame torn by the coordinator's death is an error;
+// cancelling the context severs the connection and returns the
+// context's error.
+func serveConn(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	defer conn.Close()
 	// A blocked frame read does not watch the context; closing the
 	// connection from the cancellation path aborts it.
