@@ -271,6 +271,49 @@ func TestSampleIntoFullDrawIsPermutation(t *testing.T) {
 	}
 }
 
+// TestSampleIntoIsUniform checks SampleInto's inclusion probabilities
+// against a uniform r-subset's: P(i ∈ S) = r/m and P(i, j ∈ S) =
+// r(r−1)/(m(m−1)). Over 200,000 draws of 3 from 10 at a fixed (seed,
+// stream), Pearson's χ² of the singleton counts (9 df) and of the pair
+// counts (44 df) must stay below their 0.001 upper quantiles.
+func TestSampleIntoIsUniform(t *testing.T) {
+	const draws, m, r = 200000, 10, 3
+	s := NewStream(2012, 6)
+	dst := make([]int32, m)
+	var single [m]int
+	var pair [m][m]int
+	for range draws {
+		sample := s.SampleInto(dst, m, r)
+		for a, i := range sample {
+			single[i]++
+			for _, j := range sample[a+1:] {
+				pair[min(i, j)][max(i, j)]++
+			}
+		}
+	}
+	chi2 := func(obs []int, want float64) float64 {
+		x := 0.0
+		for _, o := range obs {
+			x += (float64(o) - want) * (float64(o) - want) / want
+		}
+		return x
+	}
+	var pairs []int
+	for i := range m {
+		pairs = append(pairs, pair[i][i+1:]...)
+	}
+	if x := chi2(single[:], draws*r/float64(m)); x >= 27.88 {
+		t.Errorf("singleton χ² = %.2f over 9 df, want < 27.88 (counts %v)", x, single)
+	} else {
+		t.Logf("singleton χ² = %.2f over 9 df", x)
+	}
+	if x := chi2(pairs, draws*r*(r-1)/float64(m*(m-1))); x >= 78.75 {
+		t.Errorf("pair χ² = %.2f over 44 df, want < 78.75", x)
+	} else {
+		t.Logf("pair χ² = %.2f over 44 df", x)
+	}
+}
+
 func TestStreamZeroAlloc(t *testing.T) {
 	// The whole point of Stream over Split: usable in 0 allocs/op
 	// steady-state paths.
