@@ -162,8 +162,9 @@ func TestEngineEntropiesMatchBrute(t *testing.T) {
 // treeShapeM is a sample count at which knn's rule builds tree nodes
 // for every index of a dataset of two 1-D variables: the 2-D joint and
 // the 1-D KL indexes answer kNN queries (tree at every size) and the 1-D
-// marginals answer counts (tree from 600 points).
-const treeShapeM = 1000
+// marginals answer counts (tree from the table's 5000 points, so from
+// 3163, the geometric midpoint of 2000 and 5000).
+const treeShapeM = 3200
 
 // Property: bit-identity holds where Rebuild picks tree nodes, not only
 // where it scans — the joint kNN over two blocks, the marginal counts

@@ -139,7 +139,7 @@ func newCountCase(dim, n int) *crossoverCase {
 	c.pts = columns(joint, n, jointLen, span(0, dim)...)
 	c.pickQueries()
 	var jt Tree
-	jt.rebuild(joint, n, jointLen, MaxEuclidean2, uniformBlocks(jointLen, dim), false)
+	jt.rebuild(joint, n, jointLen, MaxEuclidean2, uniformBlocks(jointLen, dim), false, true)
 	var nbs []Neighbor
 	for _, s := range c.qs {
 		nbs = jt.KNearest(joint[s*jointLen:(s+1)*jointLen], k, int32(s), nbs)
@@ -168,7 +168,7 @@ func newChebyshevCountCase(dim, n int) *crossoverCase {
 	c.pts = columns(joint, n, jointLen, cols...)
 	c.pickQueries()
 	var jt Tree
-	jt.rebuild(joint, n, jointLen, Chebyshev, nil, false)
+	jt.rebuild(joint, n, jointLen, Chebyshev, nil, false, true)
 	var nbs []Neighbor
 	for _, s := range c.qs {
 		nbs = jt.KNearest(joint[s*jointLen:(s+1)*jointLen], k, int32(s), nbs)
@@ -187,9 +187,11 @@ func (c *crossoverCase) bench(b *testing.B, path string) {
 	build := func() {
 		switch path {
 		case "tree":
-			tr.rebuild(c.pts, c.n, c.dim, c.metric, c.blocks, true)
-		case "scan":
-			tr.rebuild(c.pts, c.n, c.dim, c.metric, c.blocks, false)
+			tr.rebuild(c.pts, c.n, c.dim, c.metric, c.blocks, true, true)
+		case "scan", "avx2":
+			tr.rebuild(c.pts, c.n, c.dim, c.metric, c.blocks, false, true)
+		case "go":
+			tr.rebuild(c.pts, c.n, c.dim, c.metric, c.blocks, false, false)
 		default:
 			tr.Rebuild(c.pts, c.n, c.dim, c.metric, c.blocks, c.query)
 		}

@@ -48,7 +48,11 @@
 // bound proves the point lies beyond it. Tree candidates and scan
 // results go through one kernel per metric; the scans' screening loops
 // evaluate the same block sum, unrolled for 2-coordinate blocks and for
-// the 2-D count.
+// the 2-D count. On amd64 hosts with AVX2, three of those loops (the
+// 2-D count, the one-block count and the 2-wide-block screen) run as
+// assembly kernels whose every lane performs the Go loop's operations
+// on the same operands in the same order, so they return the Go loop's
+// count or row bit for bit; every other host runs the Go loops.
 // The tree's box/axis bounds are computed with elementwise-dominating
 // terms summed in the same coordinate order, so IEEE rounding
 // monotonicity guarantees a bound never misranks a point it gates.
@@ -128,13 +132,15 @@ var crossovers = []struct {
 		9: 20000, 10: 20000, 11: 20000, 12: 50000, 13: never, 14: never, 15: never, 16: never}},
 	// kNN, KSG joints of 1-D variables (knn/1 rows).
 	{Nearest, MaxEuclidean2, 1, map[int]int{2: 128, 3: 128, 4: 128, 5: 128, 6: 600}},
-	// kNN, KSG joints of 2-D observer variables (knn/2 rows).
-	{Nearest, MaxEuclidean2, 2, map[int]int{4: 600, 6: 2000, 8: 5000, 10: 20000, 12: 20000, 14: 50000, 16: never}},
+	// kNN, KSG joints of 2-D observer variables (knn/2 rows), against
+	// the scan's AVX2 kernels.
+	{Nearest, MaxEuclidean2, 2, map[int]int{4: 2000, 6: 5000, 8: 50000, 10: never, 12: never, 14: never, 16: never}},
 	// kNN, the Frenzel–Pompe joints of active storage and transfer
 	// entropy (knn/chebyshev rows).
 	{Nearest, Chebyshev, 0, map[int]int{5: 128, 6: 600}},
-	// Count, the KSG marginals at KSG-2 radii (count/row rows).
-	{Count, MaxEuclidean2, 0, map[int]int{1: 600, 2: 20000, 3: 5000, 4: 5000, 5: 20000, 6: 20000,
+	// Count, the KSG marginals at KSG-2 radii (count/row rows), against
+	// the scan's AVX2 kernels.
+	{Count, MaxEuclidean2, 0, map[int]int{1: 5000, 2: never, 3: 50000, 4: never, 5: never, 6: never,
 		7: never, 8: never, 9: never, 10: never, 11: never, 12: never, 13: never, 14: never, 15: never, 16: never}},
 	// Count, the Frenzel–Pompe subspaces (count/chebyshev rows).
 	{Count, Chebyshev, 0, map[int]int{1: 128, 2: 600, 3: 600, 4: 2000}},
@@ -193,13 +199,14 @@ type treeNode struct {
 // k-d tree nodes or a plain scan, as Rebuild chooses. The zero value is
 // ready for Rebuild.
 type Tree struct {
-	metric Metric
-	dim    int
-	blocks []Block
-	pts    []float64 // referenced, not copied; row j at [j*dim, (j+1)*dim)
-	n      int
-	built  bool // tree nodes present; otherwise queries scan
-	pairs  bool // MaxEuclidean2 blocks all two wide
+	metric  Metric
+	dim     int
+	blocks  []Block
+	pts     []float64 // referenced, not copied; row j at [j*dim, (j+1)*dim)
+	n       int
+	built   bool // tree nodes present; otherwise queries scan
+	pairs   bool // MaxEuclidean2 blocks all two wide
+	kernels bool // scans run the AVX2 kernels (kernels_amd64.s)
 
 	nodes     []treeNode
 	boxes     []float64 // per node: dim lows then dim highs
@@ -218,13 +225,14 @@ type Tree struct {
 // MaxEuclidean2 (nil means one block spanning the row); it is ignored by
 // Chebyshev. The blocks slice is referenced, not copied.
 func (t *Tree) Rebuild(pts []float64, n, dim int, metric Metric, blocks []Block, query Query) {
-	t.rebuild(pts, n, dim, metric, blocks, useTree(n, dim, metric, blocks, query))
+	t.rebuild(pts, n, dim, metric, blocks, useTree(n, dim, metric, blocks, query), true)
 }
 
 // rebuild is Rebuild with the path given: tree asks for tree nodes,
 // which an empty index or one holding a non-finite coordinate still
-// does not get. Tests call it to force either path.
-func (t *Tree) rebuild(pts []float64, n, dim int, metric Metric, blocks []Block, tree bool) {
+// does not get, and kernels lets the scans run the AVX2 kernels where
+// the CPU has them. Tests call it to force each path.
+func (t *Tree) rebuild(pts []float64, n, dim int, metric Metric, blocks []Block, tree, kernels bool) {
 	if dim <= 0 || n < 0 || len(pts) < n*dim {
 		panic("knn: Rebuild needs n rows of dim coordinates")
 	}
@@ -242,6 +250,7 @@ func (t *Tree) rebuild(pts []float64, n, dim int, metric Metric, blocks []Block,
 	for _, b := range t.blocks {
 		t.pairs = t.pairs && b.Len == 2
 	}
+	t.kernels = kernels && hasAVX2
 	t.nodes = t.nodes[:0]
 	t.boxes = t.boxes[:0]
 	t.root = -1
@@ -696,7 +705,8 @@ func (t *Tree) CountWithin(q []float64, r float64, inclusive bool, exclude int32
 // scanCount counts the rows within distance r ≥ 0 of q (inclusive) by
 // one pass over the rows. The one-block loops count without a branch; a
 // NaN block sum is distance 0 to the brute reference, so it counts:
-// !(s > r) holds for it as for every s ≤ r.
+// !(s > r) holds for it as for every s ≤ r. The AVX2 kernels count the
+// rows in fours, and the Go loops count the rows left over.
 func (t *Tree) scanCount(q []float64, r float64) int {
 	c := 0
 	switch {
@@ -708,6 +718,10 @@ func (t *Tree) scanCount(q []float64, r float64) int {
 		// sqSum unrolled for the paper's 2-D observer variables.
 		q0, q1 := q[0], q[1]
 		pts := t.pts[:2*t.n]
+		if t.kernels {
+			c = count2AVX2(q0, q1, pts, r)
+			pts = pts[len(pts)&^7:]
+		}
 		for j := 1; j < len(pts); j += 2 {
 			d0, d1 := q0-pts[j-1], q1-pts[j]
 			s := d0 * d0
@@ -717,7 +731,12 @@ func (t *Tree) scanCount(q []float64, r float64) int {
 			}
 		}
 	default:
-		for j := 0; j < t.n; j++ {
+		j := 0
+		if t.kernels {
+			j = t.n &^ 3
+			c = countRowsAVX2(q[:t.dim], t.pts[:j*t.dim], r)
+		}
+		for ; j < t.n; j++ {
 			if !(sqSum(q, t.row(j)) > r) {
 				c++
 			}
@@ -751,6 +770,8 @@ func (t *Tree) nextWithin(q []float64, from int, bound float64) int {
 				return j
 			}
 		}
+	case t.pairs && t.kernels:
+		return from + nextPairsAVX2(q[:t.dim], t.pts[from*t.dim:t.n*t.dim], bound)
 	case t.pairs:
 		// sqSum unrolled for rows of 2-D observer variables.
 		q = q[:t.dim]

@@ -109,22 +109,34 @@ func randomInstance(r *rand.Rand) (pts []float64, n, dim int, blocks []Block) {
 	return pts, n, dim, blocks
 }
 
-// forEachMode runs f with the tree path and the scan forced in turn;
-// f builds its indexes with rebuild(..., tree).
-func forEachMode(t *testing.T, f func(t *testing.T, tree bool)) {
+// mode is one way an index answers queries: on tree nodes, or by a
+// scan through the Go loops or the AVX2 kernels. A tree index scans
+// only a query or rows holding a non-finite coordinate, through the
+// kernels where the CPU has them, as Rebuild's indexes do.
+type mode struct{ tree, kernels bool }
+
+// forEachMode runs f on the tree, the Go scan and the AVX2 scan in
+// turn; f builds its indexes with rebuild(..., m.tree, m.kernels). The
+// AVX2 scan is skipped on a host without AVX2, where the scan has only
+// its Go loops.
+func forEachMode(t *testing.T, f func(t *testing.T, m mode)) {
 	t.Helper()
-	for _, tree := range []bool{true, false} {
-		name := "scan"
-		if tree {
-			name = "tree"
-		}
-		t.Run(name, func(t *testing.T) { f(t, tree) })
+	for _, c := range []struct {
+		name string
+		m    mode
+	}{{"tree", mode{true, true}}, {"scan", mode{false, false}}, {"avx2", mode{false, true}}} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.m.kernels && !c.m.tree && !hasAVX2 {
+				t.Skip("this host has no AVX2: the scan runs only its Go loops")
+			}
+			f(t, c.m)
+		})
 	}
 }
 
 func TestKNearestMatchesBruteExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	forEachMode(t, func(t *testing.T, tree bool) {
+	forEachMode(t, func(t *testing.T, m mode) {
 		var tr Tree
 		for trial := 0; trial < 200; trial++ {
 			pts, n, dim, blocks := randomInstance(r)
@@ -133,8 +145,8 @@ func TestKNearestMatchesBruteExactly(t *testing.T) {
 				if metric == Chebyshev {
 					bl = nil
 				}
-				tr.rebuild(pts, n, dim, metric, bl, tree)
-				if want := tree && finite(pts); tr.TreeBacked() != want {
+				tr.rebuild(pts, n, dim, metric, bl, m.tree, m.kernels)
+				if want := m.tree && finite(pts); tr.TreeBacked() != want {
 					t.Fatalf("TreeBacked = %v, want %v", tr.TreeBacked(), want)
 				}
 				k := 1 + r.Intn(n)
@@ -160,7 +172,7 @@ func TestKNearestMatchesBruteExactly(t *testing.T) {
 
 func TestCountWithinMatchesBruteExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	forEachMode(t, func(t *testing.T, tree bool) {
+	forEachMode(t, func(t *testing.T, m mode) {
 		var tr Tree
 		for trial := 0; trial < 200; trial++ {
 			pts, n, dim, blocks := randomInstance(r)
@@ -169,7 +181,7 @@ func TestCountWithinMatchesBruteExactly(t *testing.T) {
 				if metric == Chebyshev {
 					bl = nil
 				}
-				tr.rebuild(pts, n, dim, metric, bl, tree)
+				tr.rebuild(pts, n, dim, metric, bl, m.tree, m.kernels)
 				for q := 0; q < n; q++ {
 					// Radii that exactly hit point distances probe the
 					// strict/inclusive boundary; add a few generic ones.
@@ -198,13 +210,13 @@ func rowOf(pts []float64, dim, j int) []float64 { return pts[j*dim : (j+1)*dim] 
 // either path.
 func TestRebuildReuseMatchesFreshTree(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	forEachMode(t, func(t *testing.T, tree bool) {
+	forEachMode(t, func(t *testing.T, m mode) {
 		var reused Tree
 		for trial := 0; trial < 60; trial++ {
 			pts, n, dim, blocks := randomInstance(r)
-			reused.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
+			reused.rebuild(pts, n, dim, MaxEuclidean2, blocks, m.tree, m.kernels)
 			var fresh Tree
-			fresh.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
+			fresh.rebuild(pts, n, dim, MaxEuclidean2, blocks, m.tree, m.kernels)
 			k := 1 + r.Intn(4)
 			for q := 0; q < n; q++ {
 				a := reused.KNearest(rowOf(pts, dim, q), k, int32(q), nil)
@@ -244,12 +256,12 @@ func TestSteadyStateRebuildAndQueryAllocationFree(t *testing.T) {
 			pts[i] = r.NormFloat64()
 		}
 	}
-	forEachMode(t, func(t *testing.T, tree bool) {
+	forEachMode(t, func(t *testing.T, m mode) {
 		trees := make([]Tree, len(shapes))
 		scratch := make([]Neighbor, 0, k)
 		rebuildAll := func() {
 			for i, sh := range shapes {
-				trees[i].rebuild(pts, n, dim, sh.metric, sh.blocks, tree)
+				trees[i].rebuild(pts, n, dim, sh.metric, sh.blocks, m.tree, m.kernels)
 			}
 		}
 		fill()
@@ -283,12 +295,12 @@ func TestReleaseDropsReferencesKeepsStorage(t *testing.T) {
 	}
 	const n, dim = 40, 3
 	blocks := []Block{{0, 1}, {1, 2}}
-	forEachMode(t, func(t *testing.T, tree bool) {
+	forEachMode(t, func(t *testing.T, m mode) {
 		var tr Tree
-		tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
+		tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, m.tree, m.kernels)
 		retained := tr.RetainedBytes()
-		if tree != (retained > 0) {
-			t.Fatalf("tree=%v index reports %d retained bytes", tree, retained)
+		if m.tree != (retained > 0) {
+			t.Fatalf("tree=%v index reports %d retained bytes", m.tree, retained)
 		}
 		tr.Release()
 		if tr.Len() != 0 || tr.TreeBacked() || tr.pts != nil || tr.blocks != nil {
@@ -300,7 +312,7 @@ func TestReleaseDropsReferencesKeepsStorage(t *testing.T) {
 		// A released index must still be rebuildable without fresh
 		// allocation for same-shaped input.
 		allocs := testing.AllocsPerRun(5, func() {
-			tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, tree)
+			tr.rebuild(pts, n, dim, MaxEuclidean2, blocks, m.tree, m.kernels)
 		})
 		if allocs != 0 {
 			t.Errorf("rebuild after Release allocates %v, want 0", allocs)
@@ -309,10 +321,10 @@ func TestReleaseDropsReferencesKeepsStorage(t *testing.T) {
 }
 
 func TestKNearestEdgeCases(t *testing.T) {
-	forEachMode(t, func(t *testing.T, tree bool) {
+	forEachMode(t, func(t *testing.T, m mode) {
 		var tr Tree
 		pts := []float64{0, 1, 2, 3}
-		tr.rebuild(pts, 4, 1, MaxEuclidean2, nil, tree)
+		tr.rebuild(pts, 4, 1, MaxEuclidean2, nil, m.tree, m.kernels)
 		if got := tr.KNearest([]float64{1.1}, 0, -1, nil); len(got) != 0 {
 			t.Errorf("k=0 returned %d neighbours", len(got))
 		}
@@ -328,7 +340,7 @@ func TestKNearestEdgeCases(t *testing.T) {
 		}
 		// All-duplicate points: ties must resolve by index.
 		dup := []float64{5, 5, 5, 5}
-		tr.rebuild(dup, 4, 1, MaxEuclidean2, nil, tree)
+		tr.rebuild(dup, 4, 1, MaxEuclidean2, nil, m.tree, m.kernels)
 		got = tr.KNearest([]float64{5}, 2, 2, nil)
 		if len(got) != 2 || got[0].Index != 0 || got[1].Index != 1 {
 			t.Errorf("duplicate tie-break: got %v, want indices 0,1", got)
@@ -343,7 +355,7 @@ func TestKNearestEdgeCases(t *testing.T) {
 func TestNonFiniteQueryMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	forEachMode(t, func(t *testing.T, tree bool) {
+	forEachMode(t, func(t *testing.T, m mode) {
 		var tr Tree
 		for trial := 0; trial < 100; trial++ {
 			pts, n, dim, blocks := randomInstance(r)
@@ -358,9 +370,9 @@ func TestNonFiniteQueryMatchesBrute(t *testing.T) {
 				if metric == Chebyshev {
 					bl = nil
 				}
-				tr.rebuild(pts, n, dim, metric, bl, tree)
-				if tr.TreeBacked() != tree {
-					t.Fatalf("TreeBacked = %v on finite rows, want %v", tr.TreeBacked(), tree)
+				tr.rebuild(pts, n, dim, metric, bl, m.tree, m.kernels)
+				if tr.TreeBacked() != m.tree {
+					t.Fatalf("TreeBacked = %v on finite rows, want %v", tr.TreeBacked(), m.tree)
 				}
 				k := 1 + r.Intn(n)
 				got := tr.KNearest(q, k, -1, nil)
@@ -385,20 +397,50 @@ func TestNonFiniteQueryMatchesBrute(t *testing.T) {
 }
 
 // Rebuild scans an index holding a non-finite coordinate even where
-// useTree picks the tree.
+// useTree picks the tree, and the scan it falls back to, on the Go
+// loops or on the kernels, matches brute force.
 func TestRebuildScansNonFiniteRows(t *testing.T) {
-	pts := make([]float64, 128)
+	const n, dim = 128, 2
+	pts := make([]float64, n*dim)
 	for i := range pts {
 		pts[i] = float64(i)
 	}
 	var tr Tree
-	tr.Rebuild(pts, len(pts), 1, MaxEuclidean2, nil, Nearest)
+	tr.Rebuild(pts, n, dim, MaxEuclidean2, nil, Nearest)
 	if !tr.TreeBacked() {
-		t.Fatal("precondition: a 1-D kNN index of 128 points should be tree-backed")
+		t.Fatal("precondition: a 2-D kNN index of 128 points should be tree-backed")
 	}
-	pts[7] = math.NaN()
-	tr.Rebuild(pts, len(pts), 1, MaxEuclidean2, nil, Nearest)
+	pts[15] = math.NaN()
+	tr.Rebuild(pts, n, dim, MaxEuclidean2, nil, Nearest)
 	if tr.TreeBacked() {
 		t.Error("tree built over a NaN coordinate")
 	}
+	forEachMode(t, func(t *testing.T, m mode) {
+		var tr Tree
+		tr.rebuild(pts, n, dim, MaxEuclidean2, nil, m.tree, m.kernels)
+		if tr.TreeBacked() {
+			t.Fatal("tree built over a NaN coordinate")
+		}
+		if want := m.kernels && hasAVX2; tr.kernels != want {
+			t.Fatalf("scan runs the kernels = %v, want %v", tr.kernels, want)
+		}
+		for q := 0; q < n; q++ {
+			got := tr.KNearest(rowOf(pts, dim, q), 4, int32(q), nil)
+			want := bruteKNearest(pts, n, dim, MaxEuclidean2, nil, q, 4)
+			if len(got) != len(want) {
+				t.Fatalf("q=%d: %d neighbours, want %d", q, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("q=%d neighbour %d: got %v, want %v", q, i, got[i], want[i])
+				}
+			}
+			rad := bruteDist(pts, dim, MaxEuclidean2, nil, q, (q+5)%n)
+			for _, inclusive := range []bool{false, true} {
+				if got, want := tr.CountWithin(rowOf(pts, dim, q), rad, inclusive, int32(q)), bruteCount(pts, n, dim, MaxEuclidean2, nil, q, rad, inclusive); got != want {
+					t.Fatalf("q=%d r=%v inclusive=%v: count %d, want %d", q, rad, inclusive, got, want)
+				}
+			}
+		}
+	})
 }

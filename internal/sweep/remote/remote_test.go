@@ -303,6 +303,108 @@ func TestWorkerDeathMidFrameRequeues(t *testing.T) {
 	sameResults(t, "after a mid-frame close", want, got)
 }
 
+// stallConn is a worker's connection whose first result frame never
+// leaves: frames before it pass through, and its Write closes stalled
+// and then blocks, writing nothing, until the connection is closed. A
+// wire reading back the written bytes tells which frame a Write holds,
+// as tornConn's does.
+type stallConn struct {
+	net.Conn
+	written bytes.Buffer
+	peek    *wire // decodes written
+	stalled chan struct{}
+	closed  chan struct{}
+	close   sync.Once
+}
+
+func (c *stallConn) Write(b []byte) (int, error) {
+	c.written.Write(b)
+	f, err := c.peek.recv()
+	if err != nil {
+		return 0, err
+	}
+	if f.Type != msgResult {
+		return c.Conn.Write(b)
+	}
+	close(c.stalled)
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *stallConn) Close() error {
+	c.close.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestCancelUnblocksStalledWorker: worker 0's connection stalls inside
+// its first result frame, a write that no deadline ends, and the test
+// cancels the sweep once it has. Cancellation alone must bring the
+// sweep down: Sweep returns context.Canceled verbatim, both workers'
+// waits return, and no goroutine outlives it.
+func TestCancelUnblocksStalledWorker(t *testing.T) {
+	specs := experiment.Fig8Specs(tinyScale(), 2, 47)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stalled := make(chan struct{})
+	var waited atomic.Int32
+	spawn := func(ctx context.Context, i int, addr string, budget int) (func() error, error) {
+		done := make(chan error, 1)
+		go func() {
+			if i == 1 {
+				// Worker 1 starts once worker 0 holds the first run, so
+				// it cannot drain the queue before worker 0 stalls.
+				select {
+				case <-stalled:
+				case <-ctx.Done():
+					done <- ctx.Err()
+					return
+				}
+			}
+			conn, err := dial(ctx, addr)
+			if err != nil {
+				done <- err
+				return
+			}
+			if i == 0 {
+				sc := &stallConn{Conn: conn, stalled: stalled, closed: make(chan struct{})}
+				sc.peek = newWire(&sc.written)
+				conn = sc
+			}
+			done <- serveConn(ctx, conn, WorkerOptions{Budget: budget})
+		}()
+		return func() error {
+			defer waited.Add(1)
+			return <-done
+		}, nil
+	}
+	co := &Coordinator{Procs: 2, Budget: 2, Spawn: spawn}
+	base := runtime.NumGoroutine()
+	go func() {
+		select {
+		case <-stalled:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	swept := make(chan error, 1)
+	go func() {
+		_, err := co.Sweep(ctx, specs)
+		swept <- err
+	}()
+	select {
+	case err := <-swept:
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled verbatim", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Sweep still blocked a minute after cancelling a stalled worker")
+	}
+	if n := waited.Load(); n != 2 {
+		t.Fatalf("%d of 2 worker waits returned before Sweep did", n)
+	}
+	checkGoroutineBaseline(t, "after a stalled worker", base)
+}
+
 // TestCoordinatorResumesWithoutSpawning: a sweep whose runs are all in
 // the store completes from the coordinator's pre-dispatch pass — no
 // worker is ever spawned, the process-boundary analogue of the
